@@ -1,8 +1,8 @@
 """cmsim: shared per-destination congestion control plus the deterministic
 network simulation, transports, and adaptive applications that exercise it."""
 
-from .core import (CongestionManager, FeedbackReport, FlowKey, FlowMode,
-                   LossMode, MacroflowState, Phase, Proto, QueryResult)
+from .core import (CongestionManager, FeedbackReport, FlowKey, LossMode,
+                   MacroflowState, Phase, Proto, QueryResult)
 from .sim import (Dispatcher, EventLoop, Link, LinkOutcome, Packet,
                   PacketKind, Path)
 from .trace import TraceKind, TraceRecord, Tracer
@@ -10,7 +10,7 @@ from .trace import TraceKind, TraceRecord, Tracer
 __version__ = "0.1.0"
 
 __all__ = [
-    "CongestionManager", "FeedbackReport", "FlowKey", "FlowMode", "LossMode",
+    "CongestionManager", "FeedbackReport", "FlowKey", "LossMode",
     "MacroflowState", "Phase", "Proto", "QueryResult",
     "Dispatcher", "EventLoop", "Link", "LinkOutcome", "Packet", "PacketKind",
     "Path", "TraceKind", "TraceRecord", "Tracer",

@@ -28,13 +28,22 @@ Grants are issued round-robin over flows with pending requests whenever
 outstanding + MTU <= cwnd. Callbacks are synchronous but never nest inside
 a client API call: work triggered inside open/request/notify/update/... is
 queued and dispatched when the outermost call returns.
+
+The scheduler keeps its state as calls arrive instead of scanning every
+destination on every call: a min-heap of macroflows that may be ready for
+a grant (lowest id served first), a per-macroflow count of members with
+pending requests, the members registered for rate callbacks, and a heap
+of idle-decay deadlines. The clock must never run backwards.
 """
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (DuplicateFlow, InvalidReport, InvalidThreshold,
                      NoCallbackRegistered, UnknownFlow)
@@ -55,12 +64,6 @@ BASE_TICK = 0.010
 class Proto(enum.Enum):
     TCP = "tcp"
     UDP = "udp"
-
-
-class FlowMode(enum.Enum):
-    BUFFERED = "buffered"
-    REQUEST_CALLBACK = "request_callback"
-    RATE_CALLBACK = "rate_callback"
 
 
 class Phase(enum.Enum):
@@ -124,20 +127,18 @@ class MacroflowState:
 SendCallback = Callable[[int], None]
 UpdateCallback = Callable[[int, float, float, float], None]
 
-_OPEN, _CLOSED = "open", "closed"
+_by_id = attrgetter("id")
 
 
 class _Flow:
-    __slots__ = ("id", "key", "mf", "state", "mode", "pending_requests",
-                 "send_cb", "update_cb", "thresh_down", "thresh_up",
+    __slots__ = ("id", "key", "mf", "pending_requests", "send_cb",
+                 "update_cb", "thresh_down", "thresh_up",
                  "last_notified_rate")
 
     def __init__(self, fid: int, key: FlowKey, mf: "_Macroflow") -> None:
         self.id = fid
         self.key = key
         self.mf = mf
-        self.state = _OPEN
-        self.mode = FlowMode.BUFFERED
         self.pending_requests = 0
         self.send_cb: Optional[SendCallback] = None
         self.update_cb: Optional[UpdateCallback] = None
@@ -149,7 +150,8 @@ class _Flow:
 class _Macroflow:
     __slots__ = ("id", "dst", "mtu", "cwnd", "ssthresh", "outstanding",
                  "srtt", "rttvar", "loss_rate", "ca_acc", "recovery_left",
-                 "last_cut_time", "members", "rr_cursor", "last_send_time")
+                 "last_cut_time", "members", "rr_cursor", "last_send_time",
+                 "demand", "rated", "in_ready", "decay_key")
 
     def __init__(self, mfid: int, dst: str, mtu: int, ssthresh: int,
                  now: float) -> None:
@@ -168,6 +170,12 @@ class _Macroflow:
         self.members: List[int] = []
         self.rr_cursor = 0
         self.last_send_time = now
+        self.demand = 0            # members with pending_requests > 0
+        self.rated: List[_Flow] = []   # members with an update callback, by id
+        self.in_ready = False      # on the manager's ready heap
+        # key of this macroflow's live entry on the decay heap; None when it
+        # has none, which happens only while cwnd <= mtu
+        self.decay_key: Optional[float] = None
 
     @property
     def phase(self) -> Phase:
@@ -180,6 +188,9 @@ class _Macroflow:
             return INITIAL_RTO
         return min(max(self.srtt + 4.0 * self.rttvar, MIN_RTO), MAX_RTO)
 
+    def idle_deadline(self) -> float:
+        return self.last_send_time + IDLE_RTO_MULTIPLE * self.rto()
+
 
 class CongestionManager:
     """The congestion-control core shared by every flow on a host.
@@ -187,8 +198,8 @@ class CongestionManager:
     Args:
         mtu: path MTU used for every destination.
         initial_ssthresh: slow-start threshold for a fresh macroflow.
-        clock: callable returning current virtual time; defaults to a
-            constant 0.0 for purely call-driven use.
+        clock: callable returning current virtual time, never decreasing;
+            defaults to a constant 0.0 for purely call-driven use.
         tracer: optional Tracer receiving Grant/CwndChange/RateCallback rows.
     """
 
@@ -206,11 +217,18 @@ class CongestionManager:
         self._open_keys: Dict[FlowKey, int] = {}
         self._macroflows: Dict[int, _Macroflow] = {}
         self._mf_by_dst: Dict[str, int] = {}
-        self._next_flow_id = 1
+        self._next_flow_id = 1     # ids below this were issued
         self._next_mf_id = 1
         self._depth = 0
         self._in_dispatch = False
         self._update_queue: deque = deque()
+        # ids of macroflows that may have a grant to give; every macroflow
+        # that has one is here (see _mark_ready)
+        self._ready: List[int] = []
+        # (idle deadline lower bound, macroflow id); see _update_impl
+        self._decay: List[Tuple[float, int]] = []
+        # macroflows whose srtt / 2 < BASE_TICK, for tick_period
+        self._fast: Set[_Macroflow] = set()
         self.op_counts: Counter = Counter()
 
     # -- plumbing ---------------------------------------------------------
@@ -227,7 +245,7 @@ class CongestionManager:
 
     def _flow(self, flow_id: int) -> _Flow:
         fl = self._flows.get(flow_id)
-        if fl is None or fl.state != _OPEN:
+        if fl is None:
             raise UnknownFlow(f"flow {flow_id}")
         return fl
 
@@ -269,18 +287,23 @@ class CongestionManager:
             self._exit()
 
     def close(self, flow_id: int) -> None:
-        """Idempotent for a known flow; UnknownFlow for a never-issued id."""
+        """Idempotent for a known flow; UnknownFlow for a never-issued id.
+        The flow's record is dropped: an issued id that is no longer open
+        is a closed one."""
         self._enter("close")
         try:
-            fl = self._flows.get(flow_id)
+            fl = self._flows.pop(flow_id, None)
             if fl is None:
+                if isinstance(flow_id, int) and \
+                        0 < flow_id < self._next_flow_id:
+                    return
                 raise UnknownFlow(f"flow {flow_id}")
-            if fl.state == _CLOSED:
-                return
-            fl.state = _CLOSED
-            fl.pending_requests = 0
             del self._open_keys[fl.key]
             mf = fl.mf
+            if fl.pending_requests > 0:
+                mf.demand -= 1
+            if fl.update_cb is not None:
+                del mf.rated[bisect_left(mf.rated, fl.id, key=_by_id)]
             idx = mf.members.index(flow_id)
             mf.members.pop(idx)
             if idx < mf.rr_cursor:
@@ -309,7 +332,7 @@ class CongestionManager:
         try:
             fl = self._flow(flow_id)
             fl.send_cb = cb
-            fl.mode = FlowMode.REQUEST_CALLBACK
+            self._mark_ready(fl.mf)
         finally:
             self._exit()
 
@@ -317,9 +340,12 @@ class CongestionManager:
         self._enter("register_update")
         try:
             fl = self._flow(flow_id)
+            rated = fl.mf.rated
+            if fl.update_cb is None and cb is not None:
+                insort(rated, fl, key=_by_id)
+            elif fl.update_cb is not None and cb is None:
+                del rated[bisect_left(rated, fl.id, key=_by_id)]
             fl.update_cb = cb
-            if fl.send_cb is None:
-                fl.mode = FlowMode.RATE_CALLBACK
         finally:
             self._exit()
 
@@ -352,6 +378,9 @@ class CongestionManager:
         if fl.send_cb is None:
             raise NoCallbackRegistered(f"flow {flow_id}")
         fl.pending_requests += 1
+        if fl.pending_requests == 1:
+            fl.mf.demand += 1
+        self._mark_ready(fl.mf)
 
     def notify(self, flow_id: int, nsent: int) -> None:
         """Charge nsent bytes actually put on the wire; nsent == 0 declines
@@ -374,8 +403,9 @@ class CongestionManager:
         """Fold a feedback report into the macroflow's shared state.
 
         report.nsent bytes are discharged from outstanding and report.nrecd
-        of them count as delivered. Raises InvalidReport unless
-        0 <= nrecd <= nsent and any rtt sample is positive."""
+        of them count as delivered. Raises InvalidReport, before any state
+        changes, unless 0 <= nrecd <= nsent, any rtt sample is positive
+        and lossmode is a LossMode."""
         self._enter("update")
         try:
             self._update_impl(flow_id, report)
@@ -389,6 +419,9 @@ class CongestionManager:
             raise InvalidReport(f"nsent={nsent} nrecd={nrecd}")
         if report.rtt is not None and report.rtt <= 0.0:
             raise InvalidReport(f"rtt={report.rtt}")
+        mode = report.lossmode
+        if not isinstance(mode, LossMode):
+            raise InvalidReport(f"lossmode={mode}")
         mf = fl.mf
         mf.outstanding = max(0, mf.outstanding - nsent)
 
@@ -401,6 +434,10 @@ class CongestionManager:
                 mf.rttvar = ((1.0 - RTTVAR_GAIN) * mf.rttvar
                              + RTTVAR_GAIN * abs(sample - mf.srtt))
                 mf.srtt = (1.0 - RTT_GAIN) * mf.srtt + RTT_GAIN * sample
+            if mf.srtt / 2.0 < BASE_TICK:
+                self._fast.add(mf)
+            else:
+                self._fast.discard(mf)
 
         if nsent > 0:
             frac = (nsent - nrecd) / nsent
@@ -409,7 +446,6 @@ class CongestionManager:
         old_cwnd, old_ssthresh = mf.cwnd, mf.ssthresh
         mf.recovery_left = max(0, mf.recovery_left - nsent)
         now = self._clock()
-        mode = report.lossmode
         if mode == LossMode.NO_LOSS:
             if nrecd > 0:
                 if mf.cwnd < mf.ssthresh:
@@ -429,18 +465,27 @@ class CongestionManager:
                 mf.ca_acc = 0
                 mf.recovery_left = mf.cwnd
                 mf.last_cut_time = now
-        elif mode == LossMode.PERSISTENT:
+        else:                                       # PERSISTENT
             mf.ssthresh = max(mf.cwnd // 2, 2 * mf.mtu)
             mf.cwnd = mf.mtu
             mf.ca_acc = 0
             mf.recovery_left = mf.cwnd
             mf.last_cut_time = now
-        else:
-            raise InvalidReport(f"lossmode={mode}")
 
         if mf.cwnd != old_cwnd or mf.ssthresh != old_ssthresh:
             self._trace(flow_id, TraceKind.CWND_CHANGE, mf.cwnd, mf.ssthresh)
         self._eval_thresholds(mf)
+        self._mark_ready(mf)
+        # Keep the decay key at or before the idle deadline. Only this
+        # method shrinks the RTO (with an rtt sample) or lifts cwnd above
+        # the MTU; notify only moves the deadline later, and tick re-keys
+        # what it pops early.
+        if mf.cwnd > mf.mtu and (mf.decay_key is None
+                                 or report.rtt is not None):
+            deadline = mf.idle_deadline()
+            if mf.decay_key is None or deadline < mf.decay_key:
+                mf.decay_key = deadline
+                heappush(self._decay, (deadline, mf.id))
 
     # -- introspection ----------------------------------------------------
 
@@ -516,25 +561,46 @@ class CongestionManager:
         timer, so it does not count as an API boundary crossing."""
         self._enter(None)
         try:
-            for mf in self._macroflows.values():
-                if mf.cwnd > mf.mtu and \
-                        now - mf.last_send_time >= IDLE_RTO_MULTIPLE * mf.rto():
-                    mf.cwnd = mf.mtu
-                    mf.ca_acc = 0
-                    mf.last_send_time = now
-                    if mf.members:
-                        self._trace(mf.members[0], TraceKind.CWND_CHANGE,
-                                    mf.cwnd, mf.ssthresh)
-                    self._eval_thresholds(mf)
+            # Decay keys never exceed the idle deadline, so every macroflow
+            # due now has an entry up to now; the slack covers the rounding
+            # between the key's sum and the predicate's difference.
+            limit = now + 1e-9 * (1.0 + abs(now))
+            decay = self._decay
+            due: List[_Macroflow] = []
+            early: List[_Macroflow] = []
+            while decay and decay[0][0] <= limit:
+                key, mfid = heappop(decay)
+                mf = self._macroflows[mfid]
+                if mf.decay_key != key:             # superseded entry
+                    continue
+                mf.decay_key = None
+                if mf.cwnd <= mf.mtu:
+                    continue
+                if now - mf.last_send_time >= IDLE_RTO_MULTIPLE * mf.rto():
+                    due.append(mf)
+                else:
+                    early.append(mf)
+            # re-keyed after the loop: a key within the slack would pop again
+            for mf in early:
+                mf.decay_key = mf.idle_deadline()
+                heappush(decay, (mf.decay_key, mf.id))
+            due.sort(key=_by_id)
+            for mf in due:
+                mf.cwnd = mf.mtu
+                mf.ca_acc = 0
+                mf.last_send_time = now
+                if mf.members:
+                    self._trace(mf.members[0], TraceKind.CWND_CHANGE,
+                                mf.cwnd, mf.ssthresh)
+                self._eval_thresholds(mf)
         finally:
             self._exit()
 
     def tick_period(self) -> float:
         """Suggested interval until the next tick()."""
         period = BASE_TICK
-        for mf in self._macroflows.values():
-            if mf.srtt > 0.0:
-                period = min(period, mf.srtt / 2.0)
+        for mf in self._fast:
+            period = min(period, mf.srtt / 2.0)
         return period
 
     # -- rate notifications ----------------------------------------------
@@ -542,28 +608,30 @@ class CongestionManager:
     def _flow_rate(self, mf: _Macroflow) -> float:
         if mf.srtt <= 0.0:
             return 0.0
-        demand = 0
-        for fid in mf.members:
-            if self._flows[fid].pending_requests > 0:
-                demand += 1
-        return (mf.cwnd / mf.srtt) / max(1, demand)
+        return (mf.cwnd / mf.srtt) / max(1, mf.demand)
 
     def _eval_thresholds(self, mf: _Macroflow) -> None:
-        rate = None
-        for fid in mf.members:
-            fl = self._flows[fid]
-            if fl.update_cb is None:
-                continue
-            if rate is None:
-                rate = self._flow_rate(mf)
+        if not mf.rated:
+            return
+        rate = self._flow_rate(mf)
+        for fl in mf.rated:
             r0 = fl.last_notified_rate
             if rate == r0:
                 continue
             if rate <= r0 * fl.thresh_down or rate >= r0 * fl.thresh_up:
                 fl.last_notified_rate = rate
-                self._update_queue.append((fid, rate, mf.srtt, mf.loss_rate))
+                self._update_queue.append((fl.id, rate, mf.srtt, mf.loss_rate))
 
     # -- dispatch ---------------------------------------------------------
+
+    def _mark_ready(self, mf: _Macroflow) -> None:
+        """Put mf on the ready heap if it has a grant to give. Called
+        wherever demand rises or the window opens (request, update,
+        register_send), so the heap holds every macroflow that is ready."""
+        if not mf.in_ready and mf.demand and \
+                mf.outstanding + mf.mtu <= mf.cwnd:
+            mf.in_ready = True
+            heappush(self._ready, mf.id)
 
     def _dispatch(self) -> None:
         self._in_dispatch = True
@@ -572,7 +640,7 @@ class CongestionManager:
                 if self._update_queue:
                     fid, rate, srtt, lr = self._update_queue.popleft()
                     fl = self._flows.get(fid)
-                    if fl is not None and fl.state == _OPEN and fl.update_cb:
+                    if fl is not None and fl.update_cb:
                         self.op_counts["cmapp_update"] += 1
                         self._trace(fid, TraceKind.RATE_CALLBACK, rate, srtt)
                         fl.update_cb(fid, rate, srtt, lr)
@@ -583,18 +651,27 @@ class CongestionManager:
             self._in_dispatch = False
 
     def _grant_one(self) -> bool:
-        for mf in self._macroflows.values():
-            if mf.outstanding + mf.mtu > mf.cwnd:
-                continue
-            n = len(mf.members)
-            for i in range(n):
-                idx = (mf.rr_cursor + i) % n
-                fl = self._flows[mf.members[idx]]
-                if fl.pending_requests > 0 and fl.send_cb is not None:
-                    fl.pending_requests -= 1
-                    mf.rr_cursor = (idx + 1) % n
-                    self.op_counts["cmapp_send"] += 1
-                    self._trace(fl.id, TraceKind.GRANT, mf.cwnd, mf.outstanding)
-                    fl.send_cb(fl.id)
-                    return True
+        """Grant to the lowest-id ready macroflow, round-robin over its
+        members from rr_cursor. A macroflow stays on the heap while it is
+        being served, so a grant callback that raises strands nothing."""
+        ready = self._ready
+        while ready:
+            mf = self._macroflows[ready[0]]
+            if mf.demand and mf.outstanding + mf.mtu <= mf.cwnd:
+                n = len(mf.members)
+                for i in range(n):
+                    idx = (mf.rr_cursor + i) % n
+                    fl = self._flows[mf.members[idx]]
+                    if fl.pending_requests > 0 and fl.send_cb is not None:
+                        fl.pending_requests -= 1
+                        if fl.pending_requests == 0:
+                            mf.demand -= 1
+                        mf.rr_cursor = (idx + 1) % n
+                        self.op_counts["cmapp_send"] += 1
+                        self._trace(fl.id, TraceKind.GRANT, mf.cwnd,
+                                    mf.outstanding)
+                        fl.send_cb(fl.id)
+                        return True
+            heappop(ready)
+            mf.in_ready = False
         return False

@@ -54,6 +54,11 @@ def test_close_never_issued_id_raises():
     cm = CongestionManager()
     with pytest.raises(UnknownFlow):
         cm.close(999)
+    fid = cm.open(key(1))
+    cm.close(fid)
+    for never_issued in (0, fid + 1):
+        with pytest.raises(UnknownFlow):
+            cm.close(never_issued)
 
 
 def test_api_on_closed_flow_raises():
@@ -177,6 +182,17 @@ def test_update_rejects_bad_reports():
         cm.update(fid, FeedbackReport(100, 200))
     with pytest.raises(InvalidReport):
         cm.update(fid, FeedbackReport(100, 50, rtt=0.0))
+
+
+def test_rejected_report_changes_no_state():
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    cm.update(fid, FeedbackReport(3000, 3000, rtt=0.1))
+    cm.notify(fid, 3000)
+    before = cm.macroflow_state(fid)
+    with pytest.raises(InvalidReport):
+        cm.update(fid, FeedbackReport(1500, 1000, lossmode="bogus", rtt=0.5))
+    assert cm.macroflow_state(fid) == before
 
 
 def test_notify_charges_outstanding_and_update_discharges():

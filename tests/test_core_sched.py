@@ -6,6 +6,7 @@ import pytest
 
 from cmsim.core import (BASE_TICK, CongestionManager, FeedbackReport, FlowKey,
                         LossMode, Proto)
+from cmsim.trace import TraceKind, Tracer
 
 MTU = 1500
 
@@ -112,6 +113,23 @@ def test_callbacks_never_nest():
     cm.request(a)
     assert grants[0] == 4
     assert peak[0] == 1
+
+
+def test_lowest_macroflow_id_is_served_first():
+    cm = CongestionManager()
+    order = []
+
+    def accept(fid):
+        order.append(fid)
+        cm.notify(fid, MTU)
+
+    fids = []
+    for p in range(1, 4):
+        f = cm.open(FlowKey("c", p, f"s{p}", 9, Proto.UDP))
+        cm.register_send(f, accept)
+        fids.append(f)
+    cm.bulk_request(fids[::-1])                # all three ready at once
+    assert order == fids
 
 
 def test_grant_passes_flow_id_of_owner():
@@ -224,6 +242,48 @@ def test_recent_send_prevents_decay():
     assert cm.macroflow_state(fid).cwnd == 12000
 
 
+def test_decay_follows_a_shrinking_rto():
+    now = [0.0]
+    cm = CongestionManager(clock=lambda: now[0])
+    fid = cm.open(key(1))
+    cm.update(fid, FeedbackReport(1500, 1500))      # idle deadline 4 x 1 s
+    cm.update(fid, FeedbackReport(0, 0, rtt=0.05))  # rto 0.2 s: deadline 0.8 s
+    cm.tick(0.7)
+    assert cm.macroflow_state(fid).cwnd == 2 * MTU
+    cm.tick(1.0)
+    assert cm.macroflow_state(fid).cwnd == MTU
+
+
+def test_decay_waits_for_the_deadline_a_later_send_set():
+    now = [0.0]
+    cm = CongestionManager(clock=lambda: now[0])
+    fid = cm.open(key(1))
+    cm.update(fid, FeedbackReport(1500, 1500))      # idle deadline 4 s
+    now[0] = 3.0
+    cm.notify(fid, 100)                             # deadline now 7 s
+    cm.tick(4.0)
+    assert cm.macroflow_state(fid).cwnd == 2 * MTU
+    cm.tick(6.9)
+    assert cm.macroflow_state(fid).cwnd == 2 * MTU
+    cm.tick(7.0)
+    assert cm.macroflow_state(fid).cwnd == MTU
+
+
+def test_due_decays_apply_in_macroflow_id_order():
+    now = [0.0]
+    tracer = Tracer()
+    cm = CongestionManager(clock=lambda: now[0], tracer=tracer)
+    fids = [cm.open(FlowKey("c", p, f"s{p}", 9, Proto.UDP)) for p in (1, 2, 3)]
+    for f, sent_at in zip(fids, (2.0, 0.0, 1.0)):  # deadlines 6, 4, 5 s
+        now[0] = sent_at
+        cm.notify(f, 100)
+        cm.update(f, FeedbackReport(100, 100))
+    cm.tick(10.0)
+    cuts = [r.flow for r in tracer.records if r.kind == TraceKind.CWND_CHANGE
+            and r.value1 == MTU]
+    assert cuts == fids
+
+
 def test_tick_redispatches_stranded_requests():
     cm = CongestionManager()
     granted = []
@@ -252,6 +312,8 @@ def test_tick_period_tracks_half_srtt():
     other = cm.open(FlowKey("c", 9, "elsewhere", 9, Proto.UDP))
     cm.update(other, FeedbackReport(0, 0, rtt=1.0))
     assert cm.tick_period() == pytest.approx(0.002)
+    cm.update(fid, FeedbackReport(0, 0, rtt=1.0))  # srtt 0.1285
+    assert cm.tick_period() == BASE_TICK
 
 
 def test_tick_does_not_count_as_boundary_crossing():
