@@ -20,9 +20,9 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..core import CongestionManager, FlowKey
-from ..sim import EventLoop, Packet, PacketKind, Path
+from ..sim import EventLoop, Path
 from ..trace import TraceKind, Tracer
-from ..transport.feedback import FeedbackTracker
+from ..transport.feedback import DatagramSender
 
 STALE_EPS = 1e-9
 
@@ -52,7 +52,7 @@ class TokenBucket:
         return False
 
 
-class CbrAudioSource:
+class CbrAudioSource(DatagramSender):
     """Fixed-rate frame source feeding a policed, freshness-bounded buffer."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
@@ -61,14 +61,10 @@ class CbrAudioSource:
                  policer_depth_frames: int = 2,
                  thresh: Tuple[float, float] = (0.9, 1.1),
                  tracer: Optional[Tracer] = None) -> None:
-        self.cm = cm
-        self.loop = loop
-        self.path = data_path
+        super().__init__(cm, key, data_path, loop, tracer)
         self.frame_size = frame_size
         self.frame_interval = frame_interval
         self.app_buf_limit = app_buf_limit
-        self.tracer = tracer
-        self.flow = cm.open(key)
         cm.register_send(self.flow, self._on_grant)
         cm.register_update(self.flow, self._on_rate)
         cm.thresh(self.flow, thresh[0], thresh[1])
@@ -76,7 +72,6 @@ class CbrAudioSource:
         self.policer = TokenBucket(self.source_rate,
                                    policer_depth_frames * frame_size,
                                    now=loop.now)
-        self.tracker = FeedbackTracker()
         self._buf: Deque[Tuple[int, float]] = deque()   # (frame seq, t generated)
         self._pending_request = False
         self._next_frame = 0
@@ -84,9 +79,6 @@ class CbrAudioSource:
         self.active = False
         self.generated = 0
         self.policer_drops = 0
-        self.buf_drops = 0
-        self.sent_frames = 0
-        self.sent_bytes = 0
 
     @property
     def buffered(self) -> int:
@@ -126,7 +118,6 @@ class CbrAudioSource:
 
     def _drop_head(self, now: float) -> None:
         seq, _ = self._buf.popleft()
-        self.buf_drops += 1
         if self.tracer is not None:
             self.tracer.emit(now, self.flow, TraceKind.BUF_DROP,
                              seq, self.frame_size)
@@ -144,15 +135,7 @@ class CbrAudioSource:
             self.cm.notify(self.flow, 0)
             return
         seq, _ = self._buf.popleft()
-        self.tracker.on_sent(seq, self.frame_size, now)
-        if self.tracer is not None:
-            self.tracer.emit(now, self.flow, TraceKind.SEND,
-                             seq, self.frame_size)
-        self.path.send(Packet(flow=self.flow, seq=seq, size=self.frame_size,
-                              kind=PacketKind.DATA, sent_at=now))
-        self.sent_frames += 1
-        self.sent_bytes += self.frame_size
-        self.cm.notify(self.flow, self.frame_size)
+        self._transmit(seq, self.frame_size, now)
         if self._buf:
             self.cm.request(self.flow)
         else:
@@ -162,7 +145,5 @@ class CbrAudioSource:
                  loss_rate: float) -> None:
         self.policer.set_rate(rate, self.loop.now)
 
-    def on_feedback(self, pkt: Packet, now: float) -> None:
-        report = self.tracker.on_app_ack(pkt.meta, now)
-        if report is not None:
-            self.cm.update(self.flow, report)
+    # own attribute: perfbench/spans.py METHODS wraps it via cls.__dict__
+    on_feedback = DatagramSender.on_feedback

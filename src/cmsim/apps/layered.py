@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core import CongestionManager, FlowKey
-from ..sim import EventLoop, Packet, PacketKind, Path
+from ..sim import EventLoop, Path
 from ..trace import TraceKind, Tracer
-from ..transport.feedback import FeedbackTracker
+from ..transport.feedback import DatagramSender
 
 DEFAULT_LAYER_RATES = (16384, 32768, 65536, 131072)
 DEFAULT_SAFETY = 0.9
@@ -59,28 +59,19 @@ class LayerConfig:
         return self.rates[layer]
 
 
-class AlfLayeredSource:
+class AlfLayeredSource(DatagramSender):
     """Grant-clocked source: one packet per grant, layer re-picked each time."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
                  loop: EventLoop, layers: Optional[LayerConfig] = None,
                  packet_size: Optional[int] = None,
-                 tracer: Optional[Tracer] = None,
-                 request_before_notify: bool = False) -> None:
-        self.cm = cm
-        self.loop = loop
-        self.path = data_path
+                 tracer: Optional[Tracer] = None) -> None:
+        super().__init__(cm, key, data_path, loop, tracer)
         self.layers = layers if layers is not None else LayerConfig()
-        self.tracer = tracer
-        self.request_before_notify = request_before_notify
-        self.flow = cm.open(key)
         cm.register_send(self.flow, self._on_grant)
         self.packet_size = packet_size or cm.mtu(self.flow)
-        self.tracker = FeedbackTracker()
         self.layer = 0
         self.active = False
-        self.sent_packets = 0
-        self.sent_bytes = 0
         self._seq = 0
 
     def start(self) -> None:
@@ -105,31 +96,16 @@ class AlfLayeredSource:
             if self.tracer is not None:
                 self.tracer.emit(now, self.flow, TraceKind.LAYER_CHANGE,
                                  layer, q.rate)
-        size = self.packet_size
         seq = self._seq
         self._seq += 1
-        self.tracker.on_sent(seq, size, now)
-        if self.tracer is not None:
-            self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
-        self.path.send(Packet(flow=self.flow, seq=seq, size=size,
-                              kind=PacketKind.DATA, sent_at=now,
-                              meta=layer))
-        self.sent_packets += 1
-        self.sent_bytes += size
-        if self.request_before_notify:
-            self.cm.request(self.flow)
-            self.cm.notify(self.flow, size)
-        else:
-            self.cm.notify(self.flow, size)
-            self.cm.request(self.flow)
+        self._transmit(seq, self.packet_size, now, meta=layer)
+        self.cm.request(self.flow)
 
-    def on_feedback(self, pkt: Packet, now: float) -> None:
-        report = self.tracker.on_app_ack(pkt.meta, now)
-        if report is not None:
-            self.cm.update(self.flow, report)
+    # own attribute: perfbench/spans.py METHODS wraps it via cls.__dict__
+    on_feedback = DatagramSender.on_feedback
 
 
-class PacedLayeredSource:
+class PacedLayeredSource(DatagramSender):
     """Self-clocked source: sends at the layer rate, adapts on rate callbacks."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
@@ -137,20 +113,13 @@ class PacedLayeredSource:
                  packet_size: int = 1500,
                  thresh: Tuple[float, float] = (0.7, 1.4),
                  tracer: Optional[Tracer] = None) -> None:
-        self.cm = cm
-        self.loop = loop
-        self.path = data_path
+        super().__init__(cm, key, data_path, loop, tracer)
         self.layers = layers if layers is not None else LayerConfig()
         self.packet_size = packet_size
-        self.tracer = tracer
-        self.flow = cm.open(key)
         cm.register_update(self.flow, self._on_rate)
         cm.thresh(self.flow, thresh[0], thresh[1])
-        self.tracker = FeedbackTracker()
         self.layer = 0
         self.active = False
-        self.sent_packets = 0
-        self.sent_bytes = 0
         self._seq = 0
         self._timer = None
 
@@ -174,19 +143,9 @@ class PacedLayeredSource:
     def _send_frame(self) -> None:
         if not self.active:
             return
-        now = self.loop.now
-        size = self.packet_size
         seq = self._seq
         self._seq += 1
-        self.tracker.on_sent(seq, size, now)
-        if self.tracer is not None:
-            self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
-        self.path.send(Packet(flow=self.flow, seq=seq, size=size,
-                              kind=PacketKind.DATA, sent_at=now,
-                              meta=self.layer))
-        self.sent_packets += 1
-        self.sent_bytes += size
-        self.cm.notify(self.flow, size)
+        self._transmit(seq, self.packet_size, self.loop.now, meta=self.layer)
         # new period takes effect here if the layer changed mid-interval
         self._timer = self.loop.schedule_after(self.interval, self._send_frame)
 
@@ -200,7 +159,5 @@ class PacedLayeredSource:
                 self.tracer.emit(now, self.flow, TraceKind.LAYER_CHANGE,
                                  layer, rate)
 
-    def on_feedback(self, pkt: Packet, now: float) -> None:
-        report = self.tracker.on_app_ack(pkt.meta, now)
-        if report is not None:
-            self.cm.update(self.flow, report)
+    # own attribute: perfbench/spans.py METHODS wraps it via cls.__dict__
+    on_feedback = DatagramSender.on_feedback

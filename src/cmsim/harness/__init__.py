@@ -2,7 +2,7 @@ from .checks import CHECKS, CheckResult, run_all
 from .config import (ExperimentConfig, SCENARIO_NAMES, SCENARIOS,
                      apply_overrides, from_dict, load_json, make_config,
                      save_json, to_dict, validate)
-from .oracles import RenoSender, aimd_reference, reno_pair
+from .oracles import RenoSender, aimd_reference
 from .scenarios import (BUILDERS, RunOutput, run_experiment, run_stats,
                         summarize_trace, write_outputs)
 
@@ -20,7 +20,6 @@ __all__ = [
     "from_dict",
     "load_json",
     "make_config",
-    "reno_pair",
     "run_all",
     "run_experiment",
     "run_stats",

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..sim import EventLoop, Packet, PacketKind, Path
 from ..trace import TraceKind, Tracer
-from ..transport.tcp import AckInfo, TcpReceiver
+from ..transport.tcp import AckInfo
 
 # Mirrors of the controller constants; restated here on purpose so a drift
 # in either implementation shows up as a test failure, not silent agreement.
@@ -217,15 +217,3 @@ class RenoSender:
             self._rto_ev.cancel()
             self._rto_ev = None
 
-
-def reno_pair(loop: EventLoop, flow_id: int, fwd: Path, rev: Path,
-              mss: int = _DEF_MTU, total_bytes: Optional[int] = None,
-              delayed_ack: bool = False,
-              tracer: Optional[Tracer] = None) -> Tuple[RenoSender, TcpReceiver]:
-    """Wire a RenoSender to a TcpReceiver over a forward/reverse path pair."""
-    sender = RenoSender(loop, flow_id, fwd, mss=mss, total_bytes=total_bytes,
-                        tracer=tracer)
-    receiver = TcpReceiver(loop, rev, flow_id, delayed_ack=delayed_ack)
-    fwd.set_sink(receiver.on_data)
-    rev.set_sink(sender.on_ack)
-    return sender, receiver

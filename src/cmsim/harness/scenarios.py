@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..apps import (AlfLayeredSource, CbrAudioSource, LayerConfig,
                     PacedLayeredSource)
 from ..core import CongestionManager, FlowKey, Proto
 from ..sim import Dispatcher, EventLoop, Link, Path
 from ..trace import TraceKind, TraceRecord, Tracer, write_csv
-from ..transport.feedback import AppAckReceiver
+from ..transport.feedback import AppAckReceiver, DatagramSender
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..transport.udpcc import UdpCcSocket
 from .config import ExperimentConfig, save_json, to_dict, validate
@@ -68,6 +68,23 @@ def _duplex(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
     rev = Link(loop, cfg.ack_bandwidth_bps, cfg.delay, queue_limit=REV_QUEUE,
                mtu=cfg.mtu, seed=cfg.seed, name=f"{name}-rev")
     return Path([fwd]), Path([rev]), fwd
+
+
+def _app_acks(cfg: ExperimentConfig, loop: EventLoop, fwd: Path, rev: Path,
+              senders: List[DatagramSender]) -> Tuple[Dispatcher, Dispatcher]:
+    """Route each datagram sender's packets to its own AppAckReceiver and
+    the acks back to its on_feedback; returns the forward and reverse
+    dispatchers so other flows can share the paths."""
+    route_fwd = Dispatcher()
+    route_rev = Dispatcher()
+    fwd.set_sink(route_fwd)
+    rev.set_sink(route_rev)
+    for s in senders:
+        ackr = AppAckReceiver(loop, rev, s.flow, max_acks=cfg.max_acks,
+                              max_delay=cfg.max_delay)
+        route_fwd.register(s.flow, ackr.on_data)
+        route_rev.register(s.flow, s.on_feedback)
+    return route_fwd, route_rev
 
 
 # -- builders -------------------------------------------------------------
@@ -150,10 +167,7 @@ def _build_layered(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
     else:
         app = AlfLayeredSource(cm, key, fwd, loop, layers=layers,
                                packet_size=cfg.packet_size, tracer=tracer)
-    ackr = AppAckReceiver(loop, rev, app.flow, max_acks=cfg.max_acks,
-                          max_delay=cfg.max_delay)
-    fwd.set_sink(ackr.on_data)
-    rev.set_sink(app.on_feedback)
+    _app_acks(cfg, loop, fwd, rev, [app])
     loop.schedule(cfg.step_down_t, fwd_link.set_bandwidth,
                   cfg.low_bandwidth_bps)
     loop.schedule(cfg.step_up_t, fwd_link.set_bandwidth, cfg.bandwidth_bps)
@@ -182,10 +196,7 @@ def build_delayed_feedback(cfg: ExperimentConfig, loop: EventLoop,
     sock.on_sent = lambda seq, size: sock.send(cfg.packet_size)
     # rate callbacks with default thresholds fire on every rate change
     cm.register_update(sock.flow, lambda fid, rate, srtt, lr: None)
-    ackr = AppAckReceiver(loop, rev, sock.flow, max_acks=cfg.max_acks,
-                          max_delay=cfg.max_delay)
-    fwd.set_sink(ackr.on_data)
-    rev.set_sink(sock.on_feedback)
+    _app_acks(cfg, loop, fwd, rev, [sock])
     for _ in range(cfg.queue_target):
         sock.send(cfg.packet_size)
     return {"cms": [cm], "cm_flows": [sock.flow], "ref_flows": []}
@@ -197,21 +208,14 @@ def build_udpcc_basic(cfg: ExperimentConfig, loop: EventLoop,
     scheduled inside a single macroflow."""
     cm = _cm(cfg, loop, tracer)
     fwd, rev, _ = _duplex(cfg, loop, tracer, "rr")
-    route_fwd = Dispatcher()
-    route_rev = Dispatcher()
-    fwd.set_sink(route_fwd)
-    rev.set_sink(route_rev)
     socks: List[UdpCcSocket] = []
     for i in range(cfg.num_flows):
         key = FlowKey("host", 7000 + i, "peer", 9)
         sock = UdpCcSocket(cm, key, fwd, loop, tracer=tracer)
         sock.on_sent = (
             lambda s: lambda seq, size: s.send(cfg.packet_size))(sock)
-        ackr = AppAckReceiver(loop, rev, sock.flow, max_acks=cfg.max_acks,
-                              max_delay=cfg.max_delay)
-        route_fwd.register(sock.flow, ackr.on_data)
-        route_rev.register(sock.flow, sock.on_feedback)
         socks.append(sock)
+    _app_acks(cfg, loop, fwd, rev, socks)
     for sock in socks:
         for _ in range(8):
             sock.send(cfg.packet_size)
@@ -227,21 +231,11 @@ def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
     otherwise; the traffic pattern is identical either way."""
     cm = _cm(cfg, loop, tracer)
     fwd, rev, _ = _duplex(cfg, loop, tracer, "ens")
-    route_fwd = Dispatcher()
-    route_rev = Dispatcher()
-    fwd.set_sink(route_fwd)
-    rev.set_sink(route_rev)
     batch: List[int] = []
-    socks: List[UdpCcSocket] = []
-    for i in range(cfg.num_flows):
-        key = FlowKey("host", 7100 + i, "server", 9)
-        sock = UdpCcSocket(cm, key, fwd, loop, tracer=tracer,
-                           defer_requests=True, pending_request_batch=batch)
-        ackr = AppAckReceiver(loop, rev, sock.flow, max_acks=cfg.max_acks,
-                              max_delay=cfg.max_delay)
-        route_fwd.register(sock.flow, ackr.on_data)
-        route_rev.register(sock.flow, sock.on_feedback)
-        socks.append(sock)
+    socks = [UdpCcSocket(cm, FlowKey("host", 7100 + i, "server", 9), fwd,
+                         loop, tracer=tracer, request_batch=batch)
+             for i in range(cfg.num_flows)]
+    route_fwd, route_rev = _app_acks(cfg, loop, fwd, rev, socks)
 
     def refill() -> None:
         for sock in socks:
@@ -288,10 +282,7 @@ def build_audio_cbr(cfg: ExperimentConfig, loop: EventLoop,
                          policer_depth_frames=cfg.policer_depth_frames,
                          thresh=(cfg.thresh_down, cfg.thresh_up),
                          tracer=tracer)
-    ackr = AppAckReceiver(loop, rev, app.flow, max_acks=cfg.max_acks,
-                          max_delay=cfg.max_delay)
-    fwd.set_sink(ackr.on_data)
-    rev.set_sink(app.on_feedback)
+    _app_acks(cfg, loop, fwd, rev, [app])
     app.start()
     return {"cms": [cm], "cm_flows": [app.flow], "ref_flows": [],
             "app": app}

@@ -108,17 +108,6 @@ class LinkOutcome(enum.Enum):
     MARKED = "marked"   # accepted and queued, ECN-marked
 
 
-@dataclass
-class FlowCounts:
-    enqueued_bytes: int = 0
-    delivered_bytes: int = 0
-    dropped_bytes: int = 0
-    marked_bytes: int = 0
-    enqueued_pkts: int = 0
-    delivered_pkts: int = 0
-    dropped_pkts: int = 0
-
-
 class Link:
     """One directional link: serialization + propagation + drop-tail queue.
 
@@ -150,34 +139,11 @@ class Link:
         self._rng = random.Random(f"{seed}:{name}")
         self._queue: List[Packet] = []
         self._busy = False
-        self._in_flight_bytes = 0
-        self.counts: Dict[int, FlowCounts] = {}
-
-    # -- accounting -------------------------------------------------------
-
-    def _c(self, flow: int) -> FlowCounts:
-        c = self.counts.get(flow)
-        if c is None:
-            c = FlowCounts()
-            self.counts[flow] = c
-        return c
 
     def _trace(self, pkt: Packet, kind: TraceKind) -> None:
         # Ack-type packets stay out of the trace to keep it data-plane only.
         if self.tracer is not None and pkt.data_bearing:
             self.tracer.emit(self.loop.now, pkt.flow, kind, pkt.seq, pkt.size)
-
-    @property
-    def queued_bytes(self) -> int:
-        return sum(p.size for p in self._queue)
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._queue)
-
-    @property
-    def in_flight_bytes(self) -> int:
-        return self._in_flight_bytes
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Applies from the next service start; the packet currently being
@@ -191,26 +157,18 @@ class Link:
     def send(self, pkt: Packet) -> LinkOutcome:
         if pkt.kind == PacketKind.DATA and pkt.size > self.mtu:
             raise ValueError(f"packet size {pkt.size} exceeds link mtu {self.mtu}")
-        c = self._c(pkt.flow)
         if len(self._queue) >= self.queue_limit:
-            c.dropped_bytes += pkt.size
-            c.dropped_pkts += 1
             self._trace(pkt, TraceKind.DROP)
             return LinkOutcome.DROPPED
         outcome = LinkOutcome.QUEUED
         if self.loss_prob > 0.0 and self._rng.random() < self.loss_prob:
             if self.ecn_mode:
                 pkt.ecn_marked = True
-                c.marked_bytes += pkt.size
                 self._trace(pkt, TraceKind.MARK)
                 outcome = LinkOutcome.MARKED
             else:
-                c.dropped_bytes += pkt.size
-                c.dropped_pkts += 1
                 self._trace(pkt, TraceKind.DROP)
                 return LinkOutcome.DROPPED
-        c.enqueued_bytes += pkt.size
-        c.enqueued_pkts += 1
         self._queue.append(pkt)
         if not self._busy:
             self._start_service()
@@ -228,7 +186,6 @@ class Link:
 
     def _finish_service(self) -> None:
         pkt = self._queue.pop(0)
-        self._in_flight_bytes += pkt.size
         self.loop.schedule_after(self.prop_delay, self._arrive, pkt)
         if self._queue:
             self._start_service()
@@ -236,10 +193,6 @@ class Link:
             self._busy = False
 
     def _arrive(self, pkt: Packet) -> None:
-        self._in_flight_bytes -= pkt.size
-        c = self._c(pkt.flow)
-        c.delivered_bytes += pkt.size
-        c.delivered_pkts += 1
         self._trace(pkt, TraceKind.DELIVER)
         if self.sink is not None:
             self.sink(pkt, self.loop.now)

@@ -16,14 +16,21 @@ a sent packet is *lost* once it is at least REORDER_PACKETS older than
 highest_seen and still unacknowledged. Late acks for a packet already
 declared lost are dropped from accounting (cannot happen on FIFO paths,
 but keeps nrecd <= nsent under reordering).
+
+DatagramSender is the loop every datagram client of the controller runs:
+it opens the flow, transmits one datagram per opportunity (tracker, Send
+trace row, the packet, counters, then notify) and folds each AppAck into
+an update. Its subclasses (UdpCcSocket and the layered and audio
+sources) decide only when to send and what.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core import FeedbackReport, LossMode
+from ..core import CongestionManager, FeedbackReport, FlowKey, LossMode
 from ..sim import EventLoop, Packet, PacketKind, Path
+from ..trace import TraceKind, Tracer
 
 REORDER_PACKETS = 3
 APP_ACK_SIZE = 60
@@ -67,16 +74,12 @@ class AppAckReceiver:
         self.max_delay = float(max_delay)
         self.ack_size = ack_size
         self.highest_seen = -1
-        self.received_pkts = 0
-        self.received_bytes = 0
         self._pending: List[int] = []
         self._marked = 0
         self._last_echo = 0.0
         self._timer = None
 
     def on_data(self, pkt: Packet, now: float) -> None:
-        self.received_pkts += 1
-        self.received_bytes += pkt.size
         if pkt.seq > self.highest_seen:
             self.highest_seen = pkt.seq
         if pkt.ecn_marked:
@@ -114,7 +117,6 @@ class FeedbackTracker:
     def __init__(self, reorder_packets: int = REORDER_PACKETS) -> None:
         self.reorder_packets = reorder_packets
         self._unresolved: Dict[int, Tuple[int, float]] = {}  # seq -> (size, sent_at)
-        self.acked_pkts = 0
         self.lost_pkts = 0
 
     def on_sent(self, seq: int, size: int, now: float) -> None:
@@ -147,7 +149,6 @@ class FeedbackTracker:
             del self._unresolved[s]
         for s in lost:
             del self._unresolved[s]
-        self.acked_pkts += len(acked)
         self.lost_pkts += len(lost)
         nsent = nrecd + lost_bytes
         if nsent == 0:
@@ -160,3 +161,42 @@ class FeedbackTracker:
         else:
             mode = LossMode.NO_LOSS
         return FeedbackReport(nsent=nsent, nrecd=nrecd, lossmode=mode, rtt=rtt)
+
+
+class DatagramSender:
+    """One controller flow sending datagrams, with app-level ack feedback.
+
+    Subclasses register their callbacks on self.flow and call _transmit
+    for each datagram they send."""
+
+    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
+                 loop: EventLoop, tracer: Optional[Tracer] = None) -> None:
+        self.cm = cm
+        self.loop = loop
+        self.path = data_path
+        self.tracer = tracer
+        self.flow = cm.open(key)
+        self.tracker = FeedbackTracker()
+        self.sent_packets = 0
+        self.sent_bytes = 0
+
+    def _transmit(self, seq: int, size: int, now: float,
+                  meta: Any = None) -> None:
+        """Put one datagram on the wire and charge it to the window.
+
+        notify may run grant callbacks before it returns, so a caller's
+        follow-up (a re-request, the next timer, on_sent) comes after
+        this call and sees the datagram already charged."""
+        self.tracker.on_sent(seq, size, now)
+        if self.tracer is not None:
+            self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
+        self.path.send(Packet(flow=self.flow, seq=seq, size=size,
+                              kind=PacketKind.DATA, sent_at=now, meta=meta))
+        self.sent_packets += 1
+        self.sent_bytes += size
+        self.cm.notify(self.flow, size)
+
+    def on_feedback(self, pkt: Packet, now: float) -> None:
+        report = self.tracker.on_app_ack(pkt.meta, now)
+        if report is not None:
+            self.cm.update(self.flow, report)

@@ -3,11 +3,12 @@
 Each send() queues one datagram and asks the controller for a grant;
 datagrams leave in FIFO order, one per grant. Reliability is not
 provided. Loss and RTT information comes back through application-level
-ACK packets, which are folded into feedback reports for the controller.
+ACK packets, which DatagramSender folds into feedback reports for the
+controller.
 
-With defer_requests=True the socket does not request grants itself;
-instead it records its flow in a shared batch list so the owner can
-issue a single bulk request covering many sockets.
+Given a request_batch list, the socket does not request grants itself;
+it appends its flow to that list once per datagram, so the owner can
+issue one bulk request covering many sockets.
 """
 from __future__ import annotations
 
@@ -16,32 +17,23 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from ..core import CongestionManager, FlowKey
 from ..errors import SocketClosed
-from ..sim import EventLoop, Packet, PacketKind, Path
-from ..trace import TraceKind, Tracer
-from .feedback import FeedbackTracker
+from ..sim import EventLoop, Path
+from ..trace import Tracer
+from .feedback import DatagramSender
 
 
-class UdpCcSocket:
+class UdpCcSocket(DatagramSender):
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
                  loop: EventLoop, tracer: Optional[Tracer] = None,
-                 defer_requests: bool = False,
-                 pending_request_batch: Optional[List[int]] = None,
+                 request_batch: Optional[List[int]] = None,
                  on_sent: Optional[Callable[[int, int], None]] = None) -> None:
-        self.cm = cm
-        self.loop = loop
-        self.path = data_path
-        self.tracer = tracer
-        self.defer_requests = defer_requests
-        self.pending_request_batch = pending_request_batch
+        super().__init__(cm, key, data_path, loop, tracer)
+        self.request_batch = request_batch
         self.on_sent = on_sent
-        self.flow = cm.open(key)
         cm.register_send(self.flow, self._on_grant)
-        self.tracker = FeedbackTracker()
         self.closed = False
         self._queue: Deque[Tuple[int, int]] = deque()
         self._next_seq = 0
-        self.sent_packets = 0
-        self.sent_bytes = 0
 
     @property
     def queue_len(self) -> int:
@@ -51,12 +43,14 @@ class UdpCcSocket:
         """Queue one datagram of the given size; returns its sequence number."""
         if self.closed:
             raise SocketClosed()
+        size = int(size)
+        if size < 1:
+            raise ValueError(f"datagram size {size} must be positive")
         seq = self._next_seq
         self._next_seq += 1
-        self._queue.append((seq, int(size)))
-        if self.defer_requests:
-            if self.pending_request_batch is not None:
-                self.pending_request_batch.append(self.flow)
+        self._queue.append((seq, size))
+        if self.request_batch is not None:
+            self.request_batch.append(self.flow)
         else:
             self.cm.request(self.flow)
         return seq
@@ -66,23 +60,12 @@ class UdpCcSocket:
             self.cm.notify(self.flow, 0)
             return
         seq, size = self._queue.popleft()
-        now = self.loop.now
-        self.tracker.on_sent(seq, size, now)
-        if self.tracer is not None:
-            self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
-        pkt = Packet(flow=self.flow, seq=seq, size=size,
-                     kind=PacketKind.DATA, sent_at=now)
-        self.path.send(pkt)
-        self.cm.notify(self.flow, size)
-        self.sent_packets += 1
-        self.sent_bytes += size
+        self._transmit(seq, size, self.loop.now)
         if self.on_sent is not None:
             self.on_sent(seq, size)
 
-    def on_feedback(self, pkt: Packet, now: float) -> None:
-        report = self.tracker.on_app_ack(pkt.meta, now)
-        if report is not None:
-            self.cm.update(self.flow, report)
+    # own attribute: perfbench/spans.py METHODS wraps it via cls.__dict__
+    on_feedback = DatagramSender.on_feedback
 
     def close(self) -> None:
         if self.closed:

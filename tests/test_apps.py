@@ -96,16 +96,6 @@ def test_alf_repicks_layer_from_rate_at_each_grant():
     assert layers == [0.0, 1.0]
 
 
-def test_alf_request_before_notify_order_also_flows():
-    loop = EventLoop()
-    cm = CongestionManager()
-    path = CollectPath()
-    src = AlfLayeredSource(cm, key(), path, loop, request_before_notify=True)
-    grow(cm, src.flow, 3)
-    src.start()
-    assert src.sent_packets == 4
-
-
 def test_alf_declines_grants_before_start():
     loop = EventLoop()
     cm = CongestionManager()
@@ -194,7 +184,7 @@ def test_audio_overflow_drops_oldest_frame_first():
     src.start()
     loop.run_until(0.21)             # frames 0..10; only frame 0 fit the window
     assert src.generated == 11
-    assert src.sent_frames == 1
+    assert src.sent_packets == 1
     drops = [int(r.value1) for r in tracer.records
              if r.kind is TraceKind.BUF_DROP]
     assert drops == [1, 2, 3, 4, 5, 6]
@@ -222,7 +212,7 @@ def test_audio_evicts_stale_frames_without_overflow():
     src.start()                      # frame 0 buffered, then the policer
     src._on_rate(src.flow, 0.0, 0.0, 0.0)    # stops admitting new ones
     loop.run_until(0.13)
-    assert src.sent_frames == 0
+    assert src.sent_packets == 0
     assert src.policer_drops == 5    # frames 2..6 never reached the buffer
     drops = [(round(r.t, 2), int(r.value1)) for r in tracer.records
              if r.kind is TraceKind.BUF_DROP]
@@ -239,7 +229,7 @@ def test_audio_grant_on_empty_buffer_declines():
     before = cm.op_counts.get("notify", 0)
     src._on_grant(src.flow)
     assert cm.op_counts["notify"] == before + 1
-    assert src.sent_frames == 0
+    assert src.sent_packets == 0
 
 
 def test_audio_rate_callback_retunes_policer():

@@ -1,6 +1,7 @@
 """Event loop and link emulation: ordering, serialization and
 propagation timing, drop-tail queueing, seeded Bernoulli loss, ECN
-marking, bandwidth changes, multi-hop paths, and per-flow accounting.
+marking, bandwidth changes, multi-hop paths, and packet conservation
+as seen through send outcomes, the sink and the trace.
 """
 import pytest
 
@@ -129,14 +130,14 @@ def test_bandwidth_change_applies_from_next_packet():
 
 def test_drop_tail_counts_packet_in_service():
     loop = EventLoop()
-    link = Link(loop, bandwidth_bps=1_000_000, prop_delay=0.0, queue_limit=2)
+    delivered = []
+    link = Link(loop, bandwidth_bps=1_000_000, prop_delay=0.0, queue_limit=2,
+                sink=lambda p, t: delivered.append(p.seq))
     assert link.send(pkt(seq=0)) == LinkOutcome.QUEUED
     assert link.send(pkt(seq=1)) == LinkOutcome.QUEUED
     assert link.send(pkt(seq=2)) == LinkOutcome.DROPPED
     loop.run()
-    c = link.counts[1]
-    assert c.delivered_pkts == 2
-    assert c.dropped_pkts == 1
+    assert delivered == [0, 1]
 
 
 def test_queue_drains_and_accepts_again():
@@ -191,15 +192,24 @@ def test_ecn_marks_instead_of_dropping():
 
 def test_flow_accounting_conserves_packets():
     loop = EventLoop()
+    tracer = Tracer()
+    delivered = []
     link = Link(loop, bandwidth_bps=1e9, prop_delay=0.0, queue_limit=50,
-                loss_prob=0.2, seed=11)
+                loss_prob=0.2, seed=11, tracer=tracer,
+                sink=lambda p, t: delivered.append(p.seq))
     n = 500
-    for i in range(n):
-        link.send(pkt(seq=i))
+    outs = [link.send(pkt(seq=i)) for i in range(n)]
     loop.run()
-    c = link.counts[1]
-    assert c.enqueued_pkts + c.dropped_pkts == n
-    assert c.delivered_pkts == c.enqueued_pkts
+    queued = [i for i, o in enumerate(outs) if o == LinkOutcome.QUEUED]
+    dropped = [i for i, o in enumerate(outs) if o == LinkOutcome.DROPPED]
+    assert len(queued) + len(dropped) == n
+    assert 0 < len(dropped) < n
+    assert delivered == queued
+    # the trace, the only per-flow accounting, tells the same story
+    rows = {kind: [int(r.value1) for r in tracer.records if r.kind is kind]
+            for kind in (TraceKind.DELIVER, TraceKind.DROP)}
+    assert rows[TraceKind.DELIVER] == queued
+    assert rows[TraceKind.DROP] == dropped
 
 
 def test_oversized_data_packet_rejected():

@@ -1,6 +1,6 @@
 """Datagram socket behavior: one grant request per queued packet, FIFO
-draining, declining empty grants, batched requests, and end-to-end
-delivery with app-level ack feedback.
+draining, declining empty grants, batched requests, rejecting empty and
+negative datagrams, and end-to-end delivery with app-level ack feedback.
 """
 import pytest
 
@@ -9,6 +9,7 @@ from cmsim.core import FeedbackReport
 from cmsim.errors import SocketClosed, UnknownFlow
 from cmsim.sim import EventLoop, Link, Path
 from cmsim.transport.feedback import AppAckReceiver
+from cmsim.trace import Tracer
 from cmsim.transport.udpcc import UdpCcSocket
 
 
@@ -65,9 +66,8 @@ def test_deferred_requests_collect_into_batch():
     cm = CongestionManager()
     batch = []
     sent = []
-    sock, _, _ = wire(loop, cm, defer_requests=True,
-                   pending_request_batch=batch,
-                   on_sent=lambda seq, size: sent.append(seq))
+    sock, _, _ = wire(loop, cm, request_batch=batch,
+                      on_sent=lambda seq, size: sent.append(seq))
     for _ in range(3):
         sock.send(1000)
     assert cm.op_counts.get("request", 0) == 0
@@ -77,6 +77,27 @@ def test_deferred_requests_collect_into_batch():
     assert cm.op_counts.get("request", 0) == 0
     assert sent == [0]               # window admits one packet for now
     assert sock.queue_len == 2
+
+
+@pytest.mark.parametrize("size", [0, -100])
+def test_non_positive_size_is_rejected_before_anything_is_queued(size):
+    loop = EventLoop()
+    tracer = Tracer()
+    cm = CongestionManager(tracer=tracer)
+    sock, _, _ = wire(loop, cm, tracer=tracer)
+    ops = dict(cm.op_counts)
+    rows = len(tracer)
+    with pytest.raises(ValueError):
+        sock.send(size)
+    assert sock.queue_len == 0
+    assert sock.tracker.in_flight_pkts() == 0
+    assert len(tracer) == rows
+    assert cm.op_counts == ops
+    loop.run_until(1.0)
+    assert sock.sent_packets == 0
+    # the open window still admits the next valid datagram, as seq 0
+    assert sock.send(500) == 0
+    assert sock.sent_packets == 1
 
 
 def test_close_is_final():
