@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..sim import EventLoop, Packet, PacketKind, Path
+from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
 from ..trace import TraceKind, Tracer
 from ..transport.tcp import AckInfo
 
@@ -107,7 +107,7 @@ class RenoSender:
         self.backoff = 1
         self._timed: Optional[Tuple[int, float]] = None  # (end_seq, sent_at)
         self._timed_rtx = False
-        self._rto_ev = None
+        self._rto = Deadline(loop, self._on_rto)
         self.done_at: Optional[float] = None
 
     def start(self) -> None:
@@ -145,19 +145,17 @@ class RenoSender:
 
     # -- timers ------------------------------------------------------------
 
-    def _rto(self) -> float:
+    def _rto_value(self) -> float:
         base = 1.0 if self.srtt <= 0.0 else self.srtt + 4.0 * self.rttvar
         return min(max(base, 0.2), 60.0) * self.backoff
 
     def _arm_rto(self) -> None:
-        if self._rto_ev is not None:
-            self._rto_ev.cancel()
-            self._rto_ev = None
         if self._flight() > 0:
-            self._rto_ev = self.loop.schedule_after(self._rto(), self._on_rto)
+            self._rto.arm(self._rto_value())
+        else:
+            self._rto.stop()
 
     def _on_rto(self) -> None:
-        self._rto_ev = None
         if self._flight() <= 0:
             return
         self.ssthresh = max(self._flight() / 2.0, 2.0 * self.mss)
@@ -213,7 +211,4 @@ class RenoSender:
                 and self.done_at is None:
             self.done_at = now
         self._fill_window()
-        if self._flight() <= 0 and self._rto_ev is not None:
-            self._rto_ev.cancel()
-            self._rto_ev = None
 

@@ -370,35 +370,36 @@ def summarize_trace(cfg: ExperimentConfig,
     transfers: List[Dict[str, float]] = []
     policer_drops = 0
     buf_drops = 0
-    audio_sends: List[TraceRecord] = []
+    audio_sends: List[Tuple[float, float]] = []   # (t, frame seq)
+    keep_audio = cfg.scenario == "audio_cbr"
 
-    for r in records:
-        if r.kind == TraceKind.SEND:
-            e = flow_entry(r.flow)
+    for t, flow, kind, v1, v2 in records:
+        if kind is TraceKind.SEND:
+            e = flow_entry(flow)
             e["sent_pkts"] += 1
-            e["sent_bytes"] += r.value2
-            if cfg.scenario == "audio_cbr":
-                audio_sends.append(r)
-        elif r.kind == TraceKind.DELIVER:
-            e = flow_entry(r.flow)
+            e["sent_bytes"] += v2
+            if keep_audio:
+                audio_sends.append((t, v1))
+        elif kind is TraceKind.DELIVER:
+            e = flow_entry(flow)
             e["delivered_pkts"] += 1
-            e["delivered_bytes"] += r.value2
-        elif r.kind == TraceKind.DROP:
-            flow_entry(r.flow)["dropped_pkts"] += 1
-        elif r.kind == TraceKind.MARK:
-            flow_entry(r.flow)["marked_pkts"] += 1
-        elif r.kind == TraceKind.CWND_CHANGE:
-            cwnd_series.setdefault(r.flow, []).append([r.t, r.value1])
-        elif r.kind == TraceKind.LAYER_CHANGE:
-            layer_series.setdefault(r.flow, []).append([r.t, r.value1])
-        elif r.kind == TraceKind.RATE_CALLBACK:
-            rate_cbs.setdefault(r.flow, []).append([r.t, r.value1])
-        elif r.kind == TraceKind.TRANSFER_DONE:
-            transfers.append({"index": int(r.value1), "elapsed": r.value2,
-                              "done_at": r.t})
-        elif r.kind == TraceKind.POLICER_DROP:
+            e["delivered_bytes"] += v2
+        elif kind is TraceKind.DROP:
+            flow_entry(flow)["dropped_pkts"] += 1
+        elif kind is TraceKind.MARK:
+            flow_entry(flow)["marked_pkts"] += 1
+        elif kind is TraceKind.CWND_CHANGE:
+            cwnd_series.setdefault(flow, []).append([t, v1])
+        elif kind is TraceKind.LAYER_CHANGE:
+            layer_series.setdefault(flow, []).append([t, v1])
+        elif kind is TraceKind.RATE_CALLBACK:
+            rate_cbs.setdefault(flow, []).append([t, v1])
+        elif kind is TraceKind.TRANSFER_DONE:
+            transfers.append({"index": int(v1), "elapsed": v2,
+                              "done_at": t})
+        elif kind is TraceKind.POLICER_DROP:
             policer_drops += 1
-        elif r.kind == TraceKind.BUF_DROP:
+        elif kind is TraceKind.BUF_DROP:
             buf_drops += 1
 
     for e in per_flow.values():
@@ -434,7 +435,7 @@ def summarize_trace(cfg: ExperimentConfig,
 
     if cfg.scenario == "audio_cbr":
         generated = int(cfg.duration / cfg.frame_interval) + 1
-        delays = [r.t - r.value1 * cfg.frame_interval for r in audio_sends]
+        delays = [t - seq * cfg.frame_interval for t, seq in audio_sends]
         out["audio"] = {
             "generated_frames": generated,
             "sent_frames": len(audio_sends),
@@ -455,8 +456,8 @@ def run_stats(ctx: Dict[str, Any],
             ops[name] = ops.get(name, 0) + count
         crossings += cm.boundary_crossings
     cm_flows = set(ctx.get("cm_flows", []))
-    cm_bytes = sum(r.value2 for r in records
-                   if r.kind == TraceKind.SEND and r.flow in cm_flows)
+    cm_bytes = sum(v2 for _, flow, kind, _, v2 in records
+                   if kind is TraceKind.SEND and flow in cm_flows)
     mb = cm_bytes / 1e6
     return {
         "op_counts": {k: ops[k] for k in sorted(ops)},

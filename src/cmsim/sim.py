@@ -2,6 +2,20 @@
 
 Virtual time only advances through the event loop; ties are broken by
 insertion order, so a run is a pure function of its inputs and seeds.
+The loop's heap holds ``(time, seq, event)`` tuples, with ``seq`` the
+insertion count, so the heap orders entries by tuple comparison alone
+and never compares two events. A cancelled event keeps its entry and is
+skipped when popped.
+
+A ``Deadline`` is a restartable one-shot timer for deadlines that move
+on nearly every packet, such as a retransmission timeout. It keeps at
+most one heap entry. Moving the deadline later only records the new
+time; an entry that pops before the recorded deadline pushes itself
+again at that deadline. Moving it earlier cancels the entry and pushes
+a new one. The callback runs at the last deadline set, as a cancel and
+re-schedule on every arm would run it, but without leaving a dead entry
+in the heap per arm.
+
 Links model serialization at a configured bandwidth, fixed propagation
 delay, a drop-tail queue bounded in packets (the in-service packet counts),
 i.i.d. Bernoulli loss from a per-link RNG stream, and an optional ECN mode
@@ -12,8 +26,9 @@ from __future__ import annotations
 import enum
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from .errors import PastTime
 from .trace import TraceKind, Tracer
@@ -28,7 +43,7 @@ class PacketKind(enum.Enum):
     APP_ACK = "app_ack"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     flow: int
     seq: int
@@ -44,11 +59,11 @@ class Packet:
 
 
 class ScheduledEvent:
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    """Handle of one scheduled call; ``cancel`` stops it from running."""
+    __slots__ = ("time", "fn", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple) -> None:
+    def __init__(self, time: float, fn: Callable, args: tuple) -> None:
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -56,24 +71,21 @@ class ScheduledEvent:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class EventLoop:
     """Virtual-time event queue; (time, insertion seq) ordering."""
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: List[ScheduledEvent] = []
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
 
     def schedule(self, at: float, fn: Callable, *args) -> ScheduledEvent:
         if at < self.now:
             raise PastTime(f"schedule at {at} < now {self.now}")
-        ev = ScheduledEvent(at, self._seq, fn, args)
+        ev = ScheduledEvent(at, fn, args)
+        heapq.heappush(self._heap, (at, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     def schedule_after(self, delay: float, fn: Callable, *args) -> ScheduledEvent:
@@ -83,23 +95,67 @@ class EventLoop:
         if t_end < self.now:
             raise PastTime(f"run_until {t_end} < now {self.now}")
         heap = self._heap
-        while heap and heap[0].time <= t_end:
-            ev = heapq.heappop(heap)
+        pop = heapq.heappop
+        while heap and heap[0][0] <= t_end:
+            at, _, ev = pop(heap)
             if ev.cancelled:
                 continue
-            self.now = ev.time
+            self.now = at
             ev.fn(*ev.args)
         self.now = t_end
 
     def run(self) -> None:
         """Drain every pending event."""
         heap = self._heap
+        pop = heapq.heappop
         while heap:
-            ev = heapq.heappop(heap)
+            at, _, ev = pop(heap)
             if ev.cancelled:
                 continue
-            self.now = ev.time
+            self.now = at
             ev.fn(*ev.args)
+
+
+class Deadline:
+    """Restartable one-shot timer with at most one entry in the heap.
+
+    ``arm(delay)`` sets the deadline to ``now + delay``, replacing the
+    pending one, whether that was earlier or later; ``stop()`` clears it. ``at`` is the pending deadline, or
+    None. When the deadline is reached the timer clears it and calls
+    ``fn()``, which may arm it again.
+    """
+    __slots__ = ("loop", "fn", "at", "_ev")
+
+    def __init__(self, loop: EventLoop, fn: Callable[[], None]) -> None:
+        self.loop = loop
+        self.fn = fn
+        self.at: Optional[float] = None
+        self._ev: Optional[ScheduledEvent] = None
+
+    def arm(self, delay: float) -> None:
+        at = self.loop.now + delay
+        self.at = at
+        ev = self._ev
+        if ev is not None:
+            if ev.time <= at:
+                return          # pops early and moves itself to ``at``
+            ev.cancel()
+        self._ev = self.loop.schedule(at, self._fire)
+
+    def stop(self) -> None:
+        # The entry stays: a later arm may reuse it, else it pops as a no-op.
+        self.at = None
+
+    def _fire(self) -> None:
+        self._ev = None
+        at = self.at
+        if at is None:
+            return
+        if at > self.loop.now:
+            self._ev = self.loop.schedule(at, self._fire)
+            return
+        self.at = None
+        self.fn()
 
 
 class LinkOutcome(enum.Enum):
@@ -137,7 +193,7 @@ class Link:
         self.sink = sink
         self.tracer = tracer
         self._rng = random.Random(f"{seed}:{name}")
-        self._queue: List[Packet] = []
+        self._queue: Deque[Packet] = deque()
         self._busy = False
 
     def _trace(self, pkt: Packet, kind: TraceKind) -> None:
@@ -185,7 +241,7 @@ class Link:
         self.loop.schedule_after(tx, self._finish_service)
 
     def _finish_service(self) -> None:
-        pkt = self._queue.pop(0)
+        pkt = self._queue.popleft()
         self.loop.schedule_after(self.prop_delay, self._arrive, pkt)
         if self._queue:
             self._start_service()

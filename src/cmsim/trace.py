@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, NamedTuple
 
 
 class TraceKind(enum.Enum):
@@ -40,8 +39,7 @@ class TraceKind(enum.Enum):
     TRANSFER_DONE = "TransferDone"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     t: float
     flow: int
     kind: TraceKind
@@ -63,18 +61,18 @@ class Tracer:
         return len(self.records)
 
 
-def _fmt(x: float) -> str:
-    # repr() round-trips floats exactly and renders integral values as "N.0",
-    # keeping reruns byte-identical.
-    return repr(float(x))
-
-
 def write_csv(path: str, records: Iterable[TraceRecord]) -> None:
+    """One CSV row per record, with the bytes ``csv.writer`` would write.
+
+    repr() round-trips floats exactly and renders integral values as
+    "N.0", keeping reruns byte-identical. No field ever needs quoting: a
+    float repr, an int and a kind name hold no comma, quote or line break.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "flow", "kind", "value1", "value2"])
-        for r in records:
-            w.writerow([_fmt(r.t), r.flow, r.kind.value, _fmt(r.value1), _fmt(r.value2)])
+        fh.write("t,flow,kind,value1,value2\r\n")
+        fh.writelines(
+            f"{float(t)!r},{flow},{kind.value},{float(v1)!r},{float(v2)!r}\r\n"
+            for t, flow, kind, v1, v2 in records)
 
 
 def read_csv(path: str) -> List[TraceRecord]:

@@ -30,7 +30,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from ..core import CongestionManager, FeedbackReport, FlowKey, LossMode
 from ..errors import ConnectionClosed
-from ..sim import EventLoop, Packet, PacketKind, Path
+from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
 from ..trace import TraceKind, Tracer
 
 ACK_SIZE = 40
@@ -158,7 +158,7 @@ class TcpSender:
         self._charged = 0       # bytes charged to the manager, not yet reported
         self._timed: Optional[Tuple[int, float]] = None
         self._timed_rtx = False
-        self._rto_ev = None
+        self._rto = Deadline(loop, self._on_rto)
         self._syn_ev = None
         self._syn_wait = SYN_RETRY
         self.established = not handshake
@@ -214,9 +214,7 @@ class TcpSender:
 
     def close(self) -> None:
         self.closed = True
-        if self._rto_ev is not None:
-            self._rto_ev.cancel()
-            self._rto_ev = None
+        self._rto.stop()
         if self._syn_ev is not None:
             self._syn_ev.cancel()
             self._syn_ev = None
@@ -259,7 +257,7 @@ class TcpSender:
         self.path.send(pkt)
         self._charged += size
         self.cm.notify(self.flow, size)
-        if self._rto_ev is None:
+        if self._rto.at is None:
             self._arm_rto()
 
     # -- timers -----------------------------------------------------------
@@ -268,17 +266,9 @@ class TcpSender:
         return min(self.cm.rto_estimate(self.flow) * self.backoff, MAX_RTO)
 
     def _arm_rto(self) -> None:
-        if self._rto_ev is not None:
-            self._rto_ev.cancel()
-        self._rto_ev = self.loop.schedule_after(self._rto_value(), self._on_rto)
-
-    def _cancel_rto(self) -> None:
-        if self._rto_ev is not None:
-            self._rto_ev.cancel()
-            self._rto_ev = None
+        self._rto.arm(self._rto_value())
 
     def _on_rto(self) -> None:
-        self._rto_ev = None
         if self.closed or self.snd_nxt <= self.snd_una:
             return
         # Queue the retransmission before reporting: the report can hand
@@ -358,7 +348,7 @@ class TcpSender:
         if self.snd_nxt > self.snd_una:
             self._arm_rto()
         else:
-            self._cancel_rto()
+            self._rto.stop()
         if not self._completed and self.total > 0 and self.snd_una >= self.total:
             self._completed = True
             if self.on_complete is not None:

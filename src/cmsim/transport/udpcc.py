@@ -4,7 +4,9 @@ Each send() queues one datagram and asks the controller for a grant;
 datagrams leave in FIFO order, one per grant. Reliability is not
 provided. Loss and RTT information comes back through application-level
 ACK packets, which DatagramSender folds into feedback reports for the
-controller.
+controller. A datagram must fit the MTU of the path's first link; send()
+rejects one that does not before it is queued, since a grant spent on a
+datagram the link refuses would never be notified.
 
 Given a request_batch list, the socket does not request grants itself;
 it appends its flow to that list once per datagram, so the owner can
@@ -44,8 +46,9 @@ class UdpCcSocket(DatagramSender):
         if self.closed:
             raise SocketClosed()
         size = int(size)
-        if size < 1:
-            raise ValueError(f"datagram size {size} must be positive")
+        mtu = self.path.links[0].mtu
+        if not 1 <= size <= mtu:
+            raise ValueError(f"datagram size {size} must be in [1, {mtu}]")
         seq = self._next_seq
         self._next_seq += 1
         self._queue.append((seq, size))

@@ -1,13 +1,14 @@
-"""Event loop and link emulation: ordering, serialization and
-propagation timing, drop-tail queueing, seeded Bernoulli loss, ECN
-marking, bandwidth changes, multi-hop paths, and packet conservation
-as seen through send outcomes, the sink and the trace.
+"""Event loop and link emulation: ordering, restartable deadlines,
+serialization and propagation timing, drop-tail queueing, seeded
+Bernoulli loss, ECN marking, bandwidth changes, multi-hop paths, and
+packet conservation as seen through send outcomes, the sink and the
+trace.
 """
 import pytest
 
 from cmsim.errors import PastTime
-from cmsim.sim import (Dispatcher, EventLoop, Link, LinkOutcome, Packet,
-                       PacketKind, Path)
+from cmsim.sim import (Deadline, Dispatcher, EventLoop, Link, LinkOutcome,
+                       Packet, PacketKind, Path)
 from cmsim.trace import TraceKind, Tracer
 
 
@@ -74,6 +75,144 @@ def test_schedule_after_is_relative_to_now():
     loop.schedule(1.5, lambda: loop.schedule_after(0.25, lambda: times.append(loop.now)))
     loop.run()
     assert times == [1.75]
+
+
+def test_events_scheduled_from_a_running_event_queue_behind_equal_times():
+    loop = EventLoop()
+    out = []
+
+    def first():
+        out.append("first")
+        loop.schedule(1.0, out.append, "nested-a")
+        loop.schedule(1.0, out.append, "nested-b")
+
+    loop.schedule(1.0, first)
+    loop.schedule(1.0, out.append, "second")
+    loop.schedule(1.0, out.append, "third")
+    loop.run()
+    assert out == ["first", "second", "third", "nested-a", "nested-b"]
+
+
+def test_cancelled_head_is_skipped_by_run_until():
+    loop = EventLoop()
+    out = []
+    loop.schedule(1.0, out.append, "head").cancel()
+    loop.schedule(2.0, out.append, "next")
+    loop.run_until(1.5)
+    assert out == []
+    assert loop.now == 1.5
+    loop.run_until(2.0)
+    assert out == ["next"]
+
+
+def _mixed_schedule(loop, out):
+    """Equal and distinct times, cancellations, and events that schedule
+    more events at their own instant and later."""
+    def spawn(tag, depth):
+        out.append((loop.now, tag))
+        if depth:
+            loop.schedule_after(0.0, spawn, tag + "z", depth - 1)
+            loop.schedule_after(0.5, spawn, tag + "l", depth - 1)
+
+    for i in range(12):
+        ev = loop.schedule(float(i % 4), spawn, f"e{i}", 2)
+        if i % 5 == 3:
+            ev.cancel()
+
+
+def test_run_and_run_until_drain_the_same_sequence():
+    a, b = EventLoop(), EventLoop()
+    out_a, out_b = [], []
+    _mixed_schedule(a, out_a)
+    _mixed_schedule(b, out_b)
+    a.run()
+    for t in (0.0, 0.5, 1.25, 2.0, 3.0, 10.0):
+        b.run_until(t)
+    assert out_a == out_b
+    assert len(out_a) == 7 * 10      # 10 live roots, 7 calls per tree
+
+
+# -- restartable deadline -------------------------------------------------
+
+
+def _deadline(loop):
+    fired = []
+    return Deadline(loop, lambda: fired.append(loop.now)), fired
+
+
+def _live_entries(loop):
+    return sum(not ev.cancelled for _, _, ev in loop._heap)
+
+
+def test_deadline_moved_later_fires_at_the_last_one_set():
+    loop = EventLoop()
+    d, fired = _deadline(loop)
+    d.arm(1.0)
+    loop.run_until(0.4)
+    d.arm(1.0)                 # deadline 1.4
+    loop.run_until(0.9)
+    d.arm(1.0)                 # deadline 1.9
+    loop.run_until(5.0)
+    assert fired == [0.9 + 1.0]
+    assert d.at is None
+
+
+def test_deadline_moved_earlier_fires_at_the_earlier_time():
+    loop = EventLoop()
+    d, fired = _deadline(loop)
+    d.arm(3.0)
+    loop.run_until(0.5)
+    d.arm(0.25)                # deadline 0.75, before the entry at 3.0
+    loop.run_until(5.0)
+    assert fired == [0.5 + 0.25]
+
+
+def test_deadline_stop_then_rearm_fires_once():
+    loop = EventLoop()
+    d, fired = _deadline(loop)
+    d.arm(1.0)
+    loop.run_until(0.5)
+    d.stop()
+    assert d.at is None
+    loop.run_until(0.8)
+    d.arm(1.0)
+    loop.run_until(5.0)
+    assert fired == [0.8 + 1.0]
+
+
+def test_stopped_deadline_never_fires():
+    loop = EventLoop()
+    d, fired = _deadline(loop)
+    d.arm(1.0)
+    d.stop()
+    loop.run()
+    assert fired == []
+
+
+def test_deadline_callback_may_rearm():
+    loop = EventLoop()
+    fired = []
+
+    def on_fire():
+        fired.append(loop.now)
+        if len(fired) < 3:
+            d.arm(1.0)
+
+    d = Deadline(loop, on_fire)
+    d.arm(1.0)
+    loop.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
+def test_thousand_rearms_leave_at_most_one_live_entry():
+    loop = EventLoop()
+    d, fired = _deadline(loop)
+    for i in range(1000):
+        loop.run_until(i * 0.01)
+        d.arm(0.2 + (i % 7) * 0.01)     # later, and sometimes earlier
+        assert _live_entries(loop) <= 1
+    loop.run()
+    assert fired == [999 * 0.01 + (0.2 + (999 % 7) * 0.01)]
 
 
 # -- link timing ----------------------------------------------------------

@@ -1,7 +1,9 @@
 """Reliable stream transport with windowing delegated to the shared
 manager: handshake, per-chunk grant requests, fast retransmit on triple
-duplicate ACKs, timeout recovery with backoff, Karn's rule for RTT
-samples, the receiver window bound, ECN echo, and delayed ACKs.
+duplicate ACKs, timeout recovery with backoff, the retransmission
+deadline after a long ACK run (also for the Reno reference sender),
+Karn's rule for RTT samples, the receiver window bound, ECN echo, and
+delayed ACKs.
 """
 from types import SimpleNamespace
 
@@ -9,8 +11,9 @@ import pytest
 
 from cmsim.core import CongestionManager, FlowKey, LossMode, Proto
 from cmsim.errors import ConnectionClosed, UnknownFlow
+from cmsim.harness.oracles import RenoSender
 from cmsim.sim import EventLoop, Link, Packet, PacketKind, Path
-from cmsim.transport.tcp import TcpReceiver, TcpSender
+from cmsim.transport.tcp import MAX_RTO, TcpReceiver, TcpSender
 
 MSS = 1500
 
@@ -147,6 +150,64 @@ def test_timeout_reports_persistent_and_backs_off():
     assert times == [pytest.approx(0.0, abs=0.05),
                      pytest.approx(1.0, abs=0.05),
                      pytest.approx(3.0, abs=0.05)]
+
+
+def _first_retransmission(filt):
+    """(seq, time) of the first data packet offered below the highest
+    sequence already offered."""
+    top = -1
+    for seq, t in filt.offered:
+        if seq < top:
+            return seq, t
+        top = max(top, seq)
+    return None
+
+
+def _ack_run_then_silence(loop, sender, filt, rev, rto_now):
+    """Deliver every segment sent before t=1 s, then drop all data: the
+    sender sees a long run of new-data ACKs, then nothing. Returns the
+    arrival time of the last ACK and the RTO in force after it."""
+    last = []
+    real = sender.on_ack
+
+    def on_ack(pkt, now):
+        una = sender.snd_una
+        real(pkt, now)
+        if sender.snd_una > una:
+            last[:] = [now, rto_now()]
+    rev.set_sink(on_ack)
+    loop.run_until(20.0)
+    assert len(filt.offered) > 500          # a long run: hundreds of re-arms
+    return last
+
+
+def test_timeout_follows_the_last_ack_of_a_long_run():
+    loop = EventLoop()
+    b = build(loop, total=10_000_000, drop=lambda pkt, now: now >= 1.0)
+    t_last, rto = _ack_run_then_silence(
+        loop, b.s, b.filt, b.rev,
+        lambda: min(b.cm.rto_estimate(b.s.flow) * b.s.backoff, MAX_RTO))
+    seq, t_rtx = _first_retransmission(b.filt)
+    assert seq == b.s.snd_una
+    assert t_rtx == t_last + rto
+    assert b.modes.count(LossMode.PERSISTENT) >= 1
+
+
+def test_reno_timeout_follows_the_last_ack_of_a_long_run():
+    loop = EventLoop()
+    fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="fwd")])
+    rev = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="rev")])
+    filt = DropFilter(fwd, loop, lambda pkt, now: now >= 1.0)
+    s = RenoSender(loop, 900, filt)
+    r = TcpReceiver(loop, rev, 900)
+    fwd.set_sink(r.on_data)
+    s.start()
+    t_last, rto = _ack_run_then_silence(
+        loop, s, filt, rev,
+        lambda: min(max(s.srtt + 4.0 * s.rttvar, 0.2), 60.0) * s.backoff)
+    seq, t_rtx = _first_retransmission(filt)
+    assert seq == s.snd_una
+    assert t_rtx == t_last + rto
 
 
 def test_no_rtt_sample_from_retransmitted_segment():

@@ -1,13 +1,14 @@
 """Datagram socket behavior: one grant request per queued packet, FIFO
-draining, declining empty grants, batched requests, rejecting empty and
-negative datagrams, and end-to-end delivery with app-level ack feedback.
+draining, declining empty grants, batched requests, rejecting empty,
+negative and oversize datagrams, and end-to-end delivery with app-level
+ack feedback.
 """
 import pytest
 
 from cmsim.core import CongestionManager, FlowKey, LossMode, Proto
 from cmsim.core import FeedbackReport
 from cmsim.errors import SocketClosed, UnknownFlow
-from cmsim.sim import EventLoop, Link, Path
+from cmsim.sim import DEFAULT_MTU, EventLoop, Link, Path
 from cmsim.transport.feedback import AppAckReceiver
 from cmsim.trace import Tracer
 from cmsim.transport.udpcc import UdpCcSocket
@@ -79,8 +80,7 @@ def test_deferred_requests_collect_into_batch():
     assert sock.queue_len == 2
 
 
-@pytest.mark.parametrize("size", [0, -100])
-def test_non_positive_size_is_rejected_before_anything_is_queued(size):
+def _assert_rejected_before_queueing(size):
     loop = EventLoop()
     tracer = Tracer()
     cm = CongestionManager(tracer=tracer)
@@ -98,6 +98,17 @@ def test_non_positive_size_is_rejected_before_anything_is_queued(size):
     # the open window still admits the next valid datagram, as seq 0
     assert sock.send(500) == 0
     assert sock.sent_packets == 1
+
+
+@pytest.mark.parametrize("size", [0, -100])
+def test_non_positive_size_is_rejected_before_anything_is_queued(size):
+    _assert_rejected_before_queueing(size)
+
+
+def test_oversize_datagram_is_rejected_before_anything_is_queued():
+    # one byte past the first hop's MTU: the link would refuse it only
+    # after its grant was spent and its Send row traced
+    _assert_rejected_before_queueing(DEFAULT_MTU + 1)
 
 
 def test_close_is_final():

@@ -29,9 +29,10 @@ SECONDS = 20
 TRACED_SEED = 1
 PYTEST = [sys.executable, "-m", "pytest", "-q",
           "--continue-on-collection-errors"]
-# note lines of run.py copied into the record, by prefix
+# note lines of run.py copied into the record, by prefix; the indented
+# lines under a copied note (the traced run's largest self times) go too
 NOTES = ("runs:", "trace sha256", "sim sha256", "ops attempted",
-         "share of the traced run by layer")
+         "share of the traced run by layer", "largest self times")
 
 
 def _run(cmd: List[str], root: str) -> Dict[str, Any]:
@@ -54,7 +55,12 @@ def perfbench(root: str, workload: str, seed: int,
         raise SystemExit(f"{' '.join(cmd)} failed:\n{res['stderr'][-2000:]}")
     out = json.loads(lines[-1])
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
-    out["notes"] = [ln for ln in lines[:-1] if ln.startswith(NOTES)]
+    out["notes"] = []
+    keep = False
+    for ln in lines[:-1]:
+        keep = ln.startswith(NOTES) or (keep and ln.startswith("  "))
+        if keep:
+            out["notes"].append(ln)
     out["wall_s"] = res["wall_s"]
     return out
 
