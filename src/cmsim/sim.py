@@ -20,6 +20,47 @@ Links model serialization at a configured bandwidth, fixed propagation
 delay, a drop-tail queue bounded in packets (the in-service packet counts),
 i.i.d. Bernoulli loss from a per-link RNG stream, and an optional ECN mode
 where would-be random losses are delivered marked instead.
+
+A link hop costs one heap event per packet, its arrival. ``Link.send``
+computes the instant the packet finishes serialization, ``max(now, last
+finish) + size·8/bandwidth``, and schedules the arrival at ``finish +
+prop_delay``. These are the same floats as in a model that runs a
+separate event when serialization finishes and schedules the arrival
+from it, and the outputs are the same as that model's, but for the two
+cases named at the end.
+
+Whether a packet is still on the link when another is sent decides the
+drop-tail test, and is in doubt only when the send falls exactly on the
+packet's finish instant. The two-event model scheduled the finish event
+when serialization began, so it had run by then iff it was scheduled
+before the event now running. The link therefore keeps each packet's
+service start, every ``ScheduledEvent`` records the instant at which it
+was scheduled (``inserted``; an arrival is stamped with its finish, the
+instant at which the two-event model scheduled it), and the loop exposes
+that of the running event (``EventLoop.inserted``). The rule: a packet
+finishing exactly now has left iff its service began before the running
+event's insertion instant. Between runs that instant counts as +inf,
+since every event at or before ``now`` has run, and before the first
+run as -inf. A bandwidth change re-times the packets queued behind the
+one in service, so it still applies from the next service start.
+
+The link knows the instant of each scheduling but not the order of two
+schedulings made at one instant, so two cases still differ from the
+two-event model:
+
+  * a send at a packet's finish instant, by an event scheduled at the
+    very instant the packet's service began, finds the packet still
+    there, even when that event was scheduled after the service began.
+    On two 8192 bit/s links in series, the second with queue limit 1
+    and the first with 62.5 ms of delay, two 64-byte packets sent
+    together meet this: the second link drops the second packet, which
+    the two-event model queued;
+  * an arrival is scheduled at ``send``, so an event scheduled later,
+    while the packet is on the link, for exactly the arrival's instant
+    now runs after the arrival instead of before it.
+
+Neither occurs in the eight scenarios or the benchmark workloads, whose
+outputs are unchanged; ``tests/test_link_model.py`` pins both.
 """
 from __future__ import annotations
 
@@ -35,6 +76,7 @@ from .trace import TraceKind, Tracer
 
 DEFAULT_QUEUE_LIMIT = 50
 DEFAULT_MTU = 1500
+INF = float("inf")
 
 
 class PacketKind(enum.Enum):
@@ -59,31 +101,43 @@ class Packet:
 
 
 class ScheduledEvent:
-    """Handle of one scheduled call; ``cancel`` stops it from running."""
-    __slots__ = ("time", "fn", "args", "cancelled")
+    """Handle of one scheduled call; ``cancel`` stops it from running.
 
-    def __init__(self, time: float, fn: Callable, args: tuple) -> None:
+    ``inserted`` is the virtual instant at which the call was scheduled.
+    """
+    __slots__ = ("time", "fn", "args", "cancelled", "inserted")
+
+    def __init__(self, time: float, fn: Callable, args: tuple,
+                 inserted: float) -> None:
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
+        self.inserted = inserted
 
     def cancel(self) -> None:
         self.cancelled = True
 
 
 class EventLoop:
-    """Virtual-time event queue; (time, insertion seq) ordering."""
+    """Virtual-time event queue; (time, insertion seq) ordering.
+
+    ``inserted`` is the instant at which the event now running was
+    scheduled. Outside a run it is -inf before the first run, when no
+    event has run yet, and +inf after one returns, when every event at or
+    before ``now`` has run.
+    """
 
     def __init__(self) -> None:
         self.now = 0.0
+        self.inserted = -INF
         self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
 
     def schedule(self, at: float, fn: Callable, *args) -> ScheduledEvent:
         if at < self.now:
             raise PastTime(f"schedule at {at} < now {self.now}")
-        ev = ScheduledEvent(at, fn, args)
+        ev = ScheduledEvent(at, fn, args, self.now)
         heapq.heappush(self._heap, (at, self._seq, ev))
         self._seq += 1
         return ev
@@ -101,8 +155,10 @@ class EventLoop:
             if ev.cancelled:
                 continue
             self.now = at
+            self.inserted = ev.inserted
             ev.fn(*ev.args)
         self.now = t_end
+        self.inserted = INF
 
     def run(self) -> None:
         """Drain every pending event."""
@@ -113,7 +169,9 @@ class EventLoop:
             if ev.cancelled:
                 continue
             self.now = at
+            self.inserted = ev.inserted
             ev.fn(*ev.args)
+        self.inserted = INF
 
 
 class Deadline:
@@ -167,6 +225,15 @@ class LinkOutcome(enum.Enum):
 class Link:
     """One directional link: serialization + propagation + drop-tail queue.
 
+    A packet costs one heap event per hop, its arrival. ``send`` works out
+    when the packet finishes serialization, ``max(now, last finish) +
+    size·8/bandwidth``, and schedules the arrival at ``finish +
+    prop_delay``. The backlog holds ``(finish, start, packet, arrival)``
+    for each packet still being serialized or waiting, in FIFO order; the
+    head is the one being serialized, and it counts toward
+    ``queue_limit``. See the module docstring for when a packet whose
+    finish is exactly ``now`` has left.
+
     Random loss draws come from this link's own RNG stream, seeded from the
     master seed and the link name, so adding traffic elsewhere never
     perturbs the loss pattern here.
@@ -182,6 +249,10 @@ class Link:
             raise ValueError("bandwidth must be positive")
         if not (0.0 <= loss_prob < 1.0):
             raise ValueError("loss_prob must be in [0, 1)")
+        if queue_limit < 1:
+            raise ValueError("queue_limit must be at least 1")
+        if prop_delay < 0:
+            raise ValueError("prop_delay must be non-negative")
         self.loop = loop
         self.bandwidth_bps = float(bandwidth_bps)
         self.prop_delay = float(prop_delay)
@@ -193,27 +264,63 @@ class Link:
         self.sink = sink
         self.tracer = tracer
         self._rng = random.Random(f"{seed}:{name}")
-        self._queue: Deque[Packet] = deque()
-        self._busy = False
+        self._backlog: Deque[Tuple[float, float, Packet,
+                                   ScheduledEvent]] = deque()
 
     def _trace(self, pkt: Packet, kind: TraceKind) -> None:
         # Ack-type packets stay out of the trace to keep it data-plane only.
         if self.tracer is not None and pkt.data_bearing:
             self.tracer.emit(self.loop.now, pkt.flow, kind, pkt.seq, pkt.size)
 
+    def _leave(self) -> None:
+        """Drop the packets that have finished serialization. One that
+        finishes exactly now has finished iff its service began before
+        the running event was scheduled (see the module docstring)."""
+        backlog = self._backlog
+        loop = self.loop
+        while backlog:
+            finish, start = backlog[0][:2]
+            if finish > loop.now or (finish == loop.now
+                                     and start >= loop.inserted):
+                return
+            backlog.popleft()
+
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Applies from the next service start; the packet currently being
-        serialized finishes at its old pace."""
+        serialized finishes at its old pace, and the packets queued behind
+        it are re-timed."""
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         self.bandwidth_bps = float(bandwidth_bps)
+        self._leave()
+        backlog = self._backlog
+        if len(backlog) < 2:
+            return
+        head, *queued = backlog
+        backlog.clear()
+        backlog.append(head)
+        for _, _, pkt, ev in queued:
+            ev.cancel()
+            self._enqueue(pkt)
+
+    def _enqueue(self, pkt: Packet) -> None:
+        """Queue ``pkt`` at the tail and schedule its arrival."""
+        backlog = self._backlog
+        start = backlog[-1][0] if backlog else self.loop.now
+        finish = start + pkt.size * 8.0 / self.bandwidth_bps
+        ev = self.loop.schedule(finish + self.prop_delay, self._arrive, pkt)
+        ev.inserted = finish    # when the two-event model scheduled it
+        backlog.append((finish, start, pkt, ev))
 
     # -- datapath ---------------------------------------------------------
 
     def send(self, pkt: Packet) -> LinkOutcome:
         if pkt.kind == PacketKind.DATA and pkt.size > self.mtu:
             raise ValueError(f"packet size {pkt.size} exceeds link mtu {self.mtu}")
-        if len(self._queue) >= self.queue_limit:
+        backlog = self._backlog
+        if backlog and backlog[0][0] <= self.loop.now:
+            self._leave()
+        if len(backlog) >= self.queue_limit:
             self._trace(pkt, TraceKind.DROP)
             return LinkOutcome.DROPPED
         outcome = LinkOutcome.QUEUED
@@ -225,28 +332,12 @@ class Link:
             else:
                 self._trace(pkt, TraceKind.DROP)
                 return LinkOutcome.DROPPED
-        self._queue.append(pkt)
-        if not self._busy:
-            self._start_service()
+        self._enqueue(pkt)
         return outcome
 
     def forward(self, pkt: Packet, now: float) -> None:
         """Sink adapter so links can be chained into multi-hop paths."""
         self.send(pkt)
-
-    def _start_service(self) -> None:
-        pkt = self._queue[0]
-        self._busy = True
-        tx = pkt.size * 8.0 / self.bandwidth_bps
-        self.loop.schedule_after(tx, self._finish_service)
-
-    def _finish_service(self) -> None:
-        pkt = self._queue.popleft()
-        self.loop.schedule_after(self.prop_delay, self._arrive, pkt)
-        if self._queue:
-            self._start_service()
-        else:
-            self._busy = False
 
     def _arrive(self, pkt: Packet) -> None:
         self._trace(pkt, TraceKind.DELIVER)

@@ -44,3 +44,26 @@ def test_span_tracing_installs_and_uninstalls():
     finally:
         log.uninstall()
     assert dict(CongestionManager.__dict__) == before
+
+
+def test_each_link_arrival_runs_as_an_event_span():
+    # an arrival pushed past EventLoop.schedule would run outside any span
+    # and drop out of sim.events_per_pkt
+    from cmsim.sim import EventLoop, Link, Packet
+    spans = load_spans()
+    log = spans.SpanLog()
+    log.install()
+    try:
+        loop = EventLoop()
+        got = []
+        link = Link(loop, bandwidth_bps=1e6, prop_delay=0.01,
+                    sink=lambda p, t: got.append(p.seq))
+        for seq in range(2):
+            link.send(Packet(flow=1, seq=seq, size=1000))
+        loop.run()
+    finally:
+        log.uninstall()
+    assert got == [0, 1]
+    by_name = log.analyze(0.0, 1.0)["by_name"]
+    assert by_name[("sim", "event", "Link._arrive")][0] == 2
+    assert by_name[("sim", "call", "EventLoop.schedule")][0] == 2

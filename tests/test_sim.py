@@ -258,10 +258,85 @@ def test_bandwidth_change_applies_from_next_packet():
                 sink=lambda p, t: got.append(t))
     link.send(pkt(seq=0))          # 1 s on the wire at 12 kbit/s
     link.send(pkt(seq=1))
+    link.send(pkt(seq=2))
     loop.schedule(0.5, link.set_bandwidth, 12_000_000)
     loop.run()
     assert got[0] == pytest.approx(1.0)      # in-service packet unaffected
-    assert got[1] == pytest.approx(1.001)    # next one at the new rate
+    assert got[1] == pytest.approx(1.001)    # the queued ones at the new rate
+    assert got[2] == pytest.approx(1.002)
+
+
+# -- one event per hop: ties at a finish instant --------------------------
+
+RATE = 8192      # bit/s: a 64-byte packet serializes in 62.5 ms
+TX = 0.0625
+
+
+def test_send_at_a_finish_instant_follows_the_order_events_were_scheduled():
+    # a full queue (limit 1) holds a packet in service from 0.5 s to
+    # 0.5625 s; a send at exactly 0.5625 s finds it there if the sending
+    # event was scheduled before that service began, and gone if after
+    def probe(scheduled_at):
+        loop = EventLoop()
+        link = Link(loop, bandwidth_bps=RATE, prop_delay=0.0, queue_limit=1)
+        out = []
+
+        def send(seq):
+            out.append(link.send(pkt(seq=seq, size=64)))
+        loop.schedule(0.5, send, 0)
+        loop.schedule(scheduled_at, loop.schedule, 0.5 + TX, send, 1)
+        loop.run()
+        return out
+
+    assert probe(0.25) == [LinkOutcome.QUEUED, LinkOutcome.DROPPED]
+    assert probe(0.53125) == [LinkOutcome.QUEUED, LinkOutcome.QUEUED]
+
+
+def test_send_between_runs_at_a_finish_instant_sees_the_packet_gone():
+    loop = EventLoop()
+    got = []
+    link = Link(loop, bandwidth_bps=RATE, prop_delay=0.25, queue_limit=1,
+                sink=lambda p, t: got.append((p.seq, t)))
+    assert link.send(pkt(seq=0, size=64)) == LinkOutcome.QUEUED
+    assert link.send(pkt(seq=1, size=64)) == LinkOutcome.DROPPED
+    loop.run_until(TX)
+    assert link.send(pkt(seq=2, size=64)) == LinkOutcome.QUEUED
+    loop.run()
+    assert got == [(0, TX + 0.25), (2, 2 * TX + 0.25)]
+
+
+class CountingLoop(EventLoop):
+    def __init__(self):
+        super().__init__()
+        self.scheduled = 0
+
+    def schedule(self, at, fn, *args):
+        self.scheduled += 1
+        return super().schedule(at, fn, *args)
+
+
+def test_each_accepted_packet_schedules_one_event_per_hop():
+    loop = CountingLoop()
+    a = Link(loop, bandwidth_bps=1e6, prop_delay=0.01, queue_limit=3,
+             name="a")
+    b = Link(loop, bandwidth_bps=5e5, prop_delay=0.01, queue_limit=2,
+             name="b")
+    outcomes = {a: [], b: []}
+    for link in (a, b):
+        def send(p, link=link, send=link.send):
+            outcomes[link].append(send(p))
+        link.send = send
+    delivered = []
+    path = Path([a, b], sink=lambda p, t: delivered.append(p.seq))
+    for i in range(20):
+        loop.schedule(i * 0.001, path.send, pkt(seq=i, size=1000))
+    before = loop.scheduled
+    loop.run()
+    accepted = {link: outs.count(LinkOutcome.QUEUED)
+                for link, outs in outcomes.items()}
+    assert 0 < accepted[b] < accepted[a] < 20
+    assert loop.scheduled - before == accepted[a] + accepted[b]
+    assert len(delivered) == accepted[b]
 
 
 # -- queueing and loss ----------------------------------------------------
@@ -366,6 +441,10 @@ def test_constructor_validation():
         Link(loop, bandwidth_bps=0, prop_delay=0.0)
     with pytest.raises(ValueError):
         Link(loop, bandwidth_bps=1e6, prop_delay=0.0, loss_prob=1.0)
+    with pytest.raises(ValueError):
+        Link(loop, bandwidth_bps=1e6, prop_delay=0.0, queue_limit=0)
+    with pytest.raises(ValueError):
+        Link(loop, bandwidth_bps=1e6, prop_delay=-0.001)
 
 
 # -- paths, dispatch, tracing ---------------------------------------------
