@@ -59,8 +59,8 @@ two-event model:
     while the packet is on the link, for exactly the arrival's instant
     now runs after the arrival instead of before it.
 
-Neither occurs in the eight scenarios or the benchmark workloads, whose
-outputs are unchanged; ``tests/test_link_model.py`` pins both.
+Neither changes an output of the eight scenarios or the benchmark
+workloads; ``tests/test_link_model.py`` pins both.
 """
 from __future__ import annotations
 
