@@ -62,7 +62,7 @@ class CbrAudioSource(DatagramSender):
                  thresh: Tuple[float, float] = (0.9, 1.1),
                  tracer: Optional[Tracer] = None) -> None:
         super().__init__(cm, key, data_path, loop, tracer)
-        self.frame_size = frame_size
+        self.frame_size = self._datagram_size(frame_size)
         self.frame_interval = frame_interval
         self.app_buf_limit = app_buf_limit
         cm.register_send(self.flow, self._on_grant)
@@ -75,6 +75,8 @@ class CbrAudioSource(DatagramSender):
         self._buf: Deque[Tuple[int, float]] = deque()   # (frame seq, t generated)
         self._pending_request = False
         self._next_frame = 0
+        # not a sim.Deadline: perfbench's spans would then count each
+        # _tick, the apps layer's largest self time, under sim's _fire
         self._timer = None
         self.active = False
         self.generated = 0

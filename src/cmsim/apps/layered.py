@@ -69,7 +69,8 @@ class AlfLayeredSource(DatagramSender):
         super().__init__(cm, key, data_path, loop, tracer)
         self.layers = layers if layers is not None else LayerConfig()
         cm.register_send(self.flow, self._on_grant)
-        self.packet_size = packet_size or cm.mtu(self.flow)
+        self.packet_size = self._datagram_size(
+            cm.mtu(self.flow) if packet_size is None else packet_size)
         self.layer = 0
         self.active = False
         self._seq = 0
@@ -115,12 +116,14 @@ class PacedLayeredSource(DatagramSender):
                  tracer: Optional[Tracer] = None) -> None:
         super().__init__(cm, key, data_path, loop, tracer)
         self.layers = layers if layers is not None else LayerConfig()
-        self.packet_size = packet_size
+        self.packet_size = self._datagram_size(packet_size)
         cm.register_update(self.flow, self._on_rate)
         cm.thresh(self.flow, thresh[0], thresh[1])
         self.layer = 0
         self.active = False
         self._seq = 0
+        # not a sim.Deadline: perfbench's spans would then count each
+        # frame under sim's Deadline._fire instead of the apps layer
         self._timer = None
 
     @property

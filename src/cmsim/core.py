@@ -131,8 +131,8 @@ _by_id = attrgetter("id")
 
 
 class _Flow:
-    __slots__ = ("id", "key", "mf", "pending_requests", "send_cb",
-                 "update_cb", "thresh_down", "thresh_up",
+    __slots__ = ("id", "key", "mf", "pending_requests", "outstanding",
+                 "send_cb", "update_cb", "thresh_down", "thresh_up",
                  "last_notified_rate")
 
     def __init__(self, fid: int, key: FlowKey, mf: "_Macroflow") -> None:
@@ -140,6 +140,7 @@ class _Flow:
         self.key = key
         self.mf = mf
         self.pending_requests = 0
+        self.outstanding = 0    # bytes notified, not yet reported by update
         self.send_cb: Optional[SendCallback] = None
         self.update_cb: Optional[UpdateCallback] = None
         self.thresh_down = 1.0
@@ -289,7 +290,8 @@ class CongestionManager:
     def close(self, flow_id: int) -> None:
         """Idempotent for a known flow; UnknownFlow for a never-issued id.
         The flow's record is dropped: an issued id that is no longer open
-        is a closed one."""
+        is a closed one. Bytes the flow still has outstanding are
+        discharged from the macroflow, since no report will cover them."""
         self._enter("close")
         try:
             fl = self._flows.pop(flow_id, None)
@@ -300,6 +302,7 @@ class CongestionManager:
                 raise UnknownFlow(f"flow {flow_id}")
             del self._open_keys[fl.key]
             mf = fl.mf
+            mf.outstanding = max(0, mf.outstanding - fl.outstanding)
             if fl.pending_requests > 0:
                 mf.demand -= 1
             if fl.update_cb is not None:
@@ -315,6 +318,7 @@ class CongestionManager:
                 # member so later flows inherit cwnd/srtt instead of
                 # restarting cold; it ages only via idle decay
                 mf.rr_cursor = 0
+            self._mark_ready(mf)
         finally:
             self._exit()
 
@@ -396,6 +400,7 @@ class CongestionManager:
         if nsent < 0:
             raise InvalidReport(f"nsent={nsent}")
         if nsent > 0:
+            fl.outstanding += int(nsent)
             fl.mf.outstanding += int(nsent)
             fl.mf.last_send_time = self._clock()
 
@@ -403,9 +408,13 @@ class CongestionManager:
         """Fold a feedback report into the macroflow's shared state.
 
         report.nsent bytes are discharged from outstanding and report.nrecd
-        of them count as delivered. Raises InvalidReport, before any state
-        changes, unless 0 <= nrecd <= nsent, any rtt sample is positive
-        and lossmode is a LossMode."""
+        of them count as delivered. The discharge lowers both the flow's
+        own charge and the macroflow's, each clamped at 0: a report that
+        exceeds the flow's charge still discharges bytes its siblings
+        notified, and leaves the flow nothing for close to return. Raises
+        InvalidReport, before any state changes, unless
+        0 <= nrecd <= nsent, any rtt sample is positive and lossmode is a
+        LossMode."""
         self._enter("update")
         try:
             self._update_impl(flow_id, report)
@@ -423,6 +432,7 @@ class CongestionManager:
         if not isinstance(mode, LossMode):
             raise InvalidReport(f"lossmode={mode}")
         mf = fl.mf
+        fl.outstanding = max(0, fl.outstanding - nsent)
         mf.outstanding = max(0, mf.outstanding - nsent)
 
         if report.rtt is not None:

@@ -1,21 +1,23 @@
 """Application-level acknowledgment machinery for datagram senders.
 
-Wire format, version 1. An AppAck reports, per receiver flush:
+Wire format. An AppAck reports, per receiver flush:
 
     ranges        tuple of (lo, hi) inclusive packet-seq ranges received
                   since the previous flush
     highest_seen  highest packet seq the receiver has ever seen
-    echo_ts       sender timestamp of the newest packet in this flush
     marked        count of congestion-marked packets in this flush
 
 The receiver may flush per packet (max_acks=1) or batch up to max_acks
-packets / max_delay seconds, whichever comes first.
+packets / max_delay seconds, whichever comes first; the delay is a
+sim.Deadline armed by the first packet of a batch.
 
 The sender-side tracker turns each AppAck into one feedback report:
 a sent packet is *lost* once it is at least REORDER_PACKETS older than
 highest_seen and still unacknowledged. Late acks for a packet already
 declared lost are dropped from accounting (cannot happen on FIFO paths,
-but keeps nrecd <= nsent under reordering).
+but keeps nrecd <= nsent under reordering). The RTT sample is taken
+from the tracker's own send time of the highest seq acked, so the ack
+carries no timestamp.
 
 DatagramSender is the loop every datagram client of the controller runs:
 it opens the flow, transmits one datagram per opportunity (tracker, Send
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import CongestionManager, FeedbackReport, FlowKey, LossMode
-from ..sim import EventLoop, Packet, PacketKind, Path
+from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
 from ..trace import TraceKind, Tracer
 
 REORDER_PACKETS = 3
@@ -40,9 +42,7 @@ APP_ACK_SIZE = 60
 class AppAck:
     ranges: Tuple[Tuple[int, int], ...]
     highest_seen: int
-    echo_ts: float
     marked: int = 0
-    version: int = 1
 
 
 def _compress(seqs: List[int]) -> Tuple[Tuple[int, int], ...]:
@@ -65,19 +65,17 @@ class AppAckReceiver:
     """Receiver side: collects data packet seqs and flushes AppAcks."""
 
     def __init__(self, loop: EventLoop, ack_path: Path, flow: int,
-                 max_acks: int = 1, max_delay: float = 0.0,
-                 ack_size: int = APP_ACK_SIZE) -> None:
+                 max_acks: int = 1, max_delay: float = 0.0) -> None:
         self.loop = loop
         self.ack_path = ack_path
         self.flow = flow
         self.max_acks = max(1, int(max_acks))
         self.max_delay = float(max_delay)
-        self.ack_size = ack_size
         self.highest_seen = -1
         self._pending: List[int] = []
         self._marked = 0
-        self._last_echo = 0.0
-        self._timer = None
+        # armed only with packets pending, which every flush clears
+        self._timer = Deadline(loop, self._flush)
 
     def on_data(self, pkt: Packet, now: float) -> None:
         if pkt.seq > self.highest_seen:
@@ -85,28 +83,19 @@ class AppAckReceiver:
         if pkt.ecn_marked:
             self._marked += 1
         self._pending.append(pkt.seq)
-        self._last_echo = pkt.sent_at
         if len(self._pending) >= self.max_acks:
             self._flush()
-        elif self.max_delay > 0.0 and self._timer is None:
-            self._timer = self.loop.schedule_after(self.max_delay, self._on_timer)
-
-    def _on_timer(self) -> None:
-        self._timer = None
-        if self._pending:
-            self._flush()
+        elif self.max_delay > 0.0 and self._timer.at is None:
+            self._timer.arm(self.max_delay)
 
     def _flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._timer.stop()
         ack = AppAck(ranges=_compress(self._pending),
                      highest_seen=self.highest_seen,
-                     echo_ts=self._last_echo,
                      marked=self._marked)
         self._pending.clear()
         self._marked = 0
-        pkt = Packet(flow=self.flow, seq=self.highest_seen, size=self.ack_size,
+        pkt = Packet(flow=self.flow, seq=self.highest_seen, size=APP_ACK_SIZE,
                      kind=PacketKind.APP_ACK, sent_at=self.loop.now, meta=ack)
         self.ack_path.send(pkt)
 
@@ -114,8 +103,7 @@ class AppAckReceiver:
 class FeedbackTracker:
     """Sender side: maps AppAcks back to feedback reports."""
 
-    def __init__(self, reorder_packets: int = REORDER_PACKETS) -> None:
-        self.reorder_packets = reorder_packets
+    def __init__(self) -> None:
         self._unresolved: Dict[int, Tuple[int, float]] = {}  # seq -> (size, sent_at)
         self.lost_pkts = 0
 
@@ -126,33 +114,30 @@ class FeedbackTracker:
         return len(self._unresolved)
 
     def on_app_ack(self, ack: AppAck, now: float) -> Optional[FeedbackReport]:
-        acked: List[int] = []
+        unresolved = self._unresolved
+        nrecd = 0
+        newest: Optional[int] = None   # highest seq acked; its send time
+        newest_sent = 0.0              # gives the RTT sample
         for lo, hi in ack.ranges:
             for s in range(lo, hi + 1):
-                if s in self._unresolved:
-                    acked.append(s)
-        acked_set = set(acked)
-        horizon = ack.highest_seen - self.reorder_packets
-        lost: List[int] = []
-        for s in self._unresolved:  # insertion order == seq order
+                entry = unresolved.pop(s, None)
+                if entry is not None:
+                    nrecd += entry[0]
+                    if newest is None or s > newest:
+                        newest, newest_sent = s, entry[1]
+        horizon = ack.highest_seen - REORDER_PACKETS
+        lost = lost_bytes = 0
+        while unresolved:
+            s = next(iter(unresolved))  # insertion order == seq order
             if s > horizon:
                 break
-            if s not in acked_set:
-                lost.append(s)
-        nrecd = sum(self._unresolved[s][0] for s in acked)
-        lost_bytes = sum(self._unresolved[s][0] for s in lost)
-        rtt = None
-        if acked:
-            newest = max(acked)
-            rtt = now - self._unresolved[newest][1]
-        for s in acked:
-            del self._unresolved[s]
-        for s in lost:
-            del self._unresolved[s]
-        self.lost_pkts += len(lost)
+            lost += 1
+            lost_bytes += unresolved.pop(s)[0]
+        self.lost_pkts += lost
         nsent = nrecd + lost_bytes
         if nsent == 0:
             return None
+        rtt = None if newest is None else now - newest_sent
         # Loss dominates marks: a halving for the hole already covers the mark.
         if lost:
             mode = LossMode.TRANSIENT
@@ -179,6 +164,15 @@ class DatagramSender:
         self.tracker = FeedbackTracker()
         self.sent_packets = 0
         self.sent_bytes = 0
+
+    def _datagram_size(self, size: int) -> int:
+        """int(size); ValueError unless 1 <= size <= the first link's MTU.
+        Checked before any datagram of that size is queued or traced."""
+        size = int(size)
+        mtu = self.path.links[0].mtu
+        if not 1 <= size <= mtu:
+            raise ValueError(f"datagram size {size} must be in [1, {mtu}]")
+        return size
 
     def _transmit(self, seq: int, size: int, now: float,
                   meta: Any = None) -> None:

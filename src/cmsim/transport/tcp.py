@@ -20,7 +20,10 @@ ACK, dupack or timeout is folded back into the shared controller:
 
 Retransmissions take priority over new data when a grant arrives.
 Connection setup is a single SYN/SYNACK exchange carrying no data; it is
-retried on its own timer and never charged to the controller.
+never charged to the controller, and grant requests wait for it.
+
+The SYN retry, RTO and delayed-ACK timers are sim.Deadlines, so stopping
+one never cancels a heap entry.
 """
 from __future__ import annotations
 
@@ -54,16 +57,16 @@ class TcpReceiver:
     """
 
     def __init__(self, loop: EventLoop, ack_path: Path, flow: int,
-                 delayed_ack: bool = False, ack_size: int = ACK_SIZE) -> None:
+                 delayed_ack: bool = False) -> None:
         self.loop = loop
         self.ack_path = ack_path
         self.flow = flow
         self.delayed_ack = delayed_ack
-        self.ack_size = ack_size
         self.rcv_nxt = 0
         self._ooo: List[Tuple[int, int]] = []   # disjoint [s, e), sorted
         self._pending_segs = 0
-        self._delack_ev = None
+        # armed only with a segment pending, which every ACK clears
+        self._delack = Deadline(loop, self._ack_now)
         self._ece_pending = False
 
     @property
@@ -72,7 +75,7 @@ class TcpReceiver:
 
     def on_data(self, pkt: Packet, now: float) -> None:
         if pkt.meta == "syn":
-            reply = Packet(flow=self.flow, seq=0, size=self.ack_size,
+            reply = Packet(flow=self.flow, seq=0, size=ACK_SIZE,
                            kind=PacketKind.ACK, sent_at=now, meta="synack")
             self.ack_path.send(reply)
             return
@@ -91,39 +94,29 @@ class TcpReceiver:
                 self._pending_segs += 1
                 if self._pending_segs >= 2:
                     self._ack_now()
-                elif self._delack_ev is None:
-                    self._delack_ev = self.loop.schedule_after(
-                        DELACK_TIMEOUT, self._on_delack)
+                elif self._delack.at is None:
+                    self._delack.arm(DELACK_TIMEOUT)
         else:
             self._insert_ooo(s, e)
             self._ack_now()  # duplicate ACK for the hole
 
     def _insert_ooo(self, s: int, e: int) -> None:
-        merged: List[Tuple[int, int]] = []
-        for a, b in self._ooo + [(s, e)]:
-            merged.append((a, b))
-        merged.sort()
+        self._ooo.append((s, e))
+        self._ooo.sort()
         out: List[Tuple[int, int]] = []
-        for a, b in merged:
+        for a, b in self._ooo:
             if out and a <= out[-1][1]:
                 out[-1] = (out[-1][0], max(out[-1][1], b))
             else:
                 out.append((a, b))
         self._ooo = out
 
-    def _on_delack(self) -> None:
-        self._delack_ev = None
-        if self._pending_segs > 0:
-            self._ack_now()
-
     def _ack_now(self) -> None:
-        if self._delack_ev is not None:
-            self._delack_ev.cancel()
-            self._delack_ev = None
+        self._delack.stop()
         self._pending_segs = 0
         info = AckInfo(ack=self.rcv_nxt, ece=self._ece_pending)
         self._ece_pending = False
-        pkt = Packet(flow=self.flow, seq=self.rcv_nxt, size=self.ack_size,
+        pkt = Packet(flow=self.flow, seq=self.rcv_nxt, size=ACK_SIZE,
                      kind=PacketKind.ACK, sent_at=self.loop.now, meta=info)
         self.ack_path.send(pkt)
 
@@ -154,12 +147,11 @@ class TcpSender:
         self.backoff = 1
         self.rtx: Deque[Tuple[int, int]] = deque()
         self._requested = 0     # bytes covered by issued grants requests
-        self._deferred = 0      # requests waiting for the handshake
         self._charged = 0       # bytes charged to the manager, not yet reported
         self._timed: Optional[Tuple[int, float]] = None
         self._timed_rtx = False
         self._rto = Deadline(loop, self._on_rto)
-        self._syn_ev = None
+        self._syn = Deadline(loop, self._syn_retry)
         self._syn_wait = SYN_RETRY
         self.established = not handshake
         self._completed = False
@@ -174,24 +166,20 @@ class TcpSender:
         pkt = Packet(flow=self.flow, seq=0, size=ACK_SIZE,
                      kind=PacketKind.ACK, sent_at=self.loop.now, meta="syn")
         self.path.send(pkt)
-        self._syn_ev = self.loop.schedule_after(self._syn_wait, self._syn_retry)
+        self._syn.arm(self._syn_wait)
 
     def _syn_retry(self) -> None:
-        self._syn_ev = None
-        if not self.established:
-            self._syn_wait = min(self._syn_wait * 2.0, MAX_RTO)
-            self._send_syn()
+        # stopped on establishment and on close, so it fires only while
+        # the handshake is still open
+        self._syn_wait = min(self._syn_wait * 2.0, MAX_RTO)
+        self._send_syn()
 
     def _on_established(self) -> None:
         if self.established:
             return
         self.established = True
-        if self._syn_ev is not None:
-            self._syn_ev.cancel()
-            self._syn_ev = None
-        n, self._deferred = self._deferred, 0
-        for _ in range(n):
-            self.cm.request(self.flow)
+        self._syn.stop()
+        self._top_up()
 
     # -- app side ---------------------------------------------------------
 
@@ -203,21 +191,19 @@ class TcpSender:
         self._top_up()
 
     def _top_up(self) -> None:
-        """Issue grant requests for queued data that fits the send window."""
+        """Issue grant requests for queued data that fits the send window;
+        none before the handshake completes."""
+        if not self.established:
+            return
         limit = min(self.total, self.snd_una + self.max_window)
         while self._requested < limit:
             self._requested += self.mss
-            if self.established:
-                self.cm.request(self.flow)
-            else:
-                self._deferred += 1
+            self.cm.request(self.flow)
 
     def close(self) -> None:
         self.closed = True
         self._rto.stop()
-        if self._syn_ev is not None:
-            self._syn_ev.cancel()
-            self._syn_ev = None
+        self._syn.stop()
         self.cm.close(self.flow)
 
     # -- grants -----------------------------------------------------------

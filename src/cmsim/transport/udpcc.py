@@ -45,10 +45,7 @@ class UdpCcSocket(DatagramSender):
         """Queue one datagram of the given size; returns its sequence number."""
         if self.closed:
             raise SocketClosed()
-        size = int(size)
-        mtu = self.path.links[0].mtu
-        if not 1 <= size <= mtu:
-            raise ValueError(f"datagram size {size} must be in [1, {mtu}]")
+        size = self._datagram_size(size)
         seq = self._next_seq
         self._next_seq += 1
         self._queue.append((seq, size))

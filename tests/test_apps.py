@@ -2,6 +2,8 @@
 estimate, grant-clocked versus self-paced transmission, token-bucket
 policing, and the drop-from-head freshness rules of the audio source.
 """
+from types import SimpleNamespace
+
 import pytest
 
 from cmsim.apps.audio import CbrAudioSource, TokenBucket
@@ -9,15 +11,17 @@ from cmsim.apps.layered import (AlfLayeredSource, LayerConfig,
                                 PacedLayeredSource)
 from cmsim.core import CongestionManager, FeedbackReport, FlowKey, LossMode
 from cmsim.core import Proto
-from cmsim.sim import EventLoop
+from cmsim.sim import DEFAULT_MTU, EventLoop
 from cmsim.trace import TraceKind, Tracer
 
 
 class CollectPath:
-    """Stands in for a network path; just records what was sent."""
+    """Stands in for a network path; just records what was sent. Its one
+    link has the default MTU, which datagram senders check sizes against."""
 
     def __init__(self):
         self.packets = []
+        self.links = [SimpleNamespace(mtu=DEFAULT_MTU)]
 
     def send(self, pkt):
         self.packets.append(pkt)
@@ -239,3 +243,32 @@ def test_audio_rate_callback_retunes_policer():
     assert src.policer.rate == pytest.approx(8000.0)
     src._on_rate(src.flow, 4000.0, 0.02, 0.0)
     assert src.policer.rate == pytest.approx(4000.0)
+
+
+# -- datagram sizes -------------------------------------------------------
+
+SOURCES = {
+    "paced": lambda cm, loop, n: PacedLayeredSource(
+        cm, key(), CollectPath(), loop, packet_size=n),
+    "alf": lambda cm, loop, n: AlfLayeredSource(
+        cm, key(), CollectPath(), loop, packet_size=n),
+    "audio": lambda cm, loop, n: CbrAudioSource(
+        cm, key(), CollectPath(), loop, frame_size=n),
+}
+
+
+@pytest.mark.parametrize("size", [0, DEFAULT_MTU + 1])
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_size_outside_first_hop_mtu_is_rejected_at_construction(source, size):
+    """A size of 0 would re-arm the paced frame timer at the same instant
+    for ever (or, for ALF, silently become the MTU); one above the MTU
+    would fail only at the first send, after the tracker and the trace
+    had recorded it."""
+    with pytest.raises(ValueError):
+        SOURCES[source](CongestionManager(), EventLoop(), size)
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_sizes_at_the_bounds_are_accepted(source):
+    for size in (1, DEFAULT_MTU):
+        SOURCES[source](CongestionManager(), EventLoop(), size)

@@ -22,10 +22,10 @@ def load_tool():
     return mod
 
 
-def record(speed, rss, trace_digest, runs=5):
+def record(speed, rss, trace_digest, runs=5, failed=0, per_set="1/0, 1/0"):
     notes = [f"runs: {runs} in 20.0s; set-up samples: 15",
-             f"ops attempted {runs}, failed 0; per input set (ops/failed): "
-             "1/0, 1/0",
+             f"ops attempted {runs}, failed {failed}; per input set "
+             f"(ops/failed): {per_set}",
              f"trace sha256: {trace_digest}",
              "sim sha256:   s1"]
     return {"commit": "0123456789abcdef",
@@ -51,6 +51,8 @@ def test_within_bounds_and_same_outputs(tmp_path, capsys):
     assert code == 0
     assert "+10.0%" in out and "+2.0%" in out
     assert "seed 1: trace same, sim same, ops/failed same" in out
+    assert "old runs 5, failed 0/5 (0.00%), new runs 6, failed 0/6" in out
+    assert "share moved" not in out
     assert not any(ln.startswith("!") for ln in out.splitlines())
     assert "sim.self_frac" in out
 
@@ -62,3 +64,29 @@ def test_metric_worse_than_bound_fails_and_digests_differ(tmp_path, capsys):
     flagged = [ln for ln in out.splitlines() if ln.startswith("!")]
     assert len(flagged) == 1 and "rss" in flagged[0]
     assert "seed 1: trace DIFFERENT, sim same, ops/failed same" in out
+
+
+def test_failed_share_that_moved_with_run_count_only_is_flagged(tmp_path,
+                                                               capsys):
+    """The same input set fails in both, but the new side fit more runs
+    into the time, so its failed share differs."""
+    code, out = run(tmp_path,
+                    record(100.0, 50.0, "t1", runs=5, failed=1,
+                           per_set="1/0, 1/1"),
+                    record(100.0, 50.0, "t1", runs=6, failed=2,
+                           per_set="1/0, 1/1"), capsys)
+    assert code == 0
+    assert ("seed 1: trace same, sim same, ops/failed same; "
+            "old runs 5, failed 1/5 (20.00%), "
+            "new runs 6, failed 2/6 (33.33%); "
+            "share moved with run count only") in out
+
+
+def test_failed_share_with_different_ops_failed_is_not_flagged(tmp_path,
+                                                               capsys):
+    code, out = run(tmp_path,
+                    record(100.0, 50.0, "t1", runs=5, failed=1,
+                           per_set="1/0, 1/1"),
+                    record(100.0, 50.0, "t1", runs=5, failed=0), capsys)
+    assert "ops/failed DIFFERENT" in out
+    assert "share moved" not in out

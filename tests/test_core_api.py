@@ -204,6 +204,40 @@ def test_notify_charges_outstanding_and_update_discharges():
     assert cm.macroflow_state(fid).outstanding == 0
 
 
+def test_close_discharges_what_the_flow_still_has_outstanding():
+    """No report will ever cover a closed flow's bytes; left charged, they
+    would keep the destination's window shut for every later flow."""
+    cm = CongestionManager()
+    a = cm.open(key(1))
+    cm.notify(a, 3000)
+    cm.close(a)
+    b = cm.open(key(2))
+    assert cm.macroflow_state(b).outstanding == 0
+    grants = []
+    cm.register_send(b, grants.append)
+    cm.request(b)
+    cm.tick(100.0)
+    assert grants == [b]
+
+
+def test_close_discharges_only_the_flows_own_remaining_charge():
+    cm = CongestionManager()
+    a, b = cm.open(key(1)), cm.open(key(2))
+    cm.notify(a, 1000)
+    cm.notify(b, 2000)
+    # a report beyond a's charge discharges the macroflow in full but
+    # leaves a nothing to return at close
+    cm.update(a, FeedbackReport(1500, 1500))
+    assert cm.macroflow_state(a).outstanding == 1500
+    cm.close(a)
+    assert cm.macroflow_state(b).outstanding == 1500
+    cm.update(b, FeedbackReport(500, 500))
+    assert cm.macroflow_state(b).outstanding == 1000
+    c = cm.open(key(3))
+    cm.close(b)
+    assert cm.macroflow_state(c).outstanding == 0   # clamped at 0
+
+
 def test_notify_above_mtu_is_charged_in_full():
     cm = CongestionManager()
     fid = cm.open(key(1))

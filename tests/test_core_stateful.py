@@ -15,10 +15,15 @@ rules the scheduler must follow:
   * a flow's rate is cwnd / srtt split over the members with pending
     requests, and tick_period is BASE_TICK or the least srtt / 2.
 
+  * each flow carries the bytes it notified; update discharges the
+    reporting flow's charge and the macroflow's, each clamped at 0, and
+    close discharges what the flow still carries.
+
 Each grant is compared with the model's choice when it happens, and after
-every step no grant may remain that the model would still give. The model
-reads cwnd, outstanding and the RTO from the core itself: the window
-arithmetic has its own tests (test_core_window.py, the aimd_oracle check).
+every step no grant may remain that the model would still give, and each
+macroflow's outstanding equals the model's. The model reads cwnd and the
+RTO from the core itself: the window arithmetic has its own tests
+(test_core_window.py, the aimd_oracle check).
 """
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -42,6 +47,7 @@ class _ModelFlow:
         self.mfid = mfid
         self.client = client
         self.pending = 0
+        self.charge = 0
 
 
 class _ModelMacroflow:
@@ -49,6 +55,7 @@ class _ModelMacroflow:
         self.members = []
         self.cursor = 0
         self.last_send = now
+        self.outstanding = 0
 
 
 class CoreScheduler(RuleBasedStateMachine):
@@ -75,7 +82,7 @@ class CoreScheduler(RuleBasedStateMachine):
         """(macroflow id, member index) the rules say is granted next."""
         for mfid in sorted(self.mfs):
             m, mf = self.mfs[mfid], self.real(mfid)
-            if mf.outstanding + mf.mtu > mf.cwnd:
+            if m.outstanding + mf.mtu > mf.cwnd:
                 continue
             n = len(m.members)
             for i in range(n):
@@ -84,9 +91,14 @@ class CoreScheduler(RuleBasedStateMachine):
                     return mfid, idx
         return None
 
+    def charge(self, fid, nbytes):
+        fl = self.flows[fid]
+        fl.charge += nbytes
+        self.mfs[fl.mfid].outstanding += nbytes
+
     def on_grant(self, fid):
         mf = self.real(self.flows[fid].mfid)
-        assert mf.outstanding + mf.mtu <= mf.cwnd
+        assert self.mfs[self.flows[fid].mfid].outstanding + mf.mtu <= mf.cwnd
         want = self.next_grant()
         assert want is not None, f"flow {fid} granted, none expected"
         mfid, idx = want
@@ -98,6 +110,7 @@ class CoreScheduler(RuleBasedStateMachine):
         client = self.flows[fid].client
         if client.startswith("accept"):
             m.last_send = self.now
+            self.charge(fid, MTU)
             self.cm.notify(fid, MTU)
         else:
             self.cm.notify(fid, 0)
@@ -137,7 +150,9 @@ class CoreScheduler(RuleBasedStateMachine):
     def close(self, i):
         self.setup_step()
         fid = self.pick(i)
-        m = self.mfs[self.flows.pop(fid).mfid]
+        fl = self.flows.pop(fid)
+        m = self.mfs[fl.mfid]
+        m.outstanding = max(0, m.outstanding - fl.charge)
         idx = m.members.index(fid)
         m.members.pop(idx)
         if idx < m.cursor:
@@ -187,6 +202,7 @@ class CoreScheduler(RuleBasedStateMachine):
         fid = self.pick(i)
         if nbytes:
             self.mfs[self.flows[fid].mfid].last_send = self.now
+        self.charge(fid, nbytes)
         self.cm.notify(fid, nbytes)
 
     @precondition(lambda self: self.flows)
@@ -198,7 +214,12 @@ class CoreScheduler(RuleBasedStateMachine):
     def update(self, i, nsent, lost, mode, rtt):
         self.setup_step()
         nrecd = nsent - int(nsent * lost)
-        self.cm.update(self.pick(i), FeedbackReport(nsent, nrecd, mode, rtt))
+        fid = self.pick(i)
+        fl = self.flows[fid]
+        m = self.mfs[fl.mfid]
+        fl.charge = max(0, fl.charge - nsent)
+        m.outstanding = max(0, m.outstanding - nsent)
+        self.cm.update(fid, FeedbackReport(nsent, nrecd, mode, rtt))
 
     @rule(dt=st.sampled_from((0.01, 0.5, 1.0, 4.0)))
     def tick(self, dt):
@@ -241,6 +262,11 @@ class CoreScheduler(RuleBasedStateMachine):
     @invariant()
     def nothing_left_to_grant(self):
         assert self.next_grant() is None
+
+    @invariant()
+    def outstanding_matches(self):
+        for mfid, m in self.mfs.items():
+            assert self.real(mfid).outstanding == m.outstanding
 
     @invariant()
     def membership_matches(self):

@@ -2,12 +2,16 @@
 batching by count and by timer, and the sender-side mapping from acks
 back to feedback reports (loss horizon, RTT sampling, ECN echo).
 """
-import pytest
+from typing import Dict, List, Optional, Tuple
 
-from cmsim.core import LossMode
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cmsim.core import FeedbackReport, LossMode
 from cmsim.sim import EventLoop, Link, Packet, PacketKind, Path
-from cmsim.transport.feedback import (AppAck, AppAckReceiver, FeedbackTracker,
-                                      _compress)
+from cmsim.transport.feedback import (REORDER_PACKETS, AppAck, AppAckReceiver,
+                                      FeedbackTracker, _compress)
 
 
 def data(seq, size=150, marked=False, sent_at=0.0):
@@ -68,6 +72,20 @@ def test_flush_on_timer_before_count_reached():
     assert acks[0].meta.ranges == ((0, 1),)
 
 
+def test_flush_timer_fires_once_at_its_last_arming():
+    """A flush by count stops the timer; the next packet arms it again,
+    later than the stopped deadline, and it fires once, at the new one."""
+    loop = EventLoop()
+    acks = []
+    rcv = AppAckReceiver(loop, fast_path(
+        loop, lambda p, t: acks.append((p.sent_at, p.meta.ranges))),
+        flow=1, max_acks=2, max_delay=0.25)
+    for seq, t in enumerate((0.0, 0.0625, 0.125)):
+        loop.schedule(t, rcv.on_data, data(seq), t)
+    loop.run_until(2.0)
+    assert acks == [(0.0625, ((0, 1),)), (0.125 + 0.25, ((2, 2),))]
+
+
 def test_each_batch_reports_only_new_seqs():
     loop = EventLoop()
     acks = []
@@ -100,8 +118,7 @@ def test_receiver_counts_marked_packets():
 
 
 def ack(ranges, highest, marked=0):
-    return AppAck(ranges=ranges, highest_seen=highest, echo_ts=0.0,
-                  marked=marked)
+    return AppAck(ranges=ranges, highest_seen=highest, marked=marked)
 
 
 def test_clean_ack_yields_no_loss_report():
@@ -176,6 +193,96 @@ def test_duplicate_ack_ranges_are_ignored():
     tr.on_sent(0, 150, now=0.0)
     assert tr.on_app_ack(ack(((0, 0),), 0), now=0.1) is not None
     assert tr.on_app_ack(ack(((0, 0),), 0), now=0.2) is None
+
+
+# -- against the two-pass tracker -----------------------------------------
+
+
+class TwoPassTracker:
+    """The tracker before it resolved each ack in one pass: it listed the
+    acked seqs, then the lost ones, summed each list and deleted both.
+    Kept as the reference for the one-pass tracker."""
+
+    def __init__(self, reorder_packets: int = REORDER_PACKETS) -> None:
+        self.reorder_packets = reorder_packets
+        self._unresolved: Dict[int, Tuple[int, float]] = {}
+        self.lost_pkts = 0
+
+    def on_sent(self, seq: int, size: int, now: float) -> None:
+        self._unresolved[seq] = (size, now)
+
+    def in_flight_pkts(self) -> int:
+        return len(self._unresolved)
+
+    def on_app_ack(self, ack: AppAck, now: float) -> Optional[FeedbackReport]:
+        acked: List[int] = []
+        for lo, hi in ack.ranges:
+            for s in range(lo, hi + 1):
+                if s in self._unresolved:
+                    acked.append(s)
+        acked_set = set(acked)
+        horizon = ack.highest_seen - self.reorder_packets
+        lost: List[int] = []
+        for s in self._unresolved:  # insertion order == seq order
+            if s > horizon:
+                break
+            if s not in acked_set:
+                lost.append(s)
+        nrecd = sum(self._unresolved[s][0] for s in acked)
+        lost_bytes = sum(self._unresolved[s][0] for s in lost)
+        rtt = None
+        if acked:
+            newest = max(acked)
+            rtt = now - self._unresolved[newest][1]
+        for s in acked:
+            del self._unresolved[s]
+        for s in lost:
+            del self._unresolved[s]
+        self.lost_pkts += len(lost)
+        nsent = nrecd + lost_bytes
+        if nsent == 0:
+            return None
+        if lost:
+            mode = LossMode.TRANSIENT
+        elif ack.marked > 0:
+            mode = LossMode.ECN
+        else:
+            mode = LossMode.NO_LOSS
+        return FeedbackReport(nsent=nsent, nrecd=nrecd, lossmode=mode, rtt=rtt)
+
+
+SEND = st.tuples(st.just("send"), st.integers(1, 3), st.integers(1, 1500))
+ACK = st.tuples(st.just("ack"), st.lists(st.integers(0, 40), max_size=12),
+                st.integers(-1, 45), st.integers(0, 2), st.booleans())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.one_of(SEND, ACK), max_size=30))
+@example([("send", 1, 100), ("send", 1, 200), ("send", 1, 300),
+          ("send", 1, 400), ("ack", [1, 4], 8, 0, True),
+          ("ack", [2, 3], 9, 1, False)])
+def test_one_pass_tracker_matches_two_pass_reference(steps):
+    """Sends use increasing seqs with gaps; each ack acks a drawn set of
+    seqs (some never sent, already acked or already lost) as disjoint
+    ranges, sometimes in reverse order, with a drawn highest_seen."""
+    new, ref = FeedbackTracker(), TwoPassTracker()
+    seq, now = 0, 0.0
+    for step in steps:
+        now += 0.01
+        if step[0] == "send":
+            _, gap, size = step
+            seq += gap
+            new.on_sent(seq, size, now)
+            ref.on_sent(seq, size, now)
+            continue
+        _, seqs, highest, marked, reverse = step
+        ranges = _compress(seqs)
+        if reverse:
+            ranges = ranges[::-1]
+        a = AppAck(ranges=ranges, highest_seen=highest, marked=marked)
+        assert new.on_app_ack(a, now) == ref.on_app_ack(a, now)
+        assert new.lost_pkts == ref.lost_pkts
+        assert new.in_flight_pkts() == ref.in_flight_pkts()
 
 
 # -- end-to-end over a link ----------------------------------------------

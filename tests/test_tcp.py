@@ -2,8 +2,8 @@
 manager: handshake, per-chunk grant requests, fast retransmit on triple
 duplicate ACKs, timeout recovery with backoff, the retransmission
 deadline after a long ACK run (also for the Reno reference sender),
-Karn's rule for RTT samples, the receiver window bound, ECN echo, and
-delayed ACKs.
+Karn's rule for RTT samples, the receiver window bound, ECN echo,
+delayed ACKs, and timers that stop without cancelling heap entries.
 """
 from types import SimpleNamespace
 
@@ -12,8 +12,10 @@ import pytest
 from cmsim.core import CongestionManager, FlowKey, LossMode, Proto
 from cmsim.errors import ConnectionClosed, UnknownFlow
 from cmsim.harness.oracles import RenoSender
-from cmsim.sim import EventLoop, Link, Packet, PacketKind, Path
-from cmsim.transport.tcp import MAX_RTO, TcpReceiver, TcpSender
+from cmsim.sim import (EventLoop, Link, Packet, PacketKind, Path,
+                       ScheduledEvent)
+from cmsim.transport.tcp import (DELACK_TIMEOUT, MAX_RTO, TcpReceiver,
+                                 TcpSender)
 
 MSS = 1500
 
@@ -105,6 +107,26 @@ def test_syn_is_retried_until_answered():
     assert len(b.done) == 1
     # the syn at t=0 was swallowed; the retry after one second got through
     assert len(b.filt.dropped) == 1
+
+
+def test_handshake_connection_cancels_no_event(monkeypatch):
+    """Establishment and close stop the SYN timer and the RTO in place:
+    their heap entries pop as no-ops, and none is cancelled."""
+    cancelled = []
+    real_cancel = ScheduledEvent.cancel
+
+    def counting_cancel(ev):
+        cancelled.append(ev.time)
+        real_cancel(ev)
+
+    monkeypatch.setattr(ScheduledEvent, "cancel", counting_cancel)
+    loop = EventLoop()
+    b = build(loop, total=MSS, handshake=True)
+    loop.run_until(5.0)
+    assert len(b.done) == 1
+    b.s.close()
+    loop.run_until(10.0)
+    assert cancelled == []
 
 
 def test_transfer_survives_random_loss():
@@ -260,6 +282,20 @@ def test_delayed_acks_thin_the_ack_stream():
     loop.run_until(30.0)
     assert len(b.done) == 1
     assert len(acks) < 10     # fewer ACKs than the ten data segments
+
+
+def test_delayed_ack_timer_fires_once_at_its_last_arming():
+    """An ACK stops the timer; the next lone segment arms it again, later
+    than the stopped deadline, and it fires once, at the new one."""
+    loop = EventLoop()
+    acks = []
+    rev = Path([Link(loop, 1e9, 0.0, queue_limit=100)],
+               sink=lambda p, t: acks.append((p.sent_at, p.meta.ack)))
+    r = TcpReceiver(loop, rev, flow=1, delayed_ack=True)
+    for i, t in enumerate((0.0, 0.0625, 0.125)):
+        loop.schedule(t, r.on_data, Packet(flow=1, seq=i * MSS, size=MSS), t)
+    loop.run_until(2.0)
+    assert acks == [(0.0625, 2 * MSS), (0.125 + DELACK_TIMEOUT, 3 * MSS)]
 
 
 def test_receiver_acks_out_of_order_data_immediately():

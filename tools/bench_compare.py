@@ -7,7 +7,9 @@ Per workload it prints:
     change in percent and the metric's bound from BENCHMARK.json; a
     metric worse than its bound is flagged;
   * per seed, whether the trace digest, the sim digest and the
-    per-input-set ops/failed are the same;
+    per-input-set ops/failed are the same, and each side's run count and
+    failed share; when the per-input-set ops/failed match but the shares
+    differ, the share moved only with how many runs fit in the time;
   * the traced run's per-layer metrics side by side.
 Exits 1 if any end-to-end metric is worse than its bound, else 0.
 """
@@ -16,8 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # note prefixes of run.py whose rest must match for outputs to be the same
@@ -50,6 +53,25 @@ def identity(notes: List[str]) -> Dict[str, Optional[str]]:
     return out
 
 
+def runs_and_failed(notes: List[str]) -> Tuple[Optional[int], int, int]:
+    """(runs, ops attempted, ops failed) of one seed's notes; runs is None
+    when no note gives it."""
+    runs, attempted, failed = None, 0, 0
+    for n in notes:
+        m = re.match(r"runs: (\d+) ", n)
+        if m:
+            runs = int(m.group(1))
+        m = re.match(r"ops attempted (\d+), failed (\d+)", n)
+        if m:
+            attempted, failed = int(m.group(1)), int(m.group(2))
+    return runs, attempted, failed
+
+
+def share(runs: Optional[int], attempted: int, failed: int) -> str:
+    pct = f" ({failed / attempted:.2%})" if attempted else ""
+    return f"runs {'?' if runs is None else runs}, failed {failed}/{attempted}{pct}"
+
+
 def fmt(v: float) -> str:
     return f"{v:.4g}"
 
@@ -80,12 +102,20 @@ def compare(old: Dict[str, Any], new: Dict[str, Any],
             lines.append(f"{flag} {k:<16}{fmt(mo[k]):>12}{fmt(mn[k]):>12}"
                          f"{pct:>9}{sign + format(m['bound'], '.0%'):>8}")
         for seed in sorted(set(wo["seeds"]) & set(wn["seeds"]), key=int):
-            io = identity(wo["seeds"][seed]["notes"])
-            inew = identity(wn["seeds"][seed]["notes"])
-            same = ", ".join(
-                f"{k} {'same' if io[k] is not None and io[k] == inew[k] else 'DIFFERENT'}"
-                for k, _ in IDENTITY)
-            lines.append(f"  seed {seed}: {same}")
+            no, nn = wo["seeds"][seed]["notes"], wn["seeds"][seed]["notes"]
+            io, inew = identity(no), identity(nn)
+            same = {k: io[k] is not None and io[k] == inew[k]
+                    for k, _ in IDENTITY}
+            so, sn = runs_and_failed(no), runs_and_failed(nn)
+            moved = ""
+            if same["ops/failed"] and so[1] and sn[1] and \
+                    so[2] * sn[1] != sn[2] * so[1]:
+                moved = "; share moved with run count only"
+            lines.append(
+                f"  seed {seed}: "
+                + ", ".join(f"{k} {'same' if same[k] else 'DIFFERENT'}"
+                            for k, _ in IDENTITY)
+                + f"; old {share(*so)}, new {share(*sn)}{moved}")
         to, tn = wo["traced"]["metrics"], wn["traced"]["metrics"]
         lines.append("  per layer (traced run):")
         for m in bench["per_layer"]:
