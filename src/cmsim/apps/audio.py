@@ -61,20 +61,19 @@ class CbrAudioSource(DatagramSender):
                  policer_depth_frames: int = 2,
                  thresh: Tuple[float, float] = (0.9, 1.1),
                  tracer: Optional[Tracer] = None) -> None:
+        self.frame_size = self._datagram_size(data_path, frame_size)
+        self.source_rate = frame_size / frame_interval
         super().__init__(cm, key, data_path, loop, tracer)
-        self.frame_size = self._datagram_size(frame_size)
         self.frame_interval = frame_interval
         self.app_buf_limit = app_buf_limit
         cm.register_send(self.flow, self._on_grant)
         cm.register_update(self.flow, self._on_rate)
-        cm.thresh(self.flow, thresh[0], thresh[1])
-        self.source_rate = frame_size / frame_interval
+        self._or_close(lambda: cm.thresh(self.flow, thresh[0], thresh[1]))
         self.policer = TokenBucket(self.source_rate,
                                    policer_depth_frames * frame_size,
                                    now=loop.now)
         self._buf: Deque[Tuple[int, float]] = deque()   # (frame seq, t generated)
         self._pending_request = False
-        self._next_frame = 0
         # not a sim.Deadline: perfbench's spans would then count each
         # _tick, the apps layer's largest self time, under sim's _fire
         self._timer = None
@@ -98,8 +97,7 @@ class CbrAudioSource(DatagramSender):
 
     def _tick(self) -> None:
         now = self.loop.now
-        seq = self._next_frame
-        self._next_frame += 1
+        seq = self.generated
         self.generated += 1
         self._evict_stale(now)
         if self.policer.take(self.frame_size, now):

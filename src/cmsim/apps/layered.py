@@ -66,11 +66,15 @@ class AlfLayeredSource(DatagramSender):
                  loop: EventLoop, layers: Optional[LayerConfig] = None,
                  packet_size: Optional[int] = None,
                  tracer: Optional[Tracer] = None) -> None:
+        if packet_size is not None:
+            packet_size = self._datagram_size(data_path, packet_size)
         super().__init__(cm, key, data_path, loop, tracer)
         self.layers = layers if layers is not None else LayerConfig()
         cm.register_send(self.flow, self._on_grant)
-        self.packet_size = self._datagram_size(
-            cm.mtu(self.flow) if packet_size is None else packet_size)
+        if packet_size is None:
+            packet_size = self._or_close(lambda: self._datagram_size(
+                data_path, cm.mtu(self.flow)))
+        self.packet_size = packet_size
         self.layer = 0
         self.active = False
         self._seq = 0
@@ -114,11 +118,11 @@ class PacedLayeredSource(DatagramSender):
                  packet_size: int = 1500,
                  thresh: Tuple[float, float] = (0.7, 1.4),
                  tracer: Optional[Tracer] = None) -> None:
+        self.packet_size = self._datagram_size(data_path, packet_size)
         super().__init__(cm, key, data_path, loop, tracer)
         self.layers = layers if layers is not None else LayerConfig()
-        self.packet_size = self._datagram_size(packet_size)
         cm.register_update(self.flow, self._on_rate)
-        cm.thresh(self.flow, thresh[0], thresh[1])
+        self._or_close(lambda: cm.thresh(self.flow, thresh[0], thresh[1]))
         self.layer = 0
         self.active = False
         self._seq = 0

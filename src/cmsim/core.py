@@ -168,7 +168,7 @@ class _Macroflow:
         self.ca_acc = 0            # CA byte accumulator toward the next +MTU
         self.recovery_left = 0     # reported bytes until another cut is allowed
         self.last_cut_time = float("-inf")
-        self.members: List[int] = []
+        self.members: List[_Flow] = []
         self.rr_cursor = 0
         self.last_send_time = now
         self.demand = 0            # members with pending_requests > 0
@@ -202,6 +202,14 @@ class CongestionManager:
         clock: callable returning current virtual time, never decreasing;
             defaults to a constant 0.0 for purely call-driven use.
         tracer: optional Tracer receiving Grant/CwndChange/RateCallback rows.
+
+    A grant callback that raises uses its grant up: the Grant row and the
+    ``cmapp_send`` count are recorded and the pending request is spent,
+    but nothing is charged. The exception leaves the outermost API call
+    that dispatched the grant, which may belong to another flow, such as
+    a sibling's update that opened the window. The dispatch state is
+    reset and the macroflow stays on the ready heap, so the next API call
+    or tick grants the requests that remain.
     """
 
     def __init__(self, mtu: int = DEFAULT_MTU,
@@ -215,12 +223,11 @@ class CongestionManager:
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._tracer = tracer
         self._flows: Dict[int, _Flow] = {}
-        self._open_keys: Dict[FlowKey, int] = {}
+        self._open_keys: Set[FlowKey] = set()
         self._macroflows: Dict[int, _Macroflow] = {}
         self._mf_by_dst: Dict[str, int] = {}
         self._next_flow_id = 1     # ids below this were issued
         self._next_mf_id = 1
-        self._depth = 0
         self._in_dispatch = False
         self._update_queue: deque = deque()
         # ids of macroflows that may have a grant to give; every macroflow
@@ -234,14 +241,13 @@ class CongestionManager:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _enter(self, opname: Optional[str]) -> None:
-        if opname is not None:
-            self.op_counts[opname] += 1
-        self._depth += 1
+    def _enter(self, opname: str) -> None:
+        self.op_counts[opname] += 1
 
     def _exit(self) -> None:
-        self._depth -= 1
-        if self._depth == 0 and not self._in_dispatch:
+        # The core never calls its own API, so a call returning outside a
+        # dispatch is the outermost one.
+        if not self._in_dispatch:
             self._dispatch()
 
     def _flow(self, flow_id: int) -> _Flow:
@@ -281,8 +287,8 @@ class CongestionManager:
             self._next_flow_id += 1
             fl = _Flow(fid, key, mf)
             self._flows[fid] = fl
-            self._open_keys[key] = fid
-            mf.members.append(fid)
+            self._open_keys.add(key)
+            mf.members.append(fl)
             return fid
         finally:
             self._exit()
@@ -300,14 +306,14 @@ class CongestionManager:
                         0 < flow_id < self._next_flow_id:
                     return
                 raise UnknownFlow(f"flow {flow_id}")
-            del self._open_keys[fl.key]
+            self._open_keys.remove(fl.key)
             mf = fl.mf
             mf.outstanding = max(0, mf.outstanding - fl.outstanding)
             if fl.pending_requests > 0:
                 mf.demand -= 1
             if fl.update_cb is not None:
                 del mf.rated[bisect_left(mf.rated, fl.id, key=_by_id)]
-            idx = mf.members.index(flow_id)
+            idx = mf.members.index(fl)
             mf.members.pop(idx)
             if idx < mf.rr_cursor:
                 mf.rr_cursor -= 1
@@ -526,7 +532,7 @@ class CongestionManager:
                               ssthresh=mf.ssthresh, outstanding=mf.outstanding,
                               mtu=mf.mtu, srtt=mf.srtt, rttvar=mf.rttvar,
                               loss_rate=mf.loss_rate, phase=mf.phase,
-                              members=tuple(mf.members))
+                              members=tuple(fl.id for fl in mf.members))
 
     # -- batched variants (one boundary crossing each) --------------------
 
@@ -569,7 +575,6 @@ class CongestionManager:
         """Periodic maintenance: decay idle windows, re-dispatch grants
         that may have been lost to a stuck client. Driven by the host's
         timer, so it does not count as an API boundary crossing."""
-        self._enter(None)
         try:
             # Decay keys never exceed the idle deadline, so every macroflow
             # due now has an entry up to now; the slack covers the rounding
@@ -600,7 +605,7 @@ class CongestionManager:
                 mf.ca_acc = 0
                 mf.last_send_time = now
                 if mf.members:
-                    self._trace(mf.members[0], TraceKind.CWND_CHANGE,
+                    self._trace(mf.members[0].id, TraceKind.CWND_CHANGE,
                                 mf.cwnd, mf.ssthresh)
                 self._eval_thresholds(mf)
         finally:
@@ -671,7 +676,7 @@ class CongestionManager:
                 n = len(mf.members)
                 for i in range(n):
                     idx = (mf.rr_cursor + i) % n
-                    fl = self._flows[mf.members[idx]]
+                    fl = mf.members[idx]
                     if fl.pending_requests > 0 and fl.send_cb is not None:
                         fl.pending_requests -= 1
                         if fl.pending_requests == 0:

@@ -14,18 +14,6 @@ from typing import Any, Dict, List
 
 from ..errors import ConfigError
 
-SCENARIO_NAMES = (
-    "tcp_compare",
-    "sharing",
-    "layered_alf",
-    "layered_rate",
-    "delayed_feedback",
-    "fairness_ensemble",
-    "udpcc_basic",
-    "audio_cbr",
-)
-
-
 @dataclass
 class ExperimentConfig:
     scenario: str = "udpcc_basic"
@@ -75,6 +63,13 @@ class ExperimentConfig:
     sample_interval: float = 0.1
 
 
+# Both layered scenarios meet the same bandwidth steps, since the
+# layered_adaptation check compares them.
+_LAYERED: Dict[str, Any] = dict(
+    duration=30.0, bandwidth_bps=1_048_576, delay=0.125,
+    queue_limit=5, low_bandwidth_bps=262_144,
+    step_down_t=8.0, step_up_t=20.0)
+
 # Per-scenario defaults layered over the dataclass defaults.
 SCENARIOS: Dict[str, Dict[str, Any]] = {
     "tcp_compare": dict(
@@ -84,14 +79,8 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
         duration=20.0, bandwidth_bps=10_000_000, delay=0.035,
         queue_limit=50, transfer_size=131072, num_transfers=9,
         transfer_gap=0.5),
-    "layered_alf": dict(
-        duration=30.0, bandwidth_bps=1_048_576, delay=0.125,
-        queue_limit=5, low_bandwidth_bps=262_144,
-        step_down_t=8.0, step_up_t=20.0),
-    "layered_rate": dict(
-        duration=30.0, bandwidth_bps=1_048_576, delay=0.125,
-        queue_limit=5, low_bandwidth_bps=262_144,
-        step_down_t=8.0, step_up_t=20.0),
+    "layered_alf": _LAYERED,
+    "layered_rate": _LAYERED,
     "delayed_feedback": dict(
         duration=20.0, bandwidth_bps=2_000_000, delay=0.03,
         queue_limit=20, num_flows=1, max_acks=500, max_delay=2.0),
@@ -107,6 +96,7 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
         packet_size=160, frame_size=160, frame_interval=0.02,
         app_buf_limit=4, thresh_down=0.9, thresh_up=1.1),
 }
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 

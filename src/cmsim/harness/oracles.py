@@ -12,7 +12,7 @@ congestion core:
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
 from ..trace import TraceKind, Tracer
@@ -22,34 +22,54 @@ from ..transport.tcp import AckInfo
 # in either implementation shows up as a test failure, not silent agreement.
 _DEF_MTU = 1500
 _DEF_SSTHRESH = 64 * 1024
+_INITIAL_RTO = 1.0
 
 NO_LOSS, TRANSIENT, PERSISTENT, ECN = "no_loss", "transient", "persistent", "ecn"
 
 
-def aimd_reference(updates: Sequence[Tuple[int, int, str]],
+Update = Union[Tuple[int, int, str],
+               Tuple[int, int, str, float, Optional[float]]]
+
+
+def aimd_reference(updates: Sequence[Update],
                    mtu: int = _DEF_MTU,
                    init_cwnd: Optional[int] = None,
                    init_ssthresh: int = _DEF_SSTHRESH) -> List[int]:
     """Recompute the cwnd trace for a report sequence, one entry per update.
 
-    Each update is (nsent, nrecd, lossmode). Returns cwnd (integer bytes)
-    after every update.
+    Each update is (nsent, nrecd, lossmode), or (nsent, nrecd, lossmode,
+    now, rtt) with the clock's time at the update and an RTT sample or
+    None. A 3-tuple takes no sample and keeps the time of the update
+    before it (0.0 at the start). Returns cwnd (integer bytes) after
+    every update.
 
     Window rules, restated independently of the implementation under test:
+      - srtt is the first RTT sample, then 7/8 srtt + 1/8 sample, folded
+        in before the window rules;
       - growth applies to no-loss reports with nrecd > 0;
       - slow start (cwnd < ssthresh): cwnd += nrecd, in full;
       - congestion avoidance: one mtu per cwnd bytes acked via a byte
         accumulator, reset on cuts and when leaving slow start;
       - transient/ecn: halve (floor 2*mtu) at most once per recovery epoch,
-        where an epoch ends after one post-cut window of reported nsent;
+        where an epoch ends after one post-cut window of reported nsent,
+        or once now - (time of the last cut) >= srtt (1 s before any
+        sample);
       - persistent: halve ssthresh (floor 2*mtu), cwnd to one mtu, always.
     """
     cwnd = mtu if init_cwnd is None else int(init_cwnd)
     ssthresh = int(init_ssthresh)
     acc = 0
     recovery_left = 0
+    srtt = 0.0
+    now, last_cut = 0.0, float("-inf")
     trace: List[int] = []
-    for nsent, nrecd, mode in updates:
+    for update in updates:
+        if len(update) == 3:
+            nsent, nrecd, mode = update
+        else:
+            nsent, nrecd, mode, now, rtt = update
+            if rtt is not None:
+                srtt = rtt if srtt <= 0.0 else 0.875 * srtt + 0.125 * rtt
         recovery_left = max(0, recovery_left - nsent)
         if mode == NO_LOSS:
             if nrecd > 0:
@@ -63,16 +83,19 @@ def aimd_reference(updates: Sequence[Tuple[int, int, str]],
                         acc -= cwnd
                         cwnd += mtu
         elif mode in (TRANSIENT, ECN):
-            if recovery_left == 0:
+            if recovery_left == 0 or \
+                    now - last_cut >= (srtt if srtt > 0.0 else _INITIAL_RTO):
                 ssthresh = max(cwnd // 2, 2 * mtu)
                 cwnd = ssthresh
                 acc = 0
                 recovery_left = cwnd
+                last_cut = now
         elif mode == PERSISTENT:
             ssthresh = max(cwnd // 2, 2 * mtu)
             cwnd = mtu
             acc = 0
             recovery_left = cwnd
+            last_cut = now
         else:
             raise ValueError(f"unknown lossmode {mode}")
         trace.append(cwnd)

@@ -13,9 +13,12 @@ dynamics under study stay on the forward bottleneck.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..apps import (AlfLayeredSource, CbrAudioSource, LayerConfig,
@@ -113,7 +116,7 @@ def build_tcp_compare(cfg: ExperimentConfig, loop: EventLoop,
     rev_r.set_sink(reno.on_ack)
     reno.start()
 
-    return {"cms": [cm], "cm_flows": [sender.flow],
+    return {"cm": cm, "cm_flows": [sender.flow],
             "ref_flows": [RENO_FLOW_BASE]}
 
 
@@ -151,7 +154,7 @@ def build_sharing(cfg: ExperimentConfig, loop: EventLoop,
         s.start()
 
     start_transfer(0)
-    return {"cms": [cm], "cm_flows": cm_flows, "ref_flows": []}
+    return {"cm": cm, "cm_flows": cm_flows, "ref_flows": []}
 
 
 def _build_layered(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
@@ -172,18 +175,7 @@ def _build_layered(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
                   cfg.low_bandwidth_bps)
     loop.schedule(cfg.step_up_t, fwd_link.set_bandwidth, cfg.bandwidth_bps)
     app.start()
-    return {"cms": [cm], "cm_flows": [app.flow], "ref_flows": [],
-            "app": app}
-
-
-def build_layered_alf(cfg: ExperimentConfig, loop: EventLoop,
-                      tracer: Tracer) -> Dict[str, Any]:
-    return _build_layered(cfg, loop, tracer, paced=False)
-
-
-def build_layered_rate(cfg: ExperimentConfig, loop: EventLoop,
-                       tracer: Tracer) -> Dict[str, Any]:
-    return _build_layered(cfg, loop, tracer, paced=True)
+    return {"cm": cm, "cm_flows": [app.flow], "ref_flows": []}
 
 
 def build_delayed_feedback(cfg: ExperimentConfig, loop: EventLoop,
@@ -199,7 +191,7 @@ def build_delayed_feedback(cfg: ExperimentConfig, loop: EventLoop,
     _app_acks(cfg, loop, fwd, rev, [sock])
     for _ in range(cfg.queue_target):
         sock.send(cfg.packet_size)
-    return {"cms": [cm], "cm_flows": [sock.flow], "ref_flows": []}
+    return {"cm": cm, "cm_flows": [sock.flow], "ref_flows": []}
 
 
 def build_udpcc_basic(cfg: ExperimentConfig, loop: EventLoop,
@@ -219,8 +211,7 @@ def build_udpcc_basic(cfg: ExperimentConfig, loop: EventLoop,
     for sock in socks:
         for _ in range(8):
             sock.send(cfg.packet_size)
-    return {"cms": [cm], "cm_flows": [s.flow for s in socks],
-            "ref_flows": []}
+    return {"cm": cm, "cm_flows": [s.flow for s in socks], "ref_flows": []}
 
 
 def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
@@ -267,7 +258,7 @@ def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
     route_fwd.register(RENO_FLOW_BASE, reno_rcv.on_data)
     route_rev.register(RENO_FLOW_BASE, reno.on_ack)
     reno.start()
-    return {"cms": [cm], "cm_flows": [s.flow for s in socks],
+    return {"cm": cm, "cm_flows": [s.flow for s in socks],
             "ref_flows": [RENO_FLOW_BASE]}
 
 
@@ -284,15 +275,14 @@ def build_audio_cbr(cfg: ExperimentConfig, loop: EventLoop,
                          tracer=tracer)
     _app_acks(cfg, loop, fwd, rev, [app])
     app.start()
-    return {"cms": [cm], "cm_flows": [app.flow], "ref_flows": [],
-            "app": app}
+    return {"cm": cm, "cm_flows": [app.flow], "ref_flows": []}
 
 
 BUILDERS: Dict[str, Callable] = {
     "tcp_compare": build_tcp_compare,
     "sharing": build_sharing,
-    "layered_alf": build_layered_alf,
-    "layered_rate": build_layered_rate,
+    "layered_alf": partial(_build_layered, paced=False),
+    "layered_rate": partial(_build_layered, paced=True),
     "delayed_feedback": build_delayed_feedback,
     "fairness_ensemble": build_fairness_ensemble,
     "udpcc_basic": build_udpcc_basic,
@@ -309,10 +299,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
     tracer = Tracer()
     ctx = BUILDERS[cfg.scenario](cfg, loop, tracer)
     loop.run_until(cfg.duration)
-    summary = {
-        "trace_stats": summarize_trace(cfg, tracer.records),
-        "run_stats": run_stats(ctx, tracer.records),
-    }
+    trace_stats = summarize_trace(cfg, tracer.records)
+    summary = {"trace_stats": trace_stats,
+               "run_stats": run_stats(ctx, trace_stats)}
     return RunOutput(cfg, tracer.records, summary, ctx)
 
 
@@ -320,7 +309,6 @@ def write_outputs(out: RunOutput, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     save_json(out.config, os.path.join(outdir, "config.json"))
     write_csv(os.path.join(outdir, "trace.csv"), out.records)
-    import json
     with open(os.path.join(outdir, "summary.json"), "w",
               encoding="utf-8") as fh:
         json.dump(out.summary, fh, indent=2, sort_keys=True)
@@ -354,16 +342,9 @@ def _stats(values: List[float]) -> Dict[str, float]:
 def summarize_trace(cfg: ExperimentConfig,
                     records: List[TraceRecord]) -> Dict[str, Any]:
     """Pure function of (config, trace): recomputable offline."""
-    per_flow: Dict[int, Dict[str, float]] = {}
-
-    def flow_entry(fid: int) -> Dict[str, float]:
-        e = per_flow.get(fid)
-        if e is None:
-            e = {"sent_pkts": 0, "sent_bytes": 0, "delivered_pkts": 0,
-                 "delivered_bytes": 0, "dropped_pkts": 0, "marked_pkts": 0}
-            per_flow[fid] = e
-        return e
-
+    per_flow: Dict[int, Dict[str, float]] = defaultdict(
+        lambda: {"sent_pkts": 0, "sent_bytes": 0, "delivered_pkts": 0,
+                 "delivered_bytes": 0, "dropped_pkts": 0, "marked_pkts": 0})
     cwnd_series: Dict[int, List[List[float]]] = {}
     layer_series: Dict[int, List[List[float]]] = {}
     rate_cbs: Dict[int, List[List[float]]] = {}
@@ -375,19 +356,19 @@ def summarize_trace(cfg: ExperimentConfig,
 
     for t, flow, kind, v1, v2 in records:
         if kind is TraceKind.SEND:
-            e = flow_entry(flow)
+            e = per_flow[flow]
             e["sent_pkts"] += 1
             e["sent_bytes"] += v2
             if keep_audio:
                 audio_sends.append((t, v1))
         elif kind is TraceKind.DELIVER:
-            e = flow_entry(flow)
+            e = per_flow[flow]
             e["delivered_pkts"] += 1
             e["delivered_bytes"] += v2
         elif kind is TraceKind.DROP:
-            flow_entry(flow)["dropped_pkts"] += 1
+            per_flow[flow]["dropped_pkts"] += 1
         elif kind is TraceKind.MARK:
-            flow_entry(flow)["marked_pkts"] += 1
+            per_flow[flow]["marked_pkts"] += 1
         elif kind is TraceKind.CWND_CHANGE:
             cwnd_series.setdefault(flow, []).append([t, v1])
         elif kind is TraceKind.LAYER_CHANGE:
@@ -448,16 +429,17 @@ def summarize_trace(cfg: ExperimentConfig,
 
 
 def run_stats(ctx: Dict[str, Any],
-              records: List[TraceRecord]) -> Dict[str, Any]:
-    ops: Dict[str, int] = {}
-    crossings = 0
-    for cm in ctx.get("cms", []):
-        for name, count in cm.op_counts.items():
-            ops[name] = ops.get(name, 0) + count
-        crossings += cm.boundary_crossings
-    cm_flows = set(ctx.get("cm_flows", []))
-    cm_bytes = sum(v2 for _, flow, kind, _, v2 in records
-                   if kind is TraceKind.SEND and flow in cm_flows)
+              trace_stats: Dict[str, Any]) -> Dict[str, Any]:
+    """The controller's operation counts and its boundary crossings per
+    MB that its flows sent. Those bytes are the CM flows' ``sent_bytes``
+    in ``trace_stats`` (from summarize_trace); a CM flow without a Send
+    row counts 0. Byte counts are integral, so the sum is exact."""
+    cm = ctx["cm"]
+    ops = cm.op_counts
+    crossings = cm.boundary_crossings
+    sent = {int(k): e["sent_bytes"]
+            for k, e in trace_stats["per_flow"].items()}
+    cm_bytes = sum(sent.get(f, 0) for f in set(ctx["cm_flows"]))
     mb = cm_bytes / 1e6
     return {
         "op_counts": {k: ops[k] for k in sorted(ops)},

@@ -146,25 +146,20 @@ class EventLoop:
         return self.schedule(self.now + delay, fn, *args)
 
     def run_until(self, t_end: float) -> None:
+        """Run every event due by ``t_end``; ``now`` is then ``t_end``."""
         if t_end < self.now:
             raise PastTime(f"run_until {t_end} < now {self.now}")
+        self._drain(t_end)
+        self.now = t_end
+
+    def run(self) -> None:
+        """Drain every pending event; ``now`` is left at the last one run."""
+        self._drain(INF)
+
+    def _drain(self, t_end: float) -> None:
         heap = self._heap
         pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            at, _, ev = pop(heap)
-            if ev.cancelled:
-                continue
-            self.now = at
-            self.inserted = ev.inserted
-            ev.fn(*ev.args)
-        self.now = t_end
-        self.inserted = INF
-
-    def run(self) -> None:
-        """Drain every pending event."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
             at, _, ev = pop(heap)
             if ev.cancelled:
                 continue
@@ -346,8 +341,11 @@ class Link:
 
 
 class Path:
-    """A unidirectional sequence of links; delivery chains hop by hop and
-    the final hop feeds the configured sink."""
+    """A unidirectional sequence of links; delivery chains hop by hop.
+
+    The path's sink is kept as the last link's sink, so the final hop
+    hands each packet straight to it; ``set_sink`` replaces it there.
+    Without a sink, the last link drops what it delivers silently."""
 
     def __init__(self, links: List[Link],
                  sink: Optional[Callable[[Packet, float], None]] = None) -> None:
@@ -356,15 +354,10 @@ class Path:
         self.links = links
         for a, b in zip(links, links[1:]):
             a.sink = b.forward
-        self._sink = sink
-        links[-1].sink = self._deliver
-
-    def _deliver(self, pkt: Packet, now: float) -> None:
-        if self._sink is not None:
-            self._sink(pkt, now)
+        links[-1].sink = sink
 
     def set_sink(self, sink: Callable[[Packet, float], None]) -> None:
-        self._sink = sink
+        self.links[-1].sink = sink
 
     def send(self, pkt: Packet) -> LinkOutcome:
         return self.links[0].send(pkt)

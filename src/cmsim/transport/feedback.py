@@ -28,7 +28,7 @@ sources) decide only when to send and what.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import CongestionManager, FeedbackReport, FlowKey, LossMode
 from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
@@ -165,14 +165,25 @@ class DatagramSender:
         self.sent_packets = 0
         self.sent_bytes = 0
 
-    def _datagram_size(self, size: int) -> int:
-        """int(size); ValueError unless 1 <= size <= the first link's MTU.
-        Checked before any datagram of that size is queued or traced."""
+    @staticmethod
+    def _datagram_size(path: Path, size: int) -> int:
+        """int(size); ValueError unless 1 <= size <= the MTU of the path's
+        first link. Checked before any datagram of that size is queued or
+        traced, and by the sources' constructors before the flow opens."""
         size = int(size)
-        mtu = self.path.links[0].mtu
+        mtu = path.links[0].mtu
         if not 1 <= size <= mtu:
             raise ValueError(f"datagram size {size} must be in [1, {mtu}]")
         return size
+
+    def _or_close(self, fn: Callable[[], Any]) -> Any:
+        """fn(); if it raises, close the flow and re-raise, so that a
+        constructor that raises leaves no flow open."""
+        try:
+            return fn()
+        except BaseException:
+            self.cm.close(self.flow)
+            raise
 
     def _transmit(self, seq: int, size: int, now: float,
                   meta: Any = None) -> None:

@@ -45,7 +45,7 @@ class UdpCcSocket(DatagramSender):
         """Queue one datagram of the given size; returns its sequence number."""
         if self.closed:
             raise SocketClosed()
-        size = self._datagram_size(size)
+        size = self._datagram_size(self.path, size)
         seq = self._next_seq
         self._next_seq += 1
         self._queue.append((seq, size))

@@ -11,6 +11,7 @@ from cmsim.apps.layered import (AlfLayeredSource, LayerConfig,
                                 PacedLayeredSource)
 from cmsim.core import CongestionManager, FeedbackReport, FlowKey, LossMode
 from cmsim.core import Proto
+from cmsim.errors import InvalidThreshold
 from cmsim.sim import DEFAULT_MTU, EventLoop
 from cmsim.trace import TraceKind, Tracer
 
@@ -272,3 +273,33 @@ def test_size_outside_first_hop_mtu_is_rejected_at_construction(source, size):
 def test_sizes_at_the_bounds_are_accepted(source):
     for size in (1, DEFAULT_MTU):
         SOURCES[source](CongestionManager(), EventLoop(), size)
+
+
+# The core's MTU is above the first link's, so ALF's default size, which
+# it takes from cm.mtu after the flow opens, is rejected too.
+REJECTED = [
+    (PacedLayeredSource, {"thresh": (1.5, 2.0)}, InvalidThreshold),
+    (CbrAudioSource, {"thresh": (1.5, 2.0)}, InvalidThreshold),
+    (PacedLayeredSource, {"packet_size": 0}, ValueError),
+    (AlfLayeredSource, {"packet_size": 0}, ValueError),
+    (CbrAudioSource, {"frame_size": 0}, ValueError),
+    (AlfLayeredSource, {}, ValueError),
+]
+
+
+@pytest.mark.parametrize("cls,kwargs,error", REJECTED,
+                         ids=["paced-thresh", "audio-thresh", "paced-size",
+                              "alf-size", "audio-size", "alf-cm-mtu"])
+def test_rejected_construction_leaves_no_flow_open(cls, kwargs, error):
+    """The rejected source's flow is closed: its key opens again, it is no
+    member of the macroflow, and no callback of it is left registered for
+    a sibling's update to run on a half-built object."""
+    cm, loop = CongestionManager(mtu=DEFAULT_MTU + 1), EventLoop()
+    sibling = cm.open(key(7001))
+    with pytest.raises(error):
+        cls(cm, key(), CollectPath(), loop, **kwargs)
+    assert cm.macroflow_state(sibling).members == (sibling,)
+    cm.update(sibling, FeedbackReport(1500, 1500, LossMode.NO_LOSS, rtt=0.1))
+    ok = {"packet_size": DEFAULT_MTU} if cls is AlfLayeredSource else {}
+    src = cls(cm, key(), CollectPath(), loop, **ok)     # the key opens again
+    assert cm.macroflow_state(sibling).members == (sibling, src.flow)

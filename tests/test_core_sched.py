@@ -302,6 +302,42 @@ def test_tick_redispatches_stranded_requests():
     assert granted == [b]
 
 
+def test_grant_callback_that_raises_uses_its_grant_up():
+    """The rule in the CongestionManager docstring: the grant is recorded
+    (Grant row, cmapp_send) and its request spent, but nothing is
+    charged; the exception leaves the sibling's update that opened the
+    window; the next call grants the requests that remain."""
+    tracer = Tracer()
+    cm = CongestionManager(tracer=tracer)
+    granted = []
+
+    def flaky(fid):
+        granted.append(fid)
+        if len(granted) == 1:
+            raise RuntimeError("client fault")
+        cm.notify(fid, MTU)
+
+    a, b = make_flows(cm, 2, flaky)
+    cm.notify(b, MTU)                               # window full
+    cm.request(a)
+    cm.request(a)
+    cm.request(b)
+    with pytest.raises(RuntimeError):
+        cm.update(b, FeedbackReport(MTU, MTU))      # cwnd 3000, a granted
+    st = cm.macroflow_state(a)
+    assert (st.cwnd, st.outstanding) == (2 * MTU, 0)
+    assert granted == [a]
+    assert cm.op_counts["cmapp_send"] == 1
+    assert [r.flow for r in tracer.records
+            if r.kind is TraceKind.GRANT] == [a]
+    cm.query(b)                                     # any API call resumes
+    assert granted == [a, b, a]
+    assert cm.macroflow_state(a).outstanding == 2 * MTU
+    assert cm.op_counts["cmapp_send"] == 3
+    cm.update(b, FeedbackReport(2 * MTU, 2 * MTU))  # room, but no request
+    assert granted == [a, b, a]                     # is left to grant
+
+
 def test_tick_period_tracks_half_srtt():
     cm = CongestionManager()
     assert cm.tick_period() == BASE_TICK

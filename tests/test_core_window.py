@@ -169,7 +169,24 @@ def test_growth_resumes_cleanly_after_cut():
 # -- oracle agreement -----------------------------------------------------
 
 
+def drive_timed(seq):
+    """Drive a fresh core through ((nsent, nrecd, mode), dt, rtt) steps on
+    a clock that advances dt before each update. Returns the cwnd after
+    each update and the updates as the oracle takes them."""
+    now = [0.0]
+    cm, fid = fresh(clock=lambda: now[0])
+    got, updates = [], []
+    for (nsent, nrecd, mode), dt, rtt in seq:
+        now[0] += dt
+        cm.update(fid, FeedbackReport(nsent, nrecd, mode, rtt))
+        got.append(cm.macroflow_state(fid).cwnd)
+        updates.append((nsent, nrecd, mode.value, now[0], rtt))
+    return got, updates
+
+
 def test_random_sequences_match_oracle_exactly():
+    """Clock steps of up to 0.3 s against srtt samples of 0.01-0.3 s, so
+    recovery epochs end by wall time as well as by reported bytes."""
     rng = random.Random(424242)
     modes = [LossMode.NO_LOSS] * 7 + [LossMode.TRANSIENT] * 2 + \
         [LossMode.ECN, LossMode.PERSISTENT]
@@ -177,14 +194,12 @@ def test_random_sequences_match_oracle_exactly():
         seq = []
         for _ in range(rng.randint(1, 80)):
             nsent = rng.randint(0, 4500)
-            seq.append((nsent, rng.randint(0, nsent), rng.choice(modes)))
-        cm, fid = fresh()
-        got = []
-        for nsent, nrecd, mode in seq:
-            cm.update(fid, FeedbackReport(nsent, nrecd, mode))
-            got.append(cm.macroflow_state(fid).cwnd)
-        want = aimd_reference([(n, r, m.value) for n, r, m in seq], mtu=MTU)
-        assert got == want
+            seq.append(((nsent, rng.randint(0, nsent), rng.choice(modes)),
+                        rng.choice((0.0, rng.uniform(0.0, 0.3))),
+                        rng.uniform(0.01, 0.3) if rng.random() < 0.3
+                        else None))
+        got, updates = drive_timed(seq)
+        assert got == aimd_reference(updates, mtu=MTU)
 
 
 # -- properties -----------------------------------------------------------
@@ -205,12 +220,16 @@ def test_property_cwnd_never_below_one_mtu(seq):
         assert cm.macroflow_state(fid).cwnd >= MTU
 
 
+timed_report_st = st.tuples(
+    report_st, st.floats(0.0, 0.3),
+    st.one_of(st.none(), st.floats(0.01, 0.3)))
+
+
 @settings(deadline=None)
-@given(st.lists(report_st, min_size=1, max_size=60))
+@given(st.lists(timed_report_st, min_size=1, max_size=60))
 def test_property_final_state_matches_oracle(seq):
-    st_ = drive(*fresh(), seq)
-    want = aimd_reference([(n, r, m.value) for n, r, m in seq], mtu=MTU)
-    assert st_.cwnd == want[-1]
+    got, updates = drive_timed(seq)
+    assert got[-1] == aimd_reference(updates, mtu=MTU)[-1]
 
 
 @settings(deadline=None)

@@ -123,13 +123,19 @@ def _mixed_schedule(loop, out):
 def test_run_and_run_until_drain_the_same_sequence():
     a, b = EventLoop(), EventLoop()
     out_a, out_b = [], []
-    _mixed_schedule(a, out_a)
-    _mixed_schedule(b, out_b)
+    for loop, out in ((a, out_a), (b, out_b)):
+        _mixed_schedule(loop, out)
+        loop.schedule(9.0, out.append, "cancelled").cancel()
     a.run()
     for t in (0.0, 0.5, 1.25, 2.0, 3.0, 10.0):
         b.run_until(t)
     assert out_a == out_b
     assert len(out_a) == 7 * 10      # 10 live roots, 7 calls per tree
+    # run() stops at the last event it ran, run_until(t) at t; both leave
+    # the insertion instant at +inf, since every due event has run
+    assert a.now == out_a[-1][0] == 4.0
+    assert b.now == 10.0
+    assert a.inserted == b.inserted == float("inf")
 
 
 # -- restartable deadline -------------------------------------------------
@@ -460,6 +466,14 @@ def test_path_chains_hops_and_adds_delays():
     loop.run()
     # two serializations of 80 us each plus both propagation delays
     assert got == [pytest.approx(0.03016)]
+    # set_sink replaces the final sink; without one, deliveries drop
+    replaced = []
+    path.set_sink(lambda p, t: replaced.append(p.seq))
+    path.send(pkt(seq=1, size=1000))
+    bare = Path([Link(loop, bandwidth_bps=1e8, prop_delay=0.01, name="c")])
+    bare.send(pkt(seq=2, size=1000))
+    loop.run()
+    assert (got, replaced) == ([pytest.approx(0.03016)], [1])
 
 
 def test_dispatcher_routes_by_flow_and_ignores_unknown():
