@@ -79,7 +79,6 @@ class CbrAudioSource(DatagramSender):
         self._timer = None
         self.active = False
         self.generated = 0
-        self.policer_drops = 0
 
     @property
     def buffered(self) -> int:
@@ -107,11 +106,9 @@ class CbrAudioSource(DatagramSender):
             if not self._pending_request:
                 self._pending_request = True
                 self.cm.request(self.flow)
-        else:
-            self.policer_drops += 1
-            if self.tracer is not None:
-                self.tracer.emit(now, self.flow, TraceKind.POLICER_DROP,
-                                 seq, self.frame_size)
+        elif self.tracer is not None:
+            self.tracer.emit(now, self.flow, TraceKind.POLICER_DROP,
+                             seq, self.frame_size)
         if self.active:
             self._timer = self.loop.schedule_after(self.frame_interval,
                                                    self._tick)

@@ -27,14 +27,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", metavar="FILE",
                      help="JSON config file to run, in the format written "
                           "to <out>/config.json")
-    p.add_argument("--seed", type=int, help="override the RNG seed")
-    p.add_argument("--duration", type=float,
-                   help="override the virtual duration in seconds")
     p.add_argument("--out", metavar="DIR",
                    help="directory for trace.csv, summary.json, config.json")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE",
-                   help="override any config field (repeatable)")
+                   help="override any config field, such as seed or "
+                        "duration (repeatable)")
     p.add_argument("--check", nargs="*", metavar="NAME", default=None,
                    help="run acceptance checks (all by default, or just "
                         f"the named ones); known: {', '.join(CHECKS)}")
@@ -46,10 +44,6 @@ def _run_scenario(args: argparse.Namespace) -> None:
         cfg = load_json(args.config)
     else:
         cfg = make_config(args.scenario)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.duration is not None:
-        cfg.duration = args.duration
     apply_overrides(cfg, args.overrides)
     out = run_experiment(cfg)
     if args.out:

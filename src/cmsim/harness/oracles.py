@@ -108,17 +108,16 @@ class RenoSender:
     Slow start counts ACKs (one mss per ACK), congestion avoidance adds
     mss*mss/cwnd per ACK, fast retransmit on the third dupack halves the
     window, timeouts collapse to one mss and retransmit the head segment
-    with a doubling RTO. Intentionally not built on the congestion core.
+    with a doubling RTO. An unbounded source: every new segment is a full
+    mss. Intentionally not built on the congestion core.
     """
 
     def __init__(self, loop: EventLoop, flow_id: int, data_path: Path,
-                 mss: int = _DEF_MTU, total_bytes: Optional[int] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 mss: int = _DEF_MTU, tracer: Optional[Tracer] = None) -> None:
         self.loop = loop
         self.flow_id = flow_id
         self.path = data_path
         self.mss = mss
-        self.total = total_bytes  # None = unbounded source
         self.tracer = tracer
         self.cwnd = float(mss)
         self.ssthresh = float(_DEF_SSTHRESH)
@@ -131,7 +130,6 @@ class RenoSender:
         self._timed: Optional[Tuple[int, float]] = None  # (end_seq, sent_at)
         self._timed_rtx = False
         self._rto = Deadline(loop, self._on_rto)
-        self.done_at: Optional[float] = None
 
     def start(self) -> None:
         self._fill_window()
@@ -141,16 +139,10 @@ class RenoSender:
     def _flight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    def _remaining(self) -> int:
-        if self.total is None:
-            return 1 << 62
-        return self.total - self.snd_nxt
-
     def _fill_window(self) -> None:
-        while self._remaining() > 0 and self._flight() + self.mss <= self.cwnd:
-            size = min(self.mss, self._remaining())
-            self._emit(self.snd_nxt, size, rtx=False)
-            self.snd_nxt += size
+        while self._flight() + self.mss <= self.cwnd:
+            self._emit(self.snd_nxt, self.mss, rtx=False)
+            self.snd_nxt += self.mss
         self._arm_rto()
 
     def _emit(self, seq: int, size: int, rtx: bool) -> None:
@@ -230,8 +222,5 @@ class RenoSender:
         self.dup_acks = 0
         self.backoff = 1
         self.snd_una = ack
-        if self.total is not None and self.snd_una >= self.total \
-                and self.done_at is None:
-            self.done_at = now
         self._fill_window()
 

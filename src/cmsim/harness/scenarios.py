@@ -29,7 +29,7 @@ from ..trace import TraceKind, TraceRecord, Tracer, write_csv
 from ..transport.feedback import AppAckReceiver, DatagramSender
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..transport.udpcc import UdpCcSocket
-from .config import ExperimentConfig, save_json, to_dict, validate
+from .config import ExperimentConfig, save_json, validate
 from .oracles import RenoSender
 
 REV_QUEUE = 100_000      # acks never tail-drop

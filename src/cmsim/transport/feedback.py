@@ -21,9 +21,9 @@ carries no timestamp.
 
 DatagramSender is the loop every datagram client of the controller runs:
 it opens the flow, transmits one datagram per opportunity (tracker, Send
-trace row, the packet, counters, then notify) and folds each AppAck into
-an update. Its subclasses (UdpCcSocket and the layered and audio
-sources) decide only when to send and what.
+trace row, the packet, then notify) and folds each AppAck into an
+update. Its subclasses (UdpCcSocket and the layered and audio sources)
+decide only when to send and what.
 """
 from __future__ import annotations
 
@@ -105,7 +105,6 @@ class FeedbackTracker:
 
     def __init__(self) -> None:
         self._unresolved: Dict[int, Tuple[int, float]] = {}  # seq -> (size, sent_at)
-        self.lost_pkts = 0
 
     def on_sent(self, seq: int, size: int, now: float) -> None:
         self._unresolved[seq] = (size, now)
@@ -133,7 +132,6 @@ class FeedbackTracker:
                 break
             lost += 1
             lost_bytes += unresolved.pop(s)[0]
-        self.lost_pkts += lost
         nsent = nrecd + lost_bytes
         if nsent == 0:
             return None
@@ -162,8 +160,6 @@ class DatagramSender:
         self.tracer = tracer
         self.flow = cm.open(key)
         self.tracker = FeedbackTracker()
-        self.sent_packets = 0
-        self.sent_bytes = 0
 
     @staticmethod
     def _datagram_size(path: Path, size: int) -> int:
@@ -197,8 +193,6 @@ class DatagramSender:
             self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
         self.path.send(Packet(flow=self.flow, seq=seq, size=size,
                               kind=PacketKind.DATA, sent_at=now, meta=meta))
-        self.sent_packets += 1
-        self.sent_bytes += size
         self.cm.notify(self.flow, size)
 
     def on_feedback(self, pkt: Packet, now: float) -> None:

@@ -22,8 +22,8 @@ Retransmissions take priority over new data when a grant arrives.
 Connection setup is a single SYN/SYNACK exchange carrying no data; it is
 never charged to the controller, and grant requests wait for it.
 
-The SYN retry, RTO and delayed-ACK timers are sim.Deadlines, so stopping
-one never cancels a heap entry.
+The receiver ACKs every data segment at once. The SYN retry and RTO
+timers are sim.Deadlines, so stopping one never cancels a heap entry.
 """
 from __future__ import annotations
 
@@ -38,8 +38,10 @@ from ..trace import TraceKind, Tracer
 
 ACK_SIZE = 40
 SYN_RETRY = 1.0
-DELACK_TIMEOUT = 0.2
 MAX_RTO = 60.0
+# receiver's advertised window: bounds unacked sequence space so a
+# recovery episode can only strand a bounded region behind a hole
+MAX_WINDOW = 65535
 
 
 @dataclass(frozen=True)
@@ -51,27 +53,18 @@ class AckInfo:
 class TcpReceiver:
     """Cumulative-ACK receiver with out-of-order buffering.
 
-    Out-of-order arrivals and hole-filling arrivals are acked immediately;
-    plain in-order data may be delay-acked (one ACK per two segments or
-    DELACK_TIMEOUT). A marked data packet sets the ECN echo on the next ACK.
+    Every data segment, in order, out of order or filling a hole, is
+    acked at once with the cumulative ACK point rcv_nxt. A marked data
+    packet sets the ECN echo on the next ACK.
     """
 
-    def __init__(self, loop: EventLoop, ack_path: Path, flow: int,
-                 delayed_ack: bool = False) -> None:
+    def __init__(self, loop: EventLoop, ack_path: Path, flow: int) -> None:
         self.loop = loop
         self.ack_path = ack_path
         self.flow = flow
-        self.delayed_ack = delayed_ack
         self.rcv_nxt = 0
         self._ooo: List[Tuple[int, int]] = []   # disjoint [s, e), sorted
-        self._pending_segs = 0
-        # armed only with a segment pending, which every ACK clears
-        self._delack = Deadline(loop, self._ack_now)
         self._ece_pending = False
-
-    @property
-    def in_order_bytes(self) -> int:
-        return self.rcv_nxt
 
     def on_data(self, pkt: Packet, now: float) -> None:
         if pkt.meta == "syn":
@@ -83,22 +76,13 @@ class TcpReceiver:
             self._ece_pending = True
         s, e = pkt.seq, pkt.seq + pkt.size
         if s <= self.rcv_nxt:
-            filled_hole = bool(self._ooo)
             if e > self.rcv_nxt:
                 self.rcv_nxt = e
                 while self._ooo and self._ooo[0][0] <= self.rcv_nxt:
                     self.rcv_nxt = max(self.rcv_nxt, self._ooo.pop(0)[1])
-            if filled_hole or not self.delayed_ack:
-                self._ack_now()
-            else:
-                self._pending_segs += 1
-                if self._pending_segs >= 2:
-                    self._ack_now()
-                elif self._delack.at is None:
-                    self._delack.arm(DELACK_TIMEOUT)
         else:
-            self._insert_ooo(s, e)
-            self._ack_now()  # duplicate ACK for the hole
+            self._insert_ooo(s, e)  # the ACK below is a duplicate for the hole
+        self._ack_now()
 
     def _insert_ooo(self, s: int, e: int) -> None:
         self._ooo.append((s, e))
@@ -112,8 +96,6 @@ class TcpReceiver:
         self._ooo = out
 
     def _ack_now(self) -> None:
-        self._delack.stop()
-        self._pending_segs = 0
         info = AckInfo(ack=self.rcv_nxt, ece=self._ece_pending)
         self._ece_pending = False
         pkt = Packet(flow=self.flow, seq=self.rcv_nxt, size=ACK_SIZE,
@@ -126,7 +108,6 @@ class TcpSender:
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
                  loop: EventLoop, tracer: Optional[Tracer] = None,
-                 handshake: bool = True, max_window: int = 65535,
                  on_complete: Optional[Callable[[float], None]] = None) -> None:
         self.cm = cm
         self.loop = loop
@@ -136,9 +117,14 @@ class TcpSender:
         self.flow = cm.open(key)
         cm.register_send(self.flow, self._on_grant)
         self.mss = cm.mtu(self.flow)
-        # Receiver's advertised window: bounds unacked sequence space so a
-        # recovery episode can only strand a bounded region behind a hole.
-        self.max_window = int(max_window)
+        link_mtu = data_path.links[0].mtu
+        if self.mss > link_mtu:
+            # every full segment would fail in Link.send, inside the grant
+            # callback and after its grant was spent
+            cm.close(self.flow)
+            raise ValueError(f"segment size {self.mss} exceeds the first "
+                             f"link's mtu {link_mtu}")
+        self.max_window = MAX_WINDOW
         self.closed = False
         self.total = 0          # bytes written by the app so far
         self.snd_una = 0
@@ -153,7 +139,7 @@ class TcpSender:
         self._rto = Deadline(loop, self._on_rto)
         self._syn = Deadline(loop, self._syn_retry)
         self._syn_wait = SYN_RETRY
-        self.established = not handshake
+        self.established = False
         self._completed = False
 
     def start(self) -> None:

@@ -10,7 +10,9 @@ datagram the link refuses would never be notified.
 
 Given a request_batch list, the socket does not request grants itself;
 it appends its flow to that list once per datagram, so the owner can
-issue one bulk request covering many sockets.
+issue one bulk request covering many sockets. An owner that sets the
+on_sent attribute is called with (seq, size) after each datagram goes
+out and is charged to the window.
 """
 from __future__ import annotations
 
@@ -27,11 +29,10 @@ from .feedback import DatagramSender
 class UdpCcSocket(DatagramSender):
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
                  loop: EventLoop, tracer: Optional[Tracer] = None,
-                 request_batch: Optional[List[int]] = None,
-                 on_sent: Optional[Callable[[int, int], None]] = None) -> None:
+                 request_batch: Optional[List[int]] = None) -> None:
         super().__init__(cm, key, data_path, loop, tracer)
         self.request_batch = request_batch
-        self.on_sent = on_sent
+        self.on_sent: Optional[Callable[[int, int], None]] = None
         cm.register_send(self.flow, self._on_grant)
         self.closed = False
         self._queue: Deque[Tuple[int, int]] = deque()

@@ -82,7 +82,7 @@ def test_alf_start_traces_base_layer_and_sends_on_grant():
     assert (first.value1, first.value2) == (0.0, 0.0)
     # no rate estimate yet, so the base layer goes out; the initial
     # window admits exactly one packet
-    assert src.sent_packets == 1
+    assert len(path.packets) == 1
     assert path.packets[0].meta == 0
 
 
@@ -94,7 +94,7 @@ def test_alf_repicks_layer_from_rate_at_each_grant():
     src = AlfLayeredSource(cm, key(), path, loop, tracer=tracer)
     grow(cm, src.flow, 3)            # cwnd 6000, srtt 0.1 -> 60 kB/s
     src.start()
-    assert src.sent_packets == 4     # window admits four packets
+    assert len(path.packets) == 4    # window admits four packets
     assert all(p.meta == 1 for p in path.packets)
     layers = [r.value1 for r in tracer.records
               if r.kind is TraceKind.LAYER_CHANGE]
@@ -107,7 +107,6 @@ def test_alf_declines_grants_before_start():
     path = CollectPath()
     src = AlfLayeredSource(cm, key(), path, loop)
     cm.request(src.flow)
-    assert src.sent_packets == 0
     assert path.packets == []
     assert cm.op_counts["notify"] == 1
 
@@ -129,7 +128,7 @@ def test_paced_sends_at_layer_rate():
     assert all(g == pytest.approx(1500 / 16384) for g in gaps)
     src.stop()
     loop.run_until(0.6)
-    assert src.sent_packets == 4     # timer cancelled, cadence frozen
+    assert len(path.packets) == 4    # timer cancelled, cadence frozen
 
 
 def test_paced_repicks_layer_only_on_rate_callback():
@@ -189,7 +188,7 @@ def test_audio_overflow_drops_oldest_frame_first():
     src.start()
     loop.run_until(0.21)             # frames 0..10; only frame 0 fit the window
     assert src.generated == 11
-    assert src.sent_packets == 1
+    assert len(path.packets) == 1
     drops = [int(r.value1) for r in tracer.records
              if r.kind is TraceKind.BUF_DROP]
     assert drops == [1, 2, 3, 4, 5, 6]
@@ -217,8 +216,10 @@ def test_audio_evicts_stale_frames_without_overflow():
     src.start()                      # frame 0 buffered, then the policer
     src._on_rate(src.flow, 0.0, 0.0, 0.0)    # stops admitting new ones
     loop.run_until(0.13)
-    assert src.sent_packets == 0
-    assert src.policer_drops == 5    # frames 2..6 never reached the buffer
+    assert path.packets == []
+    policed = [int(r.value1) for r in tracer.records
+               if r.kind is TraceKind.POLICER_DROP]
+    assert policed == [2, 3, 4, 5, 6]   # never reached the buffer
     drops = [(round(r.t, 2), int(r.value1)) for r in tracer.records
              if r.kind is TraceKind.BUF_DROP]
     # frames 0 and 1 aged out at four frame intervals despite a near-empty
@@ -230,11 +231,12 @@ def test_audio_evicts_stale_frames_without_overflow():
 def test_audio_grant_on_empty_buffer_declines():
     loop = EventLoop()
     cm = CongestionManager()
-    src = CbrAudioSource(cm, key(), CollectPath(), loop)
+    path = CollectPath()
+    src = CbrAudioSource(cm, key(), path, loop)
     before = cm.op_counts.get("notify", 0)
     src._on_grant(src.flow)
     assert cm.op_counts["notify"] == before + 1
-    assert src.sent_packets == 0
+    assert path.packets == []
 
 
 def test_audio_rate_callback_retunes_policer():

@@ -140,7 +140,7 @@ def test_gap_beyond_reorder_horizon_is_lost():
     assert rep.nrecd == 5 * 150
     assert rep.nsent == 6 * 150
     assert rep.lossmode == LossMode.TRANSIENT
-    assert tr.lost_pkts == 1
+    assert tr.in_flight_pkts() == 0  # seq 2 resolved as lost, not pending
 
 
 def test_recent_gap_waits_for_reordering():
@@ -206,13 +206,9 @@ class TwoPassTracker:
     def __init__(self, reorder_packets: int = REORDER_PACKETS) -> None:
         self.reorder_packets = reorder_packets
         self._unresolved: Dict[int, Tuple[int, float]] = {}
-        self.lost_pkts = 0
 
     def on_sent(self, seq: int, size: int, now: float) -> None:
         self._unresolved[seq] = (size, now)
-
-    def in_flight_pkts(self) -> int:
-        return len(self._unresolved)
 
     def on_app_ack(self, ack: AppAck, now: float) -> Optional[FeedbackReport]:
         acked: List[int] = []
@@ -238,7 +234,6 @@ class TwoPassTracker:
             del self._unresolved[s]
         for s in lost:
             del self._unresolved[s]
-        self.lost_pkts += len(lost)
         nsent = nrecd + lost_bytes
         if nsent == 0:
             return None
@@ -281,8 +276,8 @@ def test_one_pass_tracker_matches_two_pass_reference(steps):
             ranges = ranges[::-1]
         a = AppAck(ranges=ranges, highest_seen=highest, marked=marked)
         assert new.on_app_ack(a, now) == ref.on_app_ack(a, now)
-        assert new.lost_pkts == ref.lost_pkts
-        assert new.in_flight_pkts() == ref.in_flight_pkts()
+        # same seqs still pending, so the same ones resolved as lost
+        assert new._unresolved == ref._unresolved
 
 
 # -- end-to-end over a link ----------------------------------------------

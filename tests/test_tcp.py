@@ -3,7 +3,8 @@ manager: handshake, per-chunk grant requests, fast retransmit on triple
 duplicate ACKs, timeout recovery with backoff, the retransmission
 deadline after a long ACK run (also for the Reno reference sender),
 Karn's rule for RTT samples, the receiver window bound, ECN echo,
-delayed ACKs, and timers that stop without cancelling heap entries.
+immediate ACKs, timers that stop without cancelling heap entries, and
+the segment size checked against the first link's MTU.
 """
 from types import SimpleNamespace
 
@@ -14,8 +15,7 @@ from cmsim.errors import ConnectionClosed, UnknownFlow
 from cmsim.harness.oracles import RenoSender
 from cmsim.sim import (EventLoop, Link, Packet, PacketKind, Path,
                        ScheduledEvent)
-from cmsim.transport.tcp import (DELACK_TIMEOUT, MAX_RTO, TcpReceiver,
-                                 TcpSender)
+from cmsim.transport.tcp import MAX_RTO, TcpReceiver, TcpSender
 
 MSS = 1500
 
@@ -29,6 +29,7 @@ class DropFilter:
 
     def __init__(self, path, loop, should_drop):
         self.path = path
+        self.links = path.links
         self.loop = loop
         self.should_drop = should_drop
         self.offered = []    # (seq, t) of every data packet handed to us
@@ -44,8 +45,9 @@ class DropFilter:
 
 
 def build(loop, total=None, loss=0.0, ecn=False, seed=1, handshake=False,
-          max_window=65535, delayed_ack=False, drop=None,
-          bw=10_000_000, delay=0.01, queue=100):
+          max_window=None, drop=None, bw=10_000_000, delay=0.01, queue=100):
+    """handshake=False starts the sender established, with no SYN
+    exchange; max_window overrides the sender's advertised window."""
     cm = CongestionManager(clock=lambda: loop.now)
     modes = []
     real_update = cm.update
@@ -61,9 +63,11 @@ def build(loop, total=None, loss=0.0, ecn=False, seed=1, handshake=False,
     sender_path = DropFilter(fwd, loop, drop) if drop else fwd
     done = []
     s = TcpSender(cm, FlowKey("c", 1, "srv", 80, Proto.TCP), sender_path,
-                  loop, handshake=handshake, max_window=max_window,
-                  on_complete=done.append)
-    r = TcpReceiver(loop, rev, s.flow, delayed_ack=delayed_ack)
+                  loop, on_complete=done.append)
+    s.established = not handshake
+    if max_window is not None:
+        s.max_window = max_window
+    r = TcpReceiver(loop, rev, s.flow)
     fwd.set_sink(r.on_data)
     rev.set_sink(s.on_ack)
     if total is not None:
@@ -79,7 +83,7 @@ def test_clean_transfer_completes_in_order():
     b = build(loop, total=64 * 1024)
     loop.run_until(30.0)
     assert len(b.done) == 1
-    assert b.r.in_order_bytes == 64 * 1024
+    assert b.r.rcv_nxt == 64 * 1024
     assert b.s.snd_una == 64 * 1024
 
 
@@ -134,7 +138,7 @@ def test_transfer_survives_random_loss():
     b = build(loop, total=120 * 1024, loss=0.05, seed=9)
     loop.run_until(120.0)
     assert len(b.done) == 1
-    assert b.r.in_order_bytes == 120 * 1024
+    assert b.r.rcv_nxt == 120 * 1024
     assert b.s._charged == 0
     assert b.s.snd_nxt == b.s.snd_una
 
@@ -266,36 +270,11 @@ def test_ecn_marks_cut_window_without_retransmission():
     b = build(loop, total=90000, loss=0.2, ecn=True, seed=4)
     loop.run_until(60.0)
     assert len(b.done) == 1
-    assert b.r.in_order_bytes == 90000
+    assert b.r.rcv_nxt == 90000
     assert LossMode.ECN in b.modes
     assert LossMode.TRANSIENT not in b.modes
     assert LossMode.PERSISTENT not in b.modes
     assert b.cm.macroflow_state(b.s.flow).ssthresh < 64 * 1024
-
-
-def test_delayed_acks_thin_the_ack_stream():
-    loop = EventLoop()
-    b = build(loop, total=15000, delayed_ack=True)
-    acks = []
-    real = b.s.on_ack
-    b.rev.set_sink(lambda pkt, now: (acks.append(pkt), real(pkt, now)))
-    loop.run_until(30.0)
-    assert len(b.done) == 1
-    assert len(acks) < 10     # fewer ACKs than the ten data segments
-
-
-def test_delayed_ack_timer_fires_once_at_its_last_arming():
-    """An ACK stops the timer; the next lone segment arms it again, later
-    than the stopped deadline, and it fires once, at the new one."""
-    loop = EventLoop()
-    acks = []
-    rev = Path([Link(loop, 1e9, 0.0, queue_limit=100)],
-               sink=lambda p, t: acks.append((p.sent_at, p.meta.ack)))
-    r = TcpReceiver(loop, rev, flow=1, delayed_ack=True)
-    for i, t in enumerate((0.0, 0.0625, 0.125)):
-        loop.schedule(t, r.on_data, Packet(flow=1, seq=i * MSS, size=MSS), t)
-    loop.run_until(2.0)
-    assert acks == [(0.0625, 2 * MSS), (0.125 + DELACK_TIMEOUT, 3 * MSS)]
 
 
 def test_receiver_acks_out_of_order_data_immediately():
@@ -319,3 +298,18 @@ def test_write_after_close_raises():
         b.s.write(100)
     with pytest.raises(UnknownFlow):
         b.cm.query(b.s.flow)
+
+
+def test_segment_larger_than_first_link_mtu_is_rejected_at_construction():
+    """A core MTU above the first link's would fail every full segment in
+    Link.send, inside the grant callback and after its grant was spent.
+    The sender refuses it up front and leaves its key free."""
+    loop = EventLoop()
+    cm = CongestionManager(mtu=1500)
+    fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, mtu=1000)])
+    key = FlowKey("c", 1, "srv", 80, Proto.TCP)
+    with pytest.raises(ValueError):
+        TcpSender(cm, key, fwd, loop)
+    assert cm.op_counts.get("cmapp_send", 0) == 0
+    flow = cm.open(key)         # DuplicateFlow if the key were still held
+    assert cm.macroflow_state(flow).members == (flow,)

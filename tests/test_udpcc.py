@@ -10,7 +10,7 @@ from cmsim.core import FeedbackReport
 from cmsim.errors import SocketClosed, UnknownFlow
 from cmsim.sim import DEFAULT_MTU, EventLoop, Link, Path
 from cmsim.transport.feedback import AppAckReceiver
-from cmsim.trace import Tracer
+from cmsim.trace import TraceKind, Tracer
 from cmsim.transport.udpcc import UdpCcSocket
 
 
@@ -18,10 +18,17 @@ def key(port=9000):
     return FlowKey("client", port, "server", 9, Proto.UDP)
 
 
-def wire(loop, cm, max_acks=1, **sock_kwargs):
+def sends(tracer):
+    """(seq, size) of each traced Send row."""
+    return [(int(r.value1), int(r.value2)) for r in tracer.records
+            if r.kind is TraceKind.SEND]
+
+
+def wire(loop, cm, max_acks=1, on_sent=None, **sock_kwargs):
     fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="fwd")])
     rev = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="rev")])
     sock = UdpCcSocket(cm, key(), fwd, loop, **sock_kwargs)
+    sock.on_sent = on_sent
     recv = AppAckReceiver(loop, rev, sock.flow, max_acks=max_acks)
     fwd.set_sink(recv.on_data)
     rev.set_sink(sock.on_feedback)
@@ -54,12 +61,13 @@ def test_grants_drain_queue_in_fifo_order():
 
 def test_grant_with_empty_queue_is_declined():
     loop = EventLoop()
+    tracer = Tracer()
     cm = CongestionManager()
-    sock, _, _ = wire(loop, cm)
+    sock, _, _ = wire(loop, cm, tracer=tracer)
     before = cm.op_counts.get("notify", 0)
     sock._on_grant(sock.flow)
     assert cm.op_counts["notify"] == before + 1
-    assert sock.sent_packets == 0
+    assert sends(tracer) == []
 
 
 def test_deferred_requests_collect_into_batch():
@@ -94,10 +102,10 @@ def _assert_rejected_before_queueing(size):
     assert len(tracer) == rows
     assert cm.op_counts == ops
     loop.run_until(1.0)
-    assert sock.sent_packets == 0
+    assert sends(tracer) == []
     # the open window still admits the next valid datagram, as seq 0
     assert sock.send(500) == 0
-    assert sock.sent_packets == 1
+    assert sends(tracer) == [(0, 500)]
 
 
 @pytest.mark.parametrize("size", [0, -100])
@@ -124,16 +132,16 @@ def test_close_is_final():
 
 def test_clean_link_delivers_everything_in_order():
     loop = EventLoop()
+    tracer = Tracer()
     cm = CongestionManager()
-    sock, fwd, recv = wire(loop, cm)
+    sock, fwd, recv = wire(loop, cm, tracer=tracer)
     delivered = []
     fwd.set_sink(
         lambda p, t: (delivered.append((p.seq, p.size)), recv.on_data(p, t)))
     for _ in range(40):
         sock.send(1000)
     loop.run_until(10.0)
-    assert sock.sent_packets == 40
-    assert sock.sent_bytes == 40_000
+    assert sends(tracer) == [(seq, 1000) for seq in range(40)]
     assert [s for s, _ in delivered] == list(range(40))
     assert sum(sz for _, sz in delivered) == 40_000
     assert sock.queue_len == 0
