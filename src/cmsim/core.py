@@ -25,9 +25,8 @@ Window rules (integer bytes throughout):
   * persistent loss: same ssthresh cut, cwnd back to one MTU.
 
 Grants are issued round-robin over flows with pending requests whenever
-outstanding + MTU <= cwnd. Callbacks are synchronous but never nest inside
-a client API call: work triggered inside open/request/notify/update/... is
-queued and dispatched when the outermost call returns.
+outstanding + MTU <= cwnd. Grant and rate callbacks are synchronous but
+never nest inside a client API call; _api states that boundary.
 
 The scheduler keeps its state as calls arrive instead of scanning every
 destination on every call: a min-heap of macroflows that may be ready for
@@ -42,6 +41,7 @@ from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import inf
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -193,6 +193,35 @@ class _Macroflow:
         return self.last_send_time + IDLE_RTO_MULTIPLE * self.rto()
 
 
+_UNSET = object()
+
+
+def _api(name: str, impl: Callable) -> Callable:
+    """Bind the body impl as the client API call name: the one boundary.
+
+    Each call counts once in op_counts, whether it returns or raises.
+    Grants and rate callbacks that the body makes due are queued and run
+    when the outermost call returns or raises, so no callback nests inside
+    a call; the core never calls its own API, so a call made outside a
+    dispatch is the outermost one. Arguments pass on positionally: sentinel
+    defaults cost less than forwarding *args."""
+    def call(self, a, b=_UNSET, c=_UNSET):
+        self.op_counts[name] += 1
+        try:
+            if b is _UNSET:
+                return impl(self, a)
+            if c is _UNSET:
+                return impl(self, a, b)
+            return impl(self, a, b, c)
+        finally:
+            if not self._in_dispatch:
+                self._dispatch()
+    call.__name__ = name
+    call.__qualname__ = f"CongestionManager.{name}"
+    call.__doc__ = impl.__doc__
+    return call
+
+
 class CongestionManager:
     """The congestion-control core shared by every flow on a host.
 
@@ -210,6 +239,9 @@ class CongestionManager:
     a sibling's update that opened the window. The dispatch state is
     reset and the macroflow stays on the ready heap, so the next API call
     or tick grants the requests that remain.
+
+    The client API calls take their arguments positionally (see _api);
+    passing one by keyword raises TypeError.
     """
 
     def __init__(self, mtu: int = DEFAULT_MTU,
@@ -225,30 +257,20 @@ class CongestionManager:
         self._flows: Dict[int, _Flow] = {}
         self._open_keys: Set[FlowKey] = set()
         self._macroflows: Dict[int, _Macroflow] = {}
-        self._mf_by_dst: Dict[str, int] = {}
+        self._mf_by_dst: Dict[str, _Macroflow] = {}
         self._next_flow_id = 1     # ids below this were issued
-        self._next_mf_id = 1
         self._in_dispatch = False
         self._update_queue: deque = deque()
         # ids of macroflows that may have a grant to give; every macroflow
         # that has one is here (see _mark_ready)
         self._ready: List[int] = []
-        # (idle deadline lower bound, macroflow id); see _update_impl
+        # (idle deadline lower bound, macroflow id); see _update
         self._decay: List[Tuple[float, int]] = []
         # macroflows whose srtt / 2 < BASE_TICK, for tick_period
         self._fast: Set[_Macroflow] = set()
         self.op_counts: Counter = Counter()
 
     # -- plumbing ---------------------------------------------------------
-
-    def _enter(self, opname: str) -> None:
-        self.op_counts[opname] += 1
-
-    def _exit(self) -> None:
-        # The core never calls its own API, so a call returning outside a
-        # dispatch is the outermost one.
-        if not self._in_dispatch:
-            self._dispatch()
 
     def _flow(self, flow_id: int) -> _Flow:
         fl = self._flows.get(flow_id)
@@ -269,121 +291,91 @@ class CongestionManager:
 
     def open(self, key: FlowKey) -> int:
         """Admit a flow, creating or joining the destination's macroflow."""
-        self._enter("open")
-        try:
-            if key in self._open_keys:
-                raise DuplicateFlow(f"{key} already open")
-            mfid = self._mf_by_dst.get(key.dst_addr)
-            if mfid is None:
-                mfid = self._next_mf_id
-                self._next_mf_id += 1
-                mf = _Macroflow(mfid, key.dst_addr, self._mtu,
-                                self._initial_ssthresh, self._clock())
-                self._macroflows[mfid] = mf
-                self._mf_by_dst[key.dst_addr] = mfid
-            else:
-                mf = self._macroflows[mfid]
-            fid = self._next_flow_id
-            self._next_flow_id += 1
-            fl = _Flow(fid, key, mf)
-            self._flows[fid] = fl
-            self._open_keys.add(key)
-            mf.members.append(fl)
-            return fid
-        finally:
-            self._exit()
+        if key in self._open_keys:
+            raise DuplicateFlow(f"{key} already open")
+        mf = self._mf_by_dst.get(key.dst_addr)
+        if mf is None:
+            # macroflows are never dropped, so ids run 1, 2, ... in order
+            mf = _Macroflow(len(self._macroflows) + 1, key.dst_addr,
+                            self._mtu, self._initial_ssthresh, self._clock())
+            self._macroflows[mf.id] = self._mf_by_dst[key.dst_addr] = mf
+        fid = self._next_flow_id
+        self._next_flow_id += 1
+        fl = _Flow(fid, key, mf)
+        self._flows[fid] = fl
+        self._open_keys.add(key)
+        mf.members.append(fl)
+        return fid
+    open = _api("open", open)
 
     def close(self, flow_id: int) -> None:
         """Idempotent for a known flow; UnknownFlow for a never-issued id.
         The flow's record is dropped: an issued id that is no longer open
         is a closed one. Bytes the flow still has outstanding are
         discharged from the macroflow, since no report will cover them."""
-        self._enter("close")
-        try:
-            fl = self._flows.pop(flow_id, None)
-            if fl is None:
-                if isinstance(flow_id, int) and \
-                        0 < flow_id < self._next_flow_id:
-                    return
-                raise UnknownFlow(f"flow {flow_id}")
-            self._open_keys.remove(fl.key)
-            mf = fl.mf
-            mf.outstanding = max(0, mf.outstanding - fl.outstanding)
-            if fl.pending_requests > 0:
-                mf.demand -= 1
-            if fl.update_cb is not None:
-                del mf.rated[bisect_left(mf.rated, fl.id, key=_by_id)]
-            idx = mf.members.index(fl)
-            mf.members.pop(idx)
-            if idx < mf.rr_cursor:
-                mf.rr_cursor -= 1
-            if mf.members:
-                mf.rr_cursor %= len(mf.members)
-            else:
-                # keep the macroflow: destination state survives its last
-                # member so later flows inherit cwnd/srtt instead of
-                # restarting cold; it ages only via idle decay
-                mf.rr_cursor = 0
-            self._mark_ready(mf)
-        finally:
-            self._exit()
+        fl = self._flows.pop(flow_id, None)
+        if fl is None:
+            if isinstance(flow_id, int) and 0 < flow_id < self._next_flow_id:
+                return
+            raise UnknownFlow(f"flow {flow_id}")
+        self._open_keys.remove(fl.key)
+        mf = fl.mf
+        mf.outstanding = max(0, mf.outstanding - fl.outstanding)
+        if fl.pending_requests > 0:
+            mf.demand -= 1
+        if fl.update_cb is not None:
+            del mf.rated[bisect_left(mf.rated, fl.id, key=_by_id)]
+        idx = mf.members.index(fl)
+        mf.members.pop(idx)
+        if idx < mf.rr_cursor:
+            mf.rr_cursor -= 1
+        if mf.members:
+            mf.rr_cursor %= len(mf.members)
+        else:
+            # keep the macroflow: destination state survives its last
+            # member so later flows inherit cwnd/srtt instead of
+            # restarting cold; it ages only via idle decay
+            mf.rr_cursor = 0
+        self._mark_ready(mf)
+    close = _api("close", close)
 
     def mtu(self, flow_id: int) -> int:
-        self._enter("mtu")
-        try:
-            return self._flow(flow_id).mf.mtu
-        finally:
-            self._exit()
+        return self._flow(flow_id).mf.mtu
+    mtu = _api("mtu", mtu)
 
     # -- registrations ----------------------------------------------------
 
     def register_send(self, flow_id: int, cb: SendCallback) -> None:
-        self._enter("register_send")
-        try:
-            fl = self._flow(flow_id)
-            fl.send_cb = cb
-            self._mark_ready(fl.mf)
-        finally:
-            self._exit()
+        fl = self._flow(flow_id)
+        fl.send_cb = cb
+        self._mark_ready(fl.mf)
+    register_send = _api("register_send", register_send)
 
     def register_update(self, flow_id: int, cb: UpdateCallback) -> None:
-        self._enter("register_update")
-        try:
-            fl = self._flow(flow_id)
-            rated = fl.mf.rated
-            if fl.update_cb is None and cb is not None:
-                insort(rated, fl, key=_by_id)
-            elif fl.update_cb is not None and cb is None:
-                del rated[bisect_left(rated, fl.id, key=_by_id)]
-            fl.update_cb = cb
-        finally:
-            self._exit()
+        fl = self._flow(flow_id)
+        rated = fl.mf.rated
+        if fl.update_cb is None and cb is not None:
+            insort(rated, fl, key=_by_id)
+        elif fl.update_cb is not None and cb is None:
+            del rated[bisect_left(rated, fl.id, key=_by_id)]
+        fl.update_cb = cb
+    register_update = _api("register_update", register_update)
 
     def thresh(self, flow_id: int, down: float, up: float) -> None:
         """Set the rate-change notification band: callbacks fire when the
         flow's rate leaves [last_notified * down, last_notified * up]."""
-        self._enter("thresh")
-        try:
-            fl = self._flow(flow_id)
-            if not (0.0 < down <= 1.0 <= up):
-                raise InvalidThreshold(f"down={down} up={up}")
-            fl.thresh_down = float(down)
-            fl.thresh_up = float(up)
-        finally:
-            self._exit()
+        fl = self._flow(flow_id)
+        if not (0.0 < down <= 1.0 <= up):
+            raise InvalidThreshold(f"down={down} up={up}")
+        fl.thresh_down = float(down)
+        fl.thresh_up = float(up)
+    thresh = _api("thresh", thresh)
 
     # -- transmission control --------------------------------------------
 
-    def request(self, flow_id: int) -> None:
+    def _request(self, flow_id: int) -> None:
         """Ask for one grant of up to MTU bytes; granted at the next
         dispatch once the window admits it."""
-        self._enter("request")
-        try:
-            self._request_impl(flow_id)
-        finally:
-            self._exit()
-
-    def _request_impl(self, flow_id: int) -> None:
         fl = self._flow(flow_id)
         if fl.send_cb is None:
             raise NoCallbackRegistered(f"flow {flow_id}")
@@ -391,26 +383,22 @@ class CongestionManager:
         if fl.pending_requests == 1:
             fl.mf.demand += 1
         self._mark_ready(fl.mf)
+    request = _api("request", _request)
 
-    def notify(self, flow_id: int, nsent: int) -> None:
+    def _notify(self, flow_id: int, nsent: int) -> None:
         """Charge nsent bytes actually put on the wire; nsent == 0 declines
-        a grant so the scheduler can offer it to the next flow."""
-        self._enter("notify")
-        try:
-            self._notify_impl(flow_id, nsent)
-        finally:
-            self._exit()
-
-    def _notify_impl(self, flow_id: int, nsent: int) -> None:
+        a grant so the scheduler can offer it to the next flow. Raises
+        InvalidReport unless nsent is finite and nonnegative."""
         fl = self._flow(flow_id)
-        if nsent < 0:
+        if not 0 <= nsent < inf:
             raise InvalidReport(f"nsent={nsent}")
         if nsent > 0:
             fl.outstanding += int(nsent)
             fl.mf.outstanding += int(nsent)
             fl.mf.last_send_time = self._clock()
+    notify = _api("notify", _notify)
 
-    def update(self, flow_id: int, report: FeedbackReport) -> None:
+    def _update(self, flow_id: int, report: FeedbackReport) -> None:
         """Fold a feedback report into the macroflow's shared state.
 
         report.nsent bytes are discharged from outstanding and report.nrecd
@@ -419,20 +407,14 @@ class CongestionManager:
         exceeds the flow's charge still discharges bytes its siblings
         notified, and leaves the flow nothing for close to return. Raises
         InvalidReport, before any state changes, unless
-        0 <= nrecd <= nsent, any rtt sample is positive and lossmode is a
-        LossMode."""
-        self._enter("update")
-        try:
-            self._update_impl(flow_id, report)
-        finally:
-            self._exit()
-
-    def _update_impl(self, flow_id: int, report: FeedbackReport) -> None:
+        0 <= nrecd <= nsent < inf, any rtt sample is in (0, inf) and
+        lossmode is a LossMode."""
         fl = self._flow(flow_id)
-        nsent, nrecd = int(report.nsent), int(report.nrecd)
-        if nsent < 0 or nrecd < 0 or nrecd > nsent:
+        nsent, nrecd = report.nsent, report.nrecd
+        if not 0 <= nrecd <= nsent < inf:
             raise InvalidReport(f"nsent={nsent} nrecd={nrecd}")
-        if report.rtt is not None and report.rtt <= 0.0:
+        nsent, nrecd = int(nsent), int(nrecd)
+        if report.rtt is not None and not 0.0 < report.rtt < inf:
             raise InvalidReport(f"rtt={report.rtt}")
         mode = report.lossmode
         if not isinstance(mode, LossMode):
@@ -473,20 +455,16 @@ class CongestionManager:
                     while mf.ca_acc >= mf.cwnd:
                         mf.ca_acc -= mf.cwnd
                         mf.cwnd += mf.mtu
-        elif mode in (LossMode.TRANSIENT, LossMode.ECN):
+        else:       # PERSISTENT always cuts, TRANSIENT/ECN once per epoch
+            persistent = mode == LossMode.PERSISTENT
             spacing = mf.srtt if mf.srtt > 0 else INITIAL_RTO
-            if mf.recovery_left == 0 or now - mf.last_cut_time >= spacing:
+            if persistent or mf.recovery_left == 0 or \
+                    now - mf.last_cut_time >= spacing:
                 mf.ssthresh = max(mf.cwnd // 2, 2 * mf.mtu)
-                mf.cwnd = mf.ssthresh
+                mf.cwnd = mf.mtu if persistent else mf.ssthresh
                 mf.ca_acc = 0
                 mf.recovery_left = mf.cwnd
                 mf.last_cut_time = now
-        else:                                       # PERSISTENT
-            mf.ssthresh = max(mf.cwnd // 2, 2 * mf.mtu)
-            mf.cwnd = mf.mtu
-            mf.ca_acc = 0
-            mf.recovery_left = mf.cwnd
-            mf.last_cut_time = now
 
         if mf.cwnd != old_cwnd or mf.ssthresh != old_ssthresh:
             self._trace(flow_id, TraceKind.CWND_CHANGE, mf.cwnd, mf.ssthresh)
@@ -502,20 +480,15 @@ class CongestionManager:
             if mf.decay_key is None or deadline < mf.decay_key:
                 mf.decay_key = deadline
                 heappush(self._decay, (deadline, mf.id))
+    update = _api("update", _update)
 
     # -- introspection ----------------------------------------------------
 
-    def query(self, flow_id: int) -> QueryResult:
-        self._enter("query")
-        try:
-            return self._query_impl(flow_id)
-        finally:
-            self._exit()
-
-    def _query_impl(self, flow_id: int) -> QueryResult:
+    def _query(self, flow_id: int) -> QueryResult:
         mf = self._flow(flow_id).mf
         return QueryResult(rate=self._flow_rate(mf), srtt=mf.srtt,
                            loss_rate=mf.loss_rate)
+    query = _api("query", _query)
 
     def rtt_estimate(self, flow_id: int) -> Tuple[float, float]:
         """(srtt, rttvar) of the flow's macroflow; in-process clients such
@@ -539,35 +512,23 @@ class CongestionManager:
     def bulk_request(self, flow_ids: Sequence[int]) -> None:
         """request() element-wise in list order; the first failing element
         aborts the remainder, earlier elements stay applied."""
-        self._enter("bulk_request")
-        try:
-            for fid in flow_ids:
-                self._request_impl(fid)
-        finally:
-            self._exit()
+        for fid in flow_ids:
+            self._request(fid)
+    bulk_request = _api("bulk_request", bulk_request)
 
     def bulk_notify(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        self._enter("bulk_notify")
-        try:
-            for fid, nsent in pairs:
-                self._notify_impl(fid, nsent)
-        finally:
-            self._exit()
+        for fid, nsent in pairs:
+            self._notify(fid, nsent)
+    bulk_notify = _api("bulk_notify", bulk_notify)
 
     def bulk_update(self, pairs: Sequence[Tuple[int, FeedbackReport]]) -> None:
-        self._enter("bulk_update")
-        try:
-            for fid, report in pairs:
-                self._update_impl(fid, report)
-        finally:
-            self._exit()
+        for fid, report in pairs:
+            self._update(fid, report)
+    bulk_update = _api("bulk_update", bulk_update)
 
     def bulk_query(self, flow_ids: Sequence[int]) -> List[QueryResult]:
-        self._enter("bulk_query")
-        try:
-            return [self._query_impl(fid) for fid in flow_ids]
-        finally:
-            self._exit()
+        return [self._query(fid) for fid in flow_ids]
+    bulk_query = _api("bulk_query", bulk_query)
 
     # -- scheduler --------------------------------------------------------
 
@@ -609,7 +570,8 @@ class CongestionManager:
                                 mf.cwnd, mf.ssthresh)
                 self._eval_thresholds(mf)
         finally:
-            self._exit()
+            if not self._in_dispatch:
+                self._dispatch()
 
     def tick_period(self) -> float:
         """Suggested interval until the next tick()."""

@@ -99,6 +99,8 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
 SCENARIO_NAMES = tuple(SCENARIOS)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# Python types a JSON value may take for each field type of _FIELD_TYPES
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def make_config(scenario: str, **overrides: Any) -> ExperimentConfig:
@@ -155,26 +157,30 @@ def to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
     return asdict(cfg)
 
 
+def _typed(key: str, typ: str, value: Any) -> Any:
+    """A JSON config's value for field key of type typ, or ConfigError if
+    its type is wrong. An int passes for a float; a bool only for a bool."""
+    if typ == "List[int]":
+        if not isinstance(value, list):
+            raise ConfigError(f"field '{key}': expected a list")
+        return [_typed(key, "int", v) for v in value]
+    if typ == "int" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    want = _JSON_TYPES[typ]
+    if not isinstance(value, want) or \
+            (isinstance(value, bool) and want is not bool):
+        raise ConfigError(f"field '{key}': expected {typ}, got {value!r}")
+    return value
+
+
 def from_dict(data: Dict[str, Any]) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected a JSON object, got {data!r}")
     unknown = sorted(set(data) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"field '{unknown[0]}': unknown config field")
-    coerced: Dict[str, Any] = {}
-    for key, value in data.items():
-        typ = _FIELD_TYPES[key]
-        if typ == "int" and isinstance(value, bool):
-            raise ConfigError(f"field '{key}': expected int, got bool")
-        if typ == "int" and isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if typ == "List[int]":
-            if not isinstance(value, list):
-                raise ConfigError(f"field '{key}': expected a list")
-            value = [int(v) for v in value]
-        coerced[key] = value
-    try:
-        return ExperimentConfig(**coerced)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**{key: _typed(key, _FIELD_TYPES[key], value)
+                               for key, value in data.items()})
 
 
 def save_json(cfg: ExperimentConfig, path: str) -> None:

@@ -1,7 +1,7 @@
 """The command-line front end: running a scenario into --out, re-running
 the config.json it wrote, overriding fields with --set (the one way to
 set seed and duration), running a named check, and exit status 2 for bad
-input."""
+input, including a config file value of the wrong type."""
 import json
 
 import pytest
@@ -47,6 +47,37 @@ def test_bad_input_exits_2(argv, capsys):
 def test_unreadable_config_file_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("loss_prob", "0.1"), ("num_flows", 2.5), ("delay", [1]),
+    ("ecn", "no"), ("duration", True), ("layer_rates", [1, 2.5]),
+])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, field,
+                                                value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "udpcc_basic", "duration": 1,
+                                field: value}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("3")
+    assert main(["--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_accepts_an_int_for_a_float_field(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "udpcc_basic", "duration": 1,
+                                "delay": 0, "layer_rates": [1.0, 2]}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    cfg = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert (cfg["duration"], cfg["delay"], cfg["layer_rates"]) == \
+        (1, 0, [1, 2])
 
 
 def test_named_check_passes():

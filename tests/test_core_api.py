@@ -1,6 +1,8 @@
 """Client-facing API contract: flow lifecycle, callback registration,
 report validation, bulk variants, and the per-destination shared state.
 """
+from math import inf, nan
+
 import pytest
 
 from cmsim.core import (CongestionManager, FeedbackReport, FlowKey, LossMode,
@@ -182,6 +184,39 @@ def test_update_rejects_bad_reports():
         cm.update(fid, FeedbackReport(100, 200))
     with pytest.raises(InvalidReport):
         cm.update(fid, FeedbackReport(100, 50, rtt=0.0))
+
+
+@pytest.mark.parametrize("bad", [nan, inf, -inf])
+def test_non_finite_report_values_are_rejected_before_any_change(bad):
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    cm.update(fid, FeedbackReport(3000, 3000, rtt=0.1))
+    cm.notify(fid, 3000)
+    before = cm.macroflow_state(fid)
+    for report in (FeedbackReport(1500, 1500, rtt=bad),
+                   FeedbackReport(bad, 0), FeedbackReport(1500, bad)):
+        with pytest.raises(InvalidReport):
+            cm.update(fid, report)
+    with pytest.raises(InvalidReport):
+        cm.notify(fid, bad)
+    assert cm.macroflow_state(fid) == before
+
+
+def test_rejected_nan_rtt_leaves_every_destination_decaying():
+    # an accepted NaN srtt would sit at the top of the decay heap as
+    # (nan, 1) and stop the other destinations from decaying too
+    now = 0.0
+    cm = CongestionManager(clock=lambda: now)
+    fids = [cm.open(key(1, dst=f"d{i}")) for i in range(6)]
+    for fid in fids:
+        grow(cm, fid, 3000)
+    now = 0.5
+    with pytest.raises(InvalidReport):
+        cm.update(fids[0], FeedbackReport(0, 0, rtt=nan))
+    for step in range(51, 3001):
+        now = step / 100
+        cm.tick(now)
+    assert [cm.macroflow_state(f).cwnd for f in fids] == [MTU] * 6
 
 
 def test_rejected_report_changes_no_state():
@@ -390,3 +425,72 @@ def test_callback_invocations_count_as_crossings():
     before = cm.op_counts.get("cmapp_send", 0)
     cm.request(fid)
     assert cm.op_counts["cmapp_send"] == before + 1
+
+
+# -- the API boundary -----------------------------------------------------
+
+NOBODY = 999
+REPORT = FeedbackReport(0, 0)
+
+# name: (arguments of a call that succeeds on open flow f,
+#        arguments of one that raises DuplicateFlow for open, else UnknownFlow)
+API_CALLS = {
+    "open": (lambda f: (key(2),), (key(1),)),
+    "close": (lambda f: (f,), (NOBODY,)),
+    "mtu": (lambda f: (f,), (NOBODY,)),
+    "register_send": (lambda f: (f, lambda g: None), (NOBODY, print)),
+    "register_update": (lambda f: (f, lambda *a: None), (NOBODY, print)),
+    "thresh": (lambda f: (f, 0.5, 2.0), (NOBODY, 0.5, 2.0)),
+    "request": (lambda f: (f,), (NOBODY,)),
+    "notify": (lambda f: (f, 0), (NOBODY, 0)),
+    "update": (lambda f: (f, REPORT), (NOBODY, REPORT)),
+    "query": (lambda f: (f,), (NOBODY,)),
+    "bulk_request": (lambda f: ([f, f],), ([NOBODY],)),
+    "bulk_notify": (lambda f: ([(f, 0), (f, 0)],), ([(NOBODY, 0)],)),
+    "bulk_update": (lambda f: ([(f, REPORT), (f, REPORT)],),
+                    ([(NOBODY, REPORT)],)),
+    "bulk_query": (lambda f: ([f, f],), ([NOBODY],)),
+}
+
+
+def api_counts(cm):
+    return {name: cm.op_counts[name] for name in API_CALLS}
+
+
+def counted(before, after):
+    return {name: after[name] - before[name] for name in API_CALLS
+            if after[name] != before[name]}
+
+
+@pytest.mark.parametrize("name", list(API_CALLS))
+def test_each_api_call_counts_once_and_dispatches_even_when_it_raises(name):
+    ok, bad = API_CALLS[name]
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    cm.register_send(fid, lambda f: None)
+    before = api_counts(cm)
+    getattr(cm, name)(*ok(fid))
+    assert counted(before, api_counts(cm)) == {name: 1}
+
+    # a grant callback that raises leaves the flow's second request pending
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    granted = []
+
+    def on_grant(f):
+        granted.append(f)
+        if len(granted) == 1:
+            raise RuntimeError("client fault")
+
+    cm.register_send(fid, on_grant)
+    cm.notify(fid, MTU)                    # window full: requests wait
+    cm.request(fid)
+    cm.request(fid)
+    with pytest.raises(RuntimeError):
+        grow(cm, fid, MTU)                 # opens the window
+    assert granted == [fid]
+    before = api_counts(cm)
+    with pytest.raises(DuplicateFlow if name == "open" else UnknownFlow):
+        getattr(cm, name)(*bad)
+    assert counted(before, api_counts(cm)) == {name: 1}
+    assert granted == [fid, fid]

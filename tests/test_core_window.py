@@ -4,7 +4,6 @@ with the independent straight-line recomputation in the harness oracles.
 """
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

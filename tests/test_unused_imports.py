@@ -1,6 +1,6 @@
-"""Every module under src/ and tools/ uses each name it imports. Package
-__init__ files are skipped (their imports are re-exports), and so are
-``from __future__`` imports."""
+"""Every module under src/, tools/ and tests/ uses each name it imports.
+Package __init__ files are skipped (their imports are re-exports), and so
+are ``from __future__`` imports."""
 import ast
 from pathlib import Path
 
@@ -35,7 +35,7 @@ def test_finder_reports_only_unread_names():
 
 def test_no_module_imports_a_name_it_never_uses():
     found = []
-    for top in ("src", "tools"):
+    for top in ("src", "tools", "tests"):
         for path in sorted((ROOT / top).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
