@@ -273,8 +273,10 @@ class CongestionManager:
     # -- plumbing ---------------------------------------------------------
 
     def _flow(self, flow_id: int) -> _Flow:
+        # an id is an int that open issued: True == 1 and 1.0 == 1 would
+        # otherwise find flow 1
         fl = self._flows.get(flow_id)
-        if fl is None:
+        if fl is None or type(flow_id) is not int:
             raise UnknownFlow(f"flow {flow_id}")
         return fl
 
@@ -309,15 +311,16 @@ class CongestionManager:
     open = _api("open", open)
 
     def close(self, flow_id: int) -> None:
-        """Idempotent for a known flow; UnknownFlow for a never-issued id.
-        The flow's record is dropped: an issued id that is no longer open
-        is a closed one. Bytes the flow still has outstanding are
-        discharged from the macroflow, since no report will cover them."""
+        """Idempotent for an issued id; UnknownFlow for anything else, such
+        as a never-issued id or a bool. The flow's record is dropped: an
+        issued id that is no longer open is a closed one. Bytes the flow
+        still has outstanding are discharged from the macroflow, since no
+        report will cover them."""
+        if type(flow_id) is not int or not 0 < flow_id < self._next_flow_id:
+            raise UnknownFlow(f"flow {flow_id}")
         fl = self._flows.pop(flow_id, None)
         if fl is None:
-            if isinstance(flow_id, int) and 0 < flow_id < self._next_flow_id:
-                return
-            raise UnknownFlow(f"flow {flow_id}")
+            return
         self._open_keys.remove(fl.key)
         mf = fl.mf
         mf.outstanding = max(0, mf.outstanding - fl.outstanding)

@@ -104,7 +104,8 @@ _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def make_config(scenario: str, **overrides: Any) -> ExperimentConfig:
-    """Scenario defaults plus keyword overrides."""
+    """Scenario defaults plus keyword overrides, type-checked as a JSON
+    config's values are (see _typed)."""
     if scenario not in SCENARIOS:
         raise ConfigError(
             f"field 'scenario': unknown scenario {scenario!r}; "
@@ -114,7 +115,7 @@ def make_config(scenario: str, **overrides: Any) -> ExperimentConfig:
     for key, value in overrides.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"field '{key}': unknown config field")
-        base[key] = value
+        base[key] = _typed(key, _FIELD_TYPES[key], value)
     cfg = ExperimentConfig(**base)
     validate(cfg)
     return cfg
@@ -158,8 +159,9 @@ def to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
 
 
 def _typed(key: str, typ: str, value: Any) -> Any:
-    """A JSON config's value for field key of type typ, or ConfigError if
-    its type is wrong. An int passes for a float; a bool only for a bool."""
+    """A config value for field key of type typ, from JSON or a keyword
+    override, or ConfigError if its type is wrong. An int passes for a
+    float; a bool only for a bool."""
     if typ == "List[int]":
         if not isinstance(value, list):
             raise ConfigError(f"field '{key}': expected a list")

@@ -19,13 +19,13 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..apps import (AlfLayeredSource, CbrAudioSource, LayerConfig,
                     PacedLayeredSource)
 from ..core import CongestionManager, FlowKey, Proto
 from ..sim import Dispatcher, EventLoop, Link, Path
-from ..trace import TraceKind, TraceRecord, Tracer, write_csv
+from ..trace import TraceKind, TraceRecord, Tracer, rows, write_csv
 from ..transport.feedback import AppAckReceiver, DatagramSender
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..transport.udpcc import UdpCcSocket
@@ -40,7 +40,7 @@ SERIES_CAP = 400         # summary time series are downsampled to this length
 @dataclass
 class RunOutput:
     config: ExperimentConfig
-    records: List[TraceRecord]
+    records: Sequence[TraceRecord]
     summary: Dict[str, Any]
     ctx: Dict[str, Any]
 
@@ -340,7 +340,7 @@ def _stats(values: List[float]) -> Dict[str, float]:
 
 
 def summarize_trace(cfg: ExperimentConfig,
-                    records: List[TraceRecord]) -> Dict[str, Any]:
+                    records: Iterable[TraceRecord]) -> Dict[str, Any]:
     """Pure function of (config, trace): recomputable offline."""
     per_flow: Dict[int, Dict[str, float]] = defaultdict(
         lambda: {"sent_pkts": 0, "sent_bytes": 0, "delivered_pkts": 0,
@@ -354,7 +354,7 @@ def summarize_trace(cfg: ExperimentConfig,
     audio_sends: List[Tuple[float, float]] = []   # (t, frame seq)
     keep_audio = cfg.scenario == "audio_cbr"
 
-    for t, flow, kind, v1, v2 in records:
+    for t, flow, kind, v1, v2 in rows(records):
         if kind is TraceKind.SEND:
             e = per_flow[flow]
             e["sent_pkts"] += 1

@@ -1,11 +1,14 @@
 """The command-line front end: running a scenario into --out, re-running
 the config.json it wrote, overriding fields with --set (the one way to
 set seed and duration), running a named check, and exit status 2 for bad
-input, including a config file value of the wrong type."""
+input, including a config file value of the wrong type. make_config's
+keyword overrides get the same type check as a config file."""
 import json
 
 import pytest
 
+from cmsim.errors import ConfigError
+from cmsim.harness import make_config
 from cmsim.harness.cli import main
 
 OUTPUTS = ("trace.csv", "summary.json", "config.json")
@@ -49,10 +52,13 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field,value", [
+WRONG_TYPES = [
     ("loss_prob", "0.1"), ("num_flows", 2.5), ("delay", [1]),
     ("ecn", "no"), ("duration", True), ("layer_rates", [1, 2.5]),
-])
+]
+
+
+@pytest.mark.parametrize("field,value", WRONG_TYPES)
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, field,
                                                 value):
     path = tmp_path / "config.json"
@@ -78,6 +84,19 @@ def test_config_accepts_an_int_for_a_float_field(tmp_path):
     cfg = json.loads((tmp_path / "out" / "config.json").read_text())
     assert (cfg["duration"], cfg["delay"], cfg["layer_rates"]) == \
         (1, 0, [1, 2])
+
+
+@pytest.mark.parametrize("field,value", WRONG_TYPES)
+def test_make_config_keyword_of_the_wrong_type_raises(field, value):
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        make_config("udpcc_basic", **{field: value})
+
+
+def test_make_config_keywords_pass_as_a_config_file_would():
+    cfg = make_config("udpcc_basic", duration=1, delay=0,
+                      layer_rates=[1.0, 2], ecn=True, loss_prob=0.001)
+    assert (cfg.duration, cfg.delay, cfg.layer_rates, cfg.ecn,
+            cfg.loss_prob) == (1, 0, [1, 2], True, 0.001)
 
 
 def test_named_check_passes():

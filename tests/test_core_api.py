@@ -494,3 +494,32 @@ def test_each_api_call_counts_once_and_dispatches_even_when_it_raises(name):
         getattr(cm, name)(*bad)
     assert counted(before, api_counts(cm)) == {name: 1}
     assert granted == [fid, fid]
+
+
+@pytest.mark.parametrize("name", [n for n in API_CALLS if n != "open"])
+def test_each_api_call_rejects_a_flow_id_that_is_no_int(name):
+    # True == 1 and 1.0 == 1, so a lookup by value alone finds flow 1
+    ok, _ = API_CALLS[name]
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    cm.register_send(fid, lambda f: None)
+    assert fid == 1
+    for bad in (True, 1.0):
+        before = api_counts(cm)
+        with pytest.raises(UnknownFlow):
+            getattr(cm, name)(*ok(bad))
+        assert counted(before, api_counts(cm)) == {name: 1}
+    assert cm.macroflow_state(fid).members == (fid,)
+
+
+def test_getters_and_close_of_a_closed_flow_reject_a_bool():
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    for getter in (cm.rtt_estimate, cm.rto_estimate, cm.macroflow_state):
+        with pytest.raises(UnknownFlow):
+            getter(True)
+    cm.close(fid)
+    cm.close(fid)                          # a closed, issued id: no-op
+    for bad in (True, False, 1.0):
+        with pytest.raises(UnknownFlow):
+            cm.close(bad)
