@@ -12,7 +12,8 @@ mechanisms reconcile that with the available bandwidth:
     frame is discarded, never a newer one.
 
 At most one grant request is outstanding at a time; each grant sends the
-current head frame.
+current head frame. Frames are generated from start() until the run
+ends.
 """
 from __future__ import annotations
 
@@ -74,10 +75,6 @@ class CbrAudioSource(DatagramSender):
                                    now=loop.now)
         self._buf: Deque[Tuple[int, float]] = deque()   # (frame seq, t generated)
         self._pending_request = False
-        # not a sim.Deadline: perfbench's spans would then count each
-        # _tick, the apps layer's largest self time, under sim's _fire
-        self._timer = None
-        self.active = False
         self.generated = 0
 
     @property
@@ -85,14 +82,7 @@ class CbrAudioSource(DatagramSender):
         return len(self._buf)
 
     def start(self) -> None:
-        self.active = True
         self._tick()
-
-    def stop(self) -> None:
-        self.active = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     def _tick(self) -> None:
         now = self.loop.now
@@ -109,9 +99,9 @@ class CbrAudioSource(DatagramSender):
         elif self.tracer is not None:
             self.tracer.emit(now, self.flow, TraceKind.POLICER_DROP,
                              seq, self.frame_size)
-        if self.active:
-            self._timer = self.loop.schedule_after(self.frame_interval,
-                                                   self._tick)
+        # not a sim.Deadline: perfbench's spans would then count each
+        # _tick, the apps layer's largest self time, under sim's _fire
+        self.loop.schedule_after(self.frame_interval, self._tick)
 
     def _drop_head(self, now: float) -> None:
         seq, _ = self._buf.popleft()

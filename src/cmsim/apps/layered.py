@@ -7,12 +7,16 @@ they learn that estimate:
   * AlfLayeredSource transmits on grants, queries the rate at every
     transmission opportunity, and re-picks the layer each time. It sends
     as fast as the shared window allows, so its layer choice rides the
-    congestion sawtooth directly.
+    congestion sawtooth directly. It requests a grant only in start()
+    and after each datagram it sends, so every grant finds it started.
 
   * PacedLayeredSource never requests grants. It sends on its own timer
     at the chosen layer's rate and re-picks the layer only when a rate
     callback fires, i.e. when the estimate crosses the configured
     thresholds. Between callbacks it keeps its clock unchanged.
+
+Each source sends from start() until the run ends. The datagrams do not
+carry the layer; a LayerChange trace row records each change of it.
 """
 from __future__ import annotations
 
@@ -76,23 +80,15 @@ class AlfLayeredSource(DatagramSender):
                 data_path, cm.mtu(self.flow)))
         self.packet_size = packet_size
         self.layer = 0
-        self.active = False
         self._seq = 0
 
     def start(self) -> None:
-        self.active = True
         if self.tracer is not None:
             self.tracer.emit(self.loop.now, self.flow,
                              TraceKind.LAYER_CHANGE, self.layer, 0.0)
         self.cm.request(self.flow)
 
-    def stop(self) -> None:
-        self.active = False
-
     def _on_grant(self, fid: int) -> None:
-        if not self.active:
-            self.cm.notify(self.flow, 0)
-            return
         now = self.loop.now
         q = self.cm.query(self.flow)
         layer = self.layers.pick(q.rate)
@@ -103,7 +99,7 @@ class AlfLayeredSource(DatagramSender):
                                  layer, q.rate)
         seq = self._seq
         self._seq += 1
-        self._transmit(seq, self.packet_size, now, meta=layer)
+        self._transmit(seq, self.packet_size, now)
         self.cm.request(self.flow)
 
     # own attribute: perfbench/spans.py METHODS wraps it via cls.__dict__
@@ -124,37 +120,26 @@ class PacedLayeredSource(DatagramSender):
         cm.register_update(self.flow, self._on_rate)
         self._or_close(lambda: cm.thresh(self.flow, thresh[0], thresh[1]))
         self.layer = 0
-        self.active = False
         self._seq = 0
-        # not a sim.Deadline: perfbench's spans would then count each
-        # frame under sim's Deadline._fire instead of the apps layer
-        self._timer = None
 
     @property
     def interval(self) -> float:
         return self.packet_size / self.layers.rate_of(self.layer)
 
     def start(self) -> None:
-        self.active = True
         if self.tracer is not None:
             self.tracer.emit(self.loop.now, self.flow,
                              TraceKind.LAYER_CHANGE, self.layer, 0.0)
         self._send_frame()
 
-    def stop(self) -> None:
-        self.active = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     def _send_frame(self) -> None:
-        if not self.active:
-            return
         seq = self._seq
         self._seq += 1
-        self._transmit(seq, self.packet_size, self.loop.now, meta=self.layer)
-        # new period takes effect here if the layer changed mid-interval
-        self._timer = self.loop.schedule_after(self.interval, self._send_frame)
+        self._transmit(seq, self.packet_size, self.loop.now)
+        # new period takes effect here if the layer changed mid-interval.
+        # Not a sim.Deadline: perfbench's spans would then count each
+        # frame under sim's Deadline._fire instead of the apps layer.
+        self.loop.schedule_after(self.interval, self._send_frame)
 
     def _on_rate(self, fid: int, rate: float, srtt: float,
                  loss_rate: float) -> None:

@@ -147,7 +147,7 @@ class RenoSender:
 
     def _emit(self, seq: int, size: int, rtx: bool) -> None:
         pkt = Packet(flow=self.flow_id, seq=seq, size=size,
-                     kind=PacketKind.DATA, sent_at=self.loop.now)
+                     kind=PacketKind.DATA)
         if self.tracer is not None:
             self.tracer.emit(self.loop.now, self.flow_id, TraceKind.SEND, seq, size)
         if rtx:

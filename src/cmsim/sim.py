@@ -92,7 +92,6 @@ class Packet:
     size: int
     kind: PacketKind = PacketKind.DATA
     ecn_marked: bool = False
-    sent_at: float = 0.0
     meta: Any = None
 
     @property
@@ -135,8 +134,9 @@ class EventLoop:
         self._seq = 0
 
     def schedule(self, at: float, fn: Callable, *args) -> ScheduledEvent:
-        if at < self.now:
-            raise PastTime(f"schedule at {at} < now {self.now}")
+        # written so that a NaN time, which compares false, is refused
+        if not at >= self.now:
+            raise PastTime(f"schedule at {at}: not at or after now {self.now}")
         ev = ScheduledEvent(at, fn, args, self.now)
         heapq.heappush(self._heap, (at, self._seq, ev))
         self._seq += 1
@@ -147,8 +147,8 @@ class EventLoop:
 
     def run_until(self, t_end: float) -> None:
         """Run every event due by ``t_end``; ``now`` is then ``t_end``."""
-        if t_end < self.now:
-            raise PastTime(f"run_until {t_end} < now {self.now}")
+        if not t_end >= self.now:
+            raise PastTime(f"run_until {t_end}: not at or after now {self.now}")
         self._drain(t_end)
         self.now = t_end
 
@@ -240,13 +240,14 @@ class Link:
                  seed: int = 0, name: str = "link",
                  sink: Optional[Callable[[Packet, float], None]] = None,
                  tracer: Optional[Tracer] = None) -> None:
-        if bandwidth_bps <= 0:
+        # the negated tests refuse NaN too, which compares false
+        if not bandwidth_bps > 0:
             raise ValueError("bandwidth must be positive")
         if not (0.0 <= loss_prob < 1.0):
             raise ValueError("loss_prob must be in [0, 1)")
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        if prop_delay < 0:
+        if not prop_delay >= 0:
             raise ValueError("prop_delay must be non-negative")
         self.loop = loop
         self.bandwidth_bps = float(bandwidth_bps)
@@ -284,7 +285,7 @@ class Link:
         """Applies from the next service start; the packet currently being
         serialized finishes at its old pace, and the packets queued behind
         it are re-timed."""
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:
             raise ValueError("bandwidth must be positive")
         self.bandwidth_bps = float(bandwidth_bps)
         self._leave()

@@ -2,17 +2,21 @@
 
 Wire format. An AppAck reports, per receiver flush:
 
-    ranges        tuple of (lo, hi) inclusive packet-seq ranges received
-                  since the previous flush
+    seqs          the packet seqs received since the previous flush,
+                  in arrival order, duplicates kept
     highest_seen  highest packet seq the receiver has ever seen
     marked        count of congestion-marked packets in this flush
+
+Its size on the wire is APP_ACK_SIZE, however many seqs it lists.
 
 The receiver may flush per packet (max_acks=1) or batch up to max_acks
 packets / max_delay seconds, whichever comes first; the delay is a
 sim.Deadline armed by the first packet of a batch.
 
-The sender-side tracker turns each AppAck into one feedback report:
-a sent packet is *lost* once it is at least REORDER_PACKETS older than
+The sender-side tracker turns each AppAck into one feedback report.
+Each listed seq it still holds is received; duplicates and seqs it never
+sent count for nothing, so the order of the list does not matter. A
+sent packet is *lost* once it is at least REORDER_PACKETS older than
 highest_seen and still unacknowledged. Late acks for a packet already
 declared lost are dropped from accounting (cannot happen on FIFO paths,
 but keeps nrecd <= nsent under reordering). The RTT sample is taken
@@ -40,25 +44,9 @@ APP_ACK_SIZE = 60
 
 @dataclass(frozen=True)
 class AppAck:
-    ranges: Tuple[Tuple[int, int], ...]
+    seqs: Tuple[int, ...]
     highest_seen: int
     marked: int = 0
-
-
-def _compress(seqs: List[int]) -> Tuple[Tuple[int, int], ...]:
-    if not seqs:
-        return ()
-    seqs = sorted(set(seqs))
-    out: List[Tuple[int, int]] = []
-    lo = hi = seqs[0]
-    for s in seqs[1:]:
-        if s == hi + 1:
-            hi = s
-        else:
-            out.append((lo, hi))
-            lo = hi = s
-    out.append((lo, hi))
-    return tuple(out)
 
 
 class AppAckReceiver:
@@ -90,13 +78,13 @@ class AppAckReceiver:
 
     def _flush(self) -> None:
         self._timer.stop()
-        ack = AppAck(ranges=_compress(self._pending),
+        ack = AppAck(seqs=tuple(self._pending),
                      highest_seen=self.highest_seen,
                      marked=self._marked)
         self._pending.clear()
         self._marked = 0
         pkt = Packet(flow=self.flow, seq=self.highest_seen, size=APP_ACK_SIZE,
-                     kind=PacketKind.APP_ACK, sent_at=self.loop.now, meta=ack)
+                     kind=PacketKind.APP_ACK, meta=ack)
         self.ack_path.send(pkt)
 
 
@@ -117,13 +105,12 @@ class FeedbackTracker:
         nrecd = 0
         newest: Optional[int] = None   # highest seq acked; its send time
         newest_sent = 0.0              # gives the RTT sample
-        for lo, hi in ack.ranges:
-            for s in range(lo, hi + 1):
-                entry = unresolved.pop(s, None)
-                if entry is not None:
-                    nrecd += entry[0]
-                    if newest is None or s > newest:
-                        newest, newest_sent = s, entry[1]
+        for s in ack.seqs:
+            entry = unresolved.pop(s, None)
+            if entry is not None:
+                nrecd += entry[0]
+                if newest is None or s > newest:
+                    newest, newest_sent = s, entry[1]
         horizon = ack.highest_seen - REORDER_PACKETS
         lost = lost_bytes = 0
         while unresolved:
@@ -181,8 +168,7 @@ class DatagramSender:
             self.cm.close(self.flow)
             raise
 
-    def _transmit(self, seq: int, size: int, now: float,
-                  meta: Any = None) -> None:
+    def _transmit(self, seq: int, size: int, now: float) -> None:
         """Put one datagram on the wire and charge it to the window.
 
         notify may run grant callbacks before it returns, so a caller's
@@ -192,7 +178,7 @@ class DatagramSender:
         if self.tracer is not None:
             self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
         self.path.send(Packet(flow=self.flow, seq=seq, size=size,
-                              kind=PacketKind.DATA, sent_at=now, meta=meta))
+                              kind=PacketKind.DATA))
         self.cm.notify(self.flow, size)
 
     def on_feedback(self, pkt: Packet, now: float) -> None:

@@ -31,14 +31,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
-from ..core import CongestionManager, FeedbackReport, FlowKey, LossMode
+from ..core import (MAX_RTO, CongestionManager, FeedbackReport, FlowKey,
+                    LossMode)
 from ..errors import ConnectionClosed
 from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
 from ..trace import TraceKind, Tracer
 
 ACK_SIZE = 40
 SYN_RETRY = 1.0
-MAX_RTO = 60.0
 # receiver's advertised window: bounds unacked sequence space so a
 # recovery episode can only strand a bounded region behind a hole
 MAX_WINDOW = 65535
@@ -69,7 +69,7 @@ class TcpReceiver:
     def on_data(self, pkt: Packet, now: float) -> None:
         if pkt.meta == "syn":
             reply = Packet(flow=self.flow, seq=0, size=ACK_SIZE,
-                           kind=PacketKind.ACK, sent_at=now, meta="synack")
+                           kind=PacketKind.ACK, meta="synack")
             self.ack_path.send(reply)
             return
         if pkt.ecn_marked:
@@ -99,7 +99,7 @@ class TcpReceiver:
         info = AckInfo(ack=self.rcv_nxt, ece=self._ece_pending)
         self._ece_pending = False
         pkt = Packet(flow=self.flow, seq=self.rcv_nxt, size=ACK_SIZE,
-                     kind=PacketKind.ACK, sent_at=self.loop.now, meta=info)
+                     kind=PacketKind.ACK, meta=info)
         self.ack_path.send(pkt)
 
 
@@ -124,7 +124,6 @@ class TcpSender:
             cm.close(self.flow)
             raise ValueError(f"segment size {self.mss} exceeds the first "
                              f"link's mtu {link_mtu}")
-        self.max_window = MAX_WINDOW
         self.closed = False
         self.total = 0          # bytes written by the app so far
         self.snd_una = 0
@@ -150,7 +149,7 @@ class TcpSender:
 
     def _send_syn(self) -> None:
         pkt = Packet(flow=self.flow, seq=0, size=ACK_SIZE,
-                     kind=PacketKind.ACK, sent_at=self.loop.now, meta="syn")
+                     kind=PacketKind.ACK, meta="syn")
         self.path.send(pkt)
         self._syn.arm(self._syn_wait)
 
@@ -170,10 +169,13 @@ class TcpSender:
     # -- app side ---------------------------------------------------------
 
     def write(self, nbytes: int) -> None:
-        """Queue nbytes of stream data; one grant request per MTU chunk."""
+        """Queue nbytes of stream data; one grant request per MTU chunk.
+        ValueError unless nbytes is a nonnegative int (a bool is not)."""
         if self.closed:
             raise ConnectionClosed()
-        self.total += int(nbytes)
+        if type(nbytes) is not int or nbytes < 0:
+            raise ValueError(f"write size {nbytes!r} must be an int >= 0")
+        self.total += nbytes
         self._top_up()
 
     def _top_up(self) -> None:
@@ -181,7 +183,7 @@ class TcpSender:
         none before the handshake completes."""
         if not self.established:
             return
-        limit = min(self.total, self.snd_una + self.max_window)
+        limit = min(self.total, self.snd_una + MAX_WINDOW)
         while self._requested < limit:
             self._requested += self.mss
             self.cm.request(self.flow)
@@ -196,8 +198,7 @@ class TcpSender:
 
     def _on_grant(self, fid: int) -> None:
         now = self.loop.now
-        while self.rtx and self.rtx[0][1] <= self.snd_una:
-            self.rtx.popleft()
+        # on_ack prunes rtx as snd_una advances, so every entry ends past it
         if self.rtx:
             s, e = self.rtx.popleft()
             s = max(s, self.snd_una)
@@ -206,7 +207,7 @@ class TcpSender:
                 self._timed_rtx = True
             self._emit(s, size, now)
             return
-        in_window = self.snd_nxt - self.snd_una < self.max_window
+        in_window = self.snd_nxt - self.snd_una < MAX_WINDOW
         if self.snd_nxt < self.total and in_window:
             size = min(self.mss, self.total - self.snd_nxt)
             if self._timed is None:
@@ -223,7 +224,7 @@ class TcpSender:
 
     def _emit(self, seq: int, size: int, now: float) -> None:
         pkt = Packet(flow=self.flow, seq=seq, size=size,
-                     kind=PacketKind.DATA, sent_at=now)
+                     kind=PacketKind.DATA)
         if self.tracer is not None:
             self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
         self.path.send(pkt)

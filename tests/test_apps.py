@@ -32,6 +32,18 @@ def key(port=7000):
     return FlowKey("client", port, "server", 1234, Proto.UDP)
 
 
+def layers_sent(records):
+    """The layer in force at each Send row: the value1 of the last
+    LayerChange row before it."""
+    layer, out = None, []
+    for r in records:
+        if r.kind is TraceKind.LAYER_CHANGE:
+            layer = r.value1
+        elif r.kind is TraceKind.SEND:
+            out.append(layer)
+    return out
+
+
 def grow(cm, fid, reports, rtt=0.1):
     """Each report covers 1500 B, all delivered: slow start grows cwnd by
     1500 and the loss estimate stays 0. Nothing was charged by notify, so
@@ -83,7 +95,7 @@ def test_alf_start_traces_base_layer_and_sends_on_grant():
     # no rate estimate yet, so the base layer goes out; the initial
     # window admits exactly one packet
     assert len(path.packets) == 1
-    assert path.packets[0].meta == 0
+    assert layers_sent(tracer.records) == [0.0]
 
 
 def test_alf_repicks_layer_from_rate_at_each_grant():
@@ -95,20 +107,21 @@ def test_alf_repicks_layer_from_rate_at_each_grant():
     grow(cm, src.flow, 3)            # cwnd 6000, srtt 0.1 -> 60 kB/s
     src.start()
     assert len(path.packets) == 4    # window admits four packets
-    assert all(p.meta == 1 for p in path.packets)
+    assert layers_sent(tracer.records) == [1.0] * 4
     layers = [r.value1 for r in tracer.records
               if r.kind is TraceKind.LAYER_CHANGE]
     assert layers == [0.0, 1.0]
 
 
-def test_alf_declines_grants_before_start():
+def test_alf_requests_no_grant_before_start():
+    """ALF requests only in start() and after each datagram it sends, so
+    no grant reaches it before it starts."""
     loop = EventLoop()
     cm = CongestionManager()
     path = CollectPath()
-    src = AlfLayeredSource(cm, key(), path, loop)
-    cm.request(src.flow)
+    AlfLayeredSource(cm, key(), path, loop)
+    assert cm.op_counts.get("request", 0) == 0
     assert path.packets == []
-    assert cm.op_counts["notify"] == 1
 
 
 # -- self-paced layered source --------------------------------------------
@@ -126,9 +139,8 @@ def test_paced_sends_at_layer_rate():
     assert len(times) == 4
     gaps = [b - a for a, b in zip(times, times[1:])]
     assert all(g == pytest.approx(1500 / 16384) for g in gaps)
-    src.stop()
     loop.run_until(0.6)
-    assert len(path.packets) == 4    # timer cancelled, cadence frozen
+    assert len(path.packets) == 7    # the cadence holds, with no grants
 
 
 def test_paced_repicks_layer_only_on_rate_callback():

@@ -1,7 +1,10 @@
-"""Application-level acknowledgment path: range compression, ack
-batching by count and by timer, and the sender-side mapping from acks
-back to feedback reports (loss horizon, RTT sampling, ECN echo).
+"""Application-level acknowledgment path: ack batching by count and by
+timer, and the sender-side mapping from acks back to feedback reports
+(loss horizon, RTT sampling, ECN echo). An ack lists its seqs in arrival
+order; the range codec acks once used is kept here as a reference, and
+the tracker must resolve any seq list as decoding its ranges did.
 """
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -11,12 +14,11 @@ from hypothesis import strategies as st
 from cmsim.core import FeedbackReport, LossMode
 from cmsim.sim import EventLoop, Link, Packet, PacketKind, Path
 from cmsim.transport.feedback import (REORDER_PACKETS, AppAck, AppAckReceiver,
-                                      FeedbackTracker, _compress)
+                                      FeedbackTracker)
 
 
-def data(seq, size=150, marked=False, sent_at=0.0):
-    return Packet(flow=1, seq=seq, size=size, ecn_marked=marked,
-                  sent_at=sent_at)
+def data(seq, size=150, marked=False):
+    return Packet(flow=1, seq=seq, size=size, ecn_marked=marked)
 
 
 def fast_path(loop, sink=None):
@@ -24,7 +26,25 @@ def fast_path(loop, sink=None):
                       queue_limit=10**6)], sink=sink)
 
 
-# -- range compression ----------------------------------------------------
+# -- the reference range codec --------------------------------------------
+
+
+def _compress(seqs: List[int]) -> Tuple[Tuple[int, int], ...]:
+    """The seqs of a flush as sorted, disjoint (lo, hi) inclusive ranges,
+    as acks once carried them."""
+    if not seqs:
+        return ()
+    seqs = sorted(set(seqs))
+    out: List[Tuple[int, int]] = []
+    lo = hi = seqs[0]
+    for s in seqs[1:]:
+        if s == hi + 1:
+            hi = s
+        else:
+            out.append((lo, hi))
+            lo = hi = s
+    out.append((lo, hi))
+    return tuple(out)
 
 
 def test_compress_merges_runs():
@@ -53,7 +73,7 @@ def test_flush_after_max_acks():
     assert len(acks) == 1
     ack = acks[0].meta
     assert isinstance(ack, AppAck)
-    assert ack.ranges == ((0, 2),)
+    assert ack.seqs == (0, 1, 2)
     assert ack.highest_seen == 2
     assert acks[0].kind == PacketKind.APP_ACK
 
@@ -69,21 +89,22 @@ def test_flush_on_timer_before_count_reached():
     assert acks == []
     loop.run_until(0.3)
     assert len(acks) == 1
-    assert acks[0].meta.ranges == ((0, 1),)
+    assert acks[0].meta.seqs == (0, 1)
 
 
 def test_flush_timer_fires_once_at_its_last_arming():
     """A flush by count stops the timer; the next packet arms it again,
-    later than the stopped deadline, and it fires once, at the new one."""
+    later than the stopped deadline, and it fires once, at the new one.
+    The ack path records the instant of each flush."""
     loop = EventLoop()
     acks = []
-    rcv = AppAckReceiver(loop, fast_path(
-        loop, lambda p, t: acks.append((p.sent_at, p.meta.ranges))),
-        flow=1, max_acks=2, max_delay=0.25)
+    flushes = SimpleNamespace(
+        send=lambda p: acks.append((loop.now, p.meta.seqs)))
+    rcv = AppAckReceiver(loop, flushes, flow=1, max_acks=2, max_delay=0.25)
     for seq, t in enumerate((0.0, 0.0625, 0.125)):
         loop.schedule(t, rcv.on_data, data(seq), t)
     loop.run_until(2.0)
-    assert acks == [(0.0625, ((0, 1),)), (0.125 + 0.25, ((2, 2),))]
+    assert acks == [(0.0625, (0, 1)), (0.125 + 0.25, (2,))]
 
 
 def test_each_batch_reports_only_new_seqs():
@@ -94,7 +115,19 @@ def test_each_batch_reports_only_new_seqs():
     for seq in (0, 1, 2, 3):
         rcv.on_data(data(seq), loop.now)
     loop.run()
-    assert [a.meta.ranges for a in acks] == [((0, 1),), ((2, 3),)]
+    assert [a.meta.seqs for a in acks] == [(0, 1), (2, 3)]
+
+
+def test_ack_lists_seqs_in_arrival_order_with_duplicates():
+    loop = EventLoop()
+    acks = []
+    rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
+                         flow=1, max_acks=4)
+    for seq in (3, 1, 3, 2):
+        rcv.on_data(data(seq), loop.now)
+    loop.run()
+    assert acks[0].meta.seqs == (3, 1, 3, 2)
+    assert acks[0].meta.highest_seen == 3
 
 
 def test_receiver_counts_marked_packets():
@@ -117,15 +150,15 @@ def test_receiver_counts_marked_packets():
 # -- sender-side tracker --------------------------------------------------
 
 
-def ack(ranges, highest, marked=0):
-    return AppAck(ranges=ranges, highest_seen=highest, marked=marked)
+def ack(seqs, highest, marked=0):
+    return AppAck(seqs=seqs, highest_seen=highest, marked=marked)
 
 
 def test_clean_ack_yields_no_loss_report():
     tr = FeedbackTracker()
     for s in range(3):
         tr.on_sent(s, 150, now=0.0)
-    rep = tr.on_app_ack(ack(((0, 2),), 2), now=0.05)
+    rep = tr.on_app_ack(ack((0, 1, 2), 2), now=0.05)
     assert rep.nsent == rep.nrecd == 450
     assert rep.lossmode == LossMode.NO_LOSS
     assert rep.rtt == pytest.approx(0.05)
@@ -136,7 +169,7 @@ def test_gap_beyond_reorder_horizon_is_lost():
     for s in range(6):
         tr.on_sent(s, 150, now=0.0)
     # seq 2 missing, highest 5: 5 - 3 >= 2, so it counts as lost
-    rep = tr.on_app_ack(ack(((0, 1), (3, 5)), 5), now=0.1)
+    rep = tr.on_app_ack(ack((0, 1, 3, 4, 5), 5), now=0.1)
     assert rep.nrecd == 5 * 150
     assert rep.nsent == 6 * 150
     assert rep.lossmode == LossMode.TRANSIENT
@@ -148,12 +181,12 @@ def test_recent_gap_waits_for_reordering():
     for s in range(3):
         tr.on_sent(s, 150, now=0.0)
     # seq 1 missing but highest is 2: within the 3-packet horizon
-    rep = tr.on_app_ack(ack(((0, 0), (2, 2)), 2), now=0.1)
+    rep = tr.on_app_ack(ack((0, 2), 2), now=0.1)
     assert rep.lossmode == LossMode.NO_LOSS
     assert rep.nsent == rep.nrecd == 300
     assert tr.in_flight_pkts() == 1
     # the straggler can still be acked later
-    rep = tr.on_app_ack(ack(((1, 1),), 2), now=0.2)
+    rep = tr.on_app_ack(ack((1,), 2), now=0.2)
     assert rep.nrecd == 150
     assert rep.lossmode == LossMode.NO_LOSS
     assert tr.in_flight_pkts() == 0
@@ -162,7 +195,7 @@ def test_recent_gap_waits_for_reordering():
 def test_marked_ack_yields_ecn_report():
     tr = FeedbackTracker()
     tr.on_sent(0, 150, now=0.0)
-    rep = tr.on_app_ack(ack(((0, 0),), 0, marked=1), now=0.1)
+    rep = tr.on_app_ack(ack((0,), 0, marked=1), now=0.1)
     assert rep.lossmode == LossMode.ECN
     assert rep.nrecd == 150
 
@@ -171,7 +204,7 @@ def test_loss_dominates_marks():
     tr = FeedbackTracker()
     for s in range(5):
         tr.on_sent(s, 150, now=0.0)
-    rep = tr.on_app_ack(ack(((0, 0), (4, 4)), 4, marked=2), now=0.1)
+    rep = tr.on_app_ack(ack((0, 4), 4, marked=2), now=0.1)
     assert rep.lossmode == LossMode.TRANSIENT
 
 
@@ -179,23 +212,83 @@ def test_rtt_sample_comes_from_newest_acked():
     tr = FeedbackTracker()
     tr.on_sent(0, 150, now=0.0)
     tr.on_sent(1, 150, now=0.4)
-    rep = tr.on_app_ack(ack(((0, 1),), 1), now=0.5)
+    rep = tr.on_app_ack(ack((0, 1), 1), now=0.5)
+    assert rep.rtt == pytest.approx(0.1)
+
+
+def test_rtt_sample_comes_from_highest_seq_whatever_the_order():
+    tr = FeedbackTracker()
+    tr.on_sent(0, 150, now=0.0)
+    tr.on_sent(1, 150, now=0.4)
+    rep = tr.on_app_ack(ack((1, 0), 1), now=0.5)
     assert rep.rtt == pytest.approx(0.1)
 
 
 def test_ack_covering_nothing_returns_none():
     tr = FeedbackTracker()
-    assert tr.on_app_ack(ack(((5, 9),), 9), now=0.1) is None
+    assert tr.on_app_ack(ack((5, 6, 7, 8, 9), 9), now=0.1) is None
 
 
 def test_duplicate_ack_ranges_are_ignored():
     tr = FeedbackTracker()
     tr.on_sent(0, 150, now=0.0)
-    assert tr.on_app_ack(ack(((0, 0),), 0), now=0.1) is not None
-    assert tr.on_app_ack(ack(((0, 0),), 0), now=0.2) is None
+    assert tr.on_app_ack(ack((0,), 0), now=0.1) is not None
+    assert tr.on_app_ack(ack((0,), 0), now=0.2) is None
 
 
-# -- against the two-pass tracker -----------------------------------------
+def test_duplicate_seq_in_one_ack_counts_once():
+    tr = FeedbackTracker()
+    tr.on_sent(0, 150, now=0.0)
+    tr.on_sent(1, 150, now=0.0)
+    rep = tr.on_app_ack(ack((1, 0, 1, 1), 1), now=0.1)
+    assert rep.nsent == rep.nrecd == 300
+
+
+# -- against the reference trackers ---------------------------------------
+
+
+class RangeTracker:
+    """The tracker when acks carried ranges: the receiver compressed the
+    seqs of each flush with _compress and the tracker expanded the ranges
+    again. Kept as the reference for resolving a seq list directly."""
+
+    def __init__(self) -> None:
+        self._unresolved: Dict[int, Tuple[int, float]] = {}
+
+    def on_sent(self, seq: int, size: int, now: float) -> None:
+        self._unresolved[seq] = (size, now)
+
+    def on_app_ack(self, ack: AppAck, now: float) -> Optional[FeedbackReport]:
+        unresolved = self._unresolved
+        nrecd = 0
+        newest: Optional[int] = None
+        newest_sent = 0.0
+        for lo, hi in _compress(list(ack.seqs)):
+            for s in range(lo, hi + 1):
+                entry = unresolved.pop(s, None)
+                if entry is not None:
+                    nrecd += entry[0]
+                    if newest is None or s > newest:
+                        newest, newest_sent = s, entry[1]
+        horizon = ack.highest_seen - REORDER_PACKETS
+        lost = lost_bytes = 0
+        while unresolved:
+            s = next(iter(unresolved))
+            if s > horizon:
+                break
+            lost += 1
+            lost_bytes += unresolved.pop(s)[0]
+        nsent = nrecd + lost_bytes
+        if nsent == 0:
+            return None
+        rtt = None if newest is None else now - newest_sent
+        if lost:
+            mode = LossMode.TRANSIENT
+        elif ack.marked > 0:
+            mode = LossMode.ECN
+        else:
+            mode = LossMode.NO_LOSS
+        return FeedbackReport(nsent=nsent, nrecd=nrecd, lossmode=mode, rtt=rtt)
 
 
 class TwoPassTracker:
@@ -211,11 +304,7 @@ class TwoPassTracker:
         self._unresolved[seq] = (size, now)
 
     def on_app_ack(self, ack: AppAck, now: float) -> Optional[FeedbackReport]:
-        acked: List[int] = []
-        for lo, hi in ack.ranges:
-            for s in range(lo, hi + 1):
-                if s in self._unresolved:
-                    acked.append(s)
+        acked = [s for s in dict.fromkeys(ack.seqs) if s in self._unresolved]
         acked_set = set(acked)
         horizon = ack.highest_seen - self.reorder_packets
         lost: List[int] = []
@@ -248,19 +337,20 @@ class TwoPassTracker:
 
 SEND = st.tuples(st.just("send"), st.integers(1, 3), st.integers(1, 1500))
 ACK = st.tuples(st.just("ack"), st.lists(st.integers(0, 40), max_size=12),
-                st.integers(-1, 45), st.integers(0, 2), st.booleans())
+                st.integers(-1, 45), st.integers(0, 2))
+STEPS = st.lists(st.one_of(SEND, ACK), max_size=30)
+EXAMPLE = [("send", 1, 100), ("send", 1, 200), ("send", 1, 300),
+           ("send", 1, 400), ("ack", [4, 1, 4], 8, 0),
+           ("ack", [3, 2, 99, 2], 9, 1)]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.lists(st.one_of(SEND, ACK), max_size=30))
-@example([("send", 1, 100), ("send", 1, 200), ("send", 1, 300),
-          ("send", 1, 400), ("ack", [1, 4], 8, 0, True),
-          ("ack", [2, 3], 9, 1, False)])
-def test_one_pass_tracker_matches_two_pass_reference(steps):
-    """Sends use increasing seqs with gaps; each ack acks a drawn set of
-    seqs (some never sent, already acked or already lost) as disjoint
-    ranges, sometimes in reverse order, with a drawn highest_seen."""
-    new, ref = FeedbackTracker(), TwoPassTracker()
+def replay(steps, ref) -> None:
+    """Sends use increasing seqs with gaps; each ack lists a drawn seq
+    list, in any order, with duplicates and seqs never sent, already
+    acked or already lost, and a drawn highest_seen. After every ack the
+    tracker and ref give the same report and hold the same seqs, in the
+    same order, so the same ones resolve as lost later."""
+    new = FeedbackTracker()
     seq, now = 0, 0.0
     for step in steps:
         now += 0.01
@@ -270,14 +360,24 @@ def test_one_pass_tracker_matches_two_pass_reference(steps):
             new.on_sent(seq, size, now)
             ref.on_sent(seq, size, now)
             continue
-        _, seqs, highest, marked, reverse = step
-        ranges = _compress(seqs)
-        if reverse:
-            ranges = ranges[::-1]
-        a = AppAck(ranges=ranges, highest_seen=highest, marked=marked)
+        _, seqs, highest, marked = step
+        a = AppAck(seqs=tuple(seqs), highest_seen=highest, marked=marked)
         assert new.on_app_ack(a, now) == ref.on_app_ack(a, now)
-        # same seqs still pending, so the same ones resolved as lost
-        assert new._unresolved == ref._unresolved
+        assert list(new._unresolved.items()) == list(ref._unresolved.items())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(STEPS)
+@example(EXAMPLE)
+def test_seq_list_tracker_matches_range_decoding(steps):
+    replay(steps, RangeTracker())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(STEPS)
+@example(EXAMPLE)
+def test_one_pass_tracker_matches_two_pass_reference(steps):
+    replay(steps, TwoPassTracker())
 
 
 # -- end-to-end over a link ----------------------------------------------
@@ -302,7 +402,7 @@ def test_batching_over_a_real_reverse_path():
     rev.set_sink(on_ack)
     for s in range(8):
         tr.on_sent(s, 500, now=loop.now)
-        fwd.send(Packet(flow=1, seq=s, size=500, sent_at=loop.now))
+        fwd.send(Packet(flow=1, seq=s, size=500))
     loop.run()
     assert len(reports) == 2
     assert all(r.lossmode == LossMode.NO_LOSS for r in reports)

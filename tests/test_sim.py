@@ -12,6 +12,9 @@ from cmsim.sim import (Deadline, Dispatcher, EventLoop, Link, LinkOutcome,
 from cmsim.trace import TraceKind, Tracer
 
 
+NAN = float("nan")
+
+
 def pkt(seq=0, size=1500, flow=1, kind=PacketKind.DATA):
     return Packet(flow=flow, seq=seq, size=size, kind=kind)
 
@@ -44,6 +47,23 @@ def test_schedule_in_the_past_raises():
     loop.run_until(1.0)
     with pytest.raises(PastTime):
         loop.schedule(0.5, lambda: None)
+
+
+def test_nan_time_is_refused_and_later_events_still_run():
+    """A NaN time compares false with everything; once in the heap it
+    would sort before every later event and leave them all unrun."""
+    loop = EventLoop()
+    out = []
+    with pytest.raises(PastTime):
+        loop.schedule(NAN, out.append, "nan")
+    with pytest.raises(PastTime):
+        loop.schedule_after(NAN, out.append, "nan")
+    with pytest.raises(PastTime):
+        loop.run_until(NAN)
+    loop.schedule(1.0, out.append, "one")
+    loop.run_until(2.0)
+    assert out == ["one"]
+    assert loop.now == 2.0
 
 
 def test_run_until_is_inclusive_and_advances_clock():
@@ -272,6 +292,20 @@ def test_bandwidth_change_applies_from_next_packet():
     assert got[2] == pytest.approx(1.002)
 
 
+def test_nan_bandwidth_change_is_refused_and_the_link_runs_on():
+    loop = EventLoop()
+    got = []
+    link = Link(loop, bandwidth_bps=12_000, prop_delay=0.0,
+                sink=lambda p, t: got.append(t))
+    with pytest.raises(ValueError):
+        link.set_bandwidth(NAN)
+    assert link.bandwidth_bps == 12_000
+    link.send(pkt())
+    loop.schedule(2.0, got.append, "later")
+    loop.run()
+    assert got == [pytest.approx(1.0), "later"]
+
+
 # -- one event per hop: ties at a finish instant --------------------------
 
 RATE = 8192      # bit/s: a 64-byte packet serializes in 62.5 ms
@@ -451,6 +485,10 @@ def test_constructor_validation():
         Link(loop, bandwidth_bps=1e6, prop_delay=0.0, queue_limit=0)
     with pytest.raises(ValueError):
         Link(loop, bandwidth_bps=1e6, prop_delay=-0.001)
+    with pytest.raises(ValueError):
+        Link(loop, bandwidth_bps=NAN, prop_delay=0.0)
+    with pytest.raises(ValueError):
+        Link(loop, bandwidth_bps=1e6, prop_delay=NAN)
 
 
 # -- paths, dispatch, tracing ---------------------------------------------

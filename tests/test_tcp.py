@@ -15,6 +15,7 @@ from cmsim.errors import ConnectionClosed, UnknownFlow
 from cmsim.harness.oracles import RenoSender
 from cmsim.sim import (EventLoop, Link, Packet, PacketKind, Path,
                        ScheduledEvent)
+from cmsim.transport import tcp
 from cmsim.transport.tcp import MAX_RTO, TcpReceiver, TcpSender
 
 MSS = 1500
@@ -45,9 +46,9 @@ class DropFilter:
 
 
 def build(loop, total=None, loss=0.0, ecn=False, seed=1, handshake=False,
-          max_window=None, drop=None, bw=10_000_000, delay=0.01, queue=100):
+          drop=None, bw=10_000_000, delay=0.01, queue=100):
     """handshake=False starts the sender established, with no SYN
-    exchange; max_window overrides the sender's advertised window."""
+    exchange."""
     cm = CongestionManager(clock=lambda: loop.now)
     modes = []
     real_update = cm.update
@@ -65,8 +66,6 @@ def build(loop, total=None, loss=0.0, ecn=False, seed=1, handshake=False,
     s = TcpSender(cm, FlowKey("c", 1, "srv", 80, Proto.TCP), sender_path,
                   loop, on_complete=done.append)
     s.established = not handshake
-    if max_window is not None:
-        s.max_window = max_window
     r = TcpReceiver(loop, rev, s.flow)
     fwd.set_sink(r.on_data)
     rev.set_sink(s.on_ack)
@@ -249,9 +248,10 @@ def test_no_rtt_sample_from_retransmitted_segment():
     assert b.cm.rtt_estimate(b.s.flow)[0] > 0.0
 
 
-def test_receiver_window_bounds_unacked_bytes():
+def test_receiver_window_bounds_unacked_bytes(monkeypatch):
+    monkeypatch.setattr(tcp, "MAX_WINDOW", 4500)
     loop = EventLoop()
-    b = build(loop, total=60000, max_window=4500)
+    b = build(loop, total=60000)
     flights = []
 
     def sample():
@@ -298,6 +298,30 @@ def test_write_after_close_raises():
         b.s.write(100)
     with pytest.raises(UnknownFlow):
         b.cm.query(b.s.flow)
+
+
+@pytest.mark.parametrize("nbytes", [-1, 2.9, 1500.0, True, "1500", None])
+def test_write_refuses_a_size_that_is_no_nonnegative_int(nbytes):
+    """A negative size would shrink the stream under data already sent,
+    and a float would be truncated silently. The sender is left
+    unchanged."""
+    loop = EventLoop()
+    b = build(loop, total=30000)
+    with pytest.raises(ValueError):
+        b.s.write(nbytes)
+    assert b.s.total == 30000
+    loop.run_until(5.0)
+    assert b.r.rcv_nxt == 30000
+    assert len(b.done) == 1
+
+
+def test_write_of_zero_bytes_is_accepted():
+    loop = EventLoop()
+    b = build(loop, total=1500)
+    b.s.write(0)
+    loop.run_until(5.0)
+    assert b.s.total == b.r.rcv_nxt == 1500
+    assert len(b.done) == 1
 
 
 def test_segment_larger_than_first_link_mtu_is_rejected_at_construction():
