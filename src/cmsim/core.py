@@ -29,19 +29,27 @@ outstanding + MTU <= cwnd. Grant and rate callbacks are synchronous but
 never nest inside a client API call; _api states that boundary.
 
 The scheduler keeps its state as calls arrive instead of scanning every
-destination on every call: a min-heap of macroflows that may be ready for
-a grant (lowest id served first), a per-macroflow count of members with
-pending requests, the members registered for rate callbacks, and a heap
-of idle-decay deadlines. The clock must never run backwards.
+destination or member on every call: a min-heap of macroflows that may be
+ready for a grant (lowest id served first), a per-macroflow count of
+members with pending requests, a per-macroflow band index of the members
+registered for rate callbacks, and a heap of idle-decay deadlines. The
+clock must never run backwards.
+
+Rate callbacks. A registered member is notified when its macroflow's
+rate, which every member shares, leaves its band: rate != r0 and
+(rate <= r0 * down or rate >= r0 * up), where r0 is the rate it was last
+notified of (0 before the first) and (down, up) its thresh. The band
+index holds, per macroflow, a min-heap of each member's high edge and a
+max-heap of its low edge, so an update pops only the members whose edge
+the rate has crossed; see _Macroflow.index for the exact keys.
 """
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from math import inf
+from heapq import heapify, heappop, heappush
+from math import inf, nextafter
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -133,7 +141,7 @@ _by_id = attrgetter("id")
 class _Flow:
     __slots__ = ("id", "key", "mf", "pending_requests", "outstanding",
                  "send_cb", "update_cb", "thresh_down", "thresh_up",
-                 "last_notified_rate")
+                 "last_notified_rate", "band")
 
     def __init__(self, fid: int, key: FlowKey, mf: "_Macroflow") -> None:
         self.id = fid
@@ -146,13 +154,17 @@ class _Flow:
         self.thresh_down = 1.0
         self.thresh_up = 1.0
         self.last_notified_rate = 0.0
+        # seq of the flow's live band-index entries; None while it has no
+        # update callback
+        self.band: Optional[int] = None
 
 
 class _Macroflow:
     __slots__ = ("id", "dst", "mtu", "cwnd", "ssthresh", "outstanding",
                  "srtt", "rttvar", "loss_rate", "ca_acc", "recovery_left",
                  "last_cut_time", "members", "rr_cursor", "last_send_time",
-                 "demand", "rated", "in_ready", "decay_key")
+                 "demand", "nrated", "up_edges", "down_edges", "band_seq",
+                 "in_ready", "decay_key")
 
     def __init__(self, mfid: int, dst: str, mtu: int, ssthresh: int,
                  now: float) -> None:
@@ -172,7 +184,12 @@ class _Macroflow:
         self.rr_cursor = 0
         self.last_send_time = now
         self.demand = 0            # members with pending_requests > 0
-        self.rated: List[_Flow] = []   # members with an update callback, by id
+        self.nrated = 0            # members with an update callback
+        # the band index (see index): (high edge, seq, flow), least on
+        # top, and (-low edge, seq, flow), greatest edge on top
+        self.up_edges: List[Tuple[float, int, _Flow]] = []
+        self.down_edges: List[Tuple[float, int, _Flow]] = []
+        self.band_seq = 0
         self.in_ready = False      # on the manager's ready heap
         # key of this macroflow's live entry on the decay heap; None when it
         # has none, which happens only while cwnd <= mtu
@@ -191,6 +208,44 @@ class _Macroflow:
 
     def idle_deadline(self) -> float:
         return self.last_send_time + IDLE_RTO_MULTIPLE * self.rto()
+
+    def index(self, fl: _Flow) -> None:
+        """Key fl's band edges around r0 = fl.last_notified_rate; the
+        entries of its earlier keying go stale.
+
+        A rate crosses an entry's key exactly when the notification rule
+        (module docstring) fires on that side: rate >= key on the high
+        side, rate <= key on the low side, the keys being the rule's own
+        products r0 * up and r0 * down. An edge that equals r0 (up or down
+        1.0, r0 0 or inf) is moved one float off r0, since rate == r0
+        never fires. A high edge that no rate can cross (r0 inf, or the
+        NaN of 0 * inf) gets no entry."""
+        r0 = fl.last_notified_rate
+        self.band_seq += 1
+        fl.band = seq = self.band_seq
+        hi = r0 * fl.thresh_up
+        if hi == r0:
+            hi = nextafter(r0, inf)
+        if hi > r0:
+            heappush(self.up_edges, (hi, seq, fl))
+        lo = r0 * fl.thresh_down
+        if lo == r0:
+            lo = nextafter(r0, -inf)
+        heappush(self.down_edges, (-lo, seq, fl))
+
+    def unindex(self, fl: _Flow) -> None:
+        fl.band = None
+        self.nrated -= 1
+        self.trim()
+
+    def trim(self) -> None:
+        """Drop the stale entries of a heap once they outnumber its live
+        ones, so each heap holds at most 2 * nrated entries."""
+        limit = 2 * self.nrated
+        for edges in (self.up_edges, self.down_edges):
+            if len(edges) > limit:
+                edges[:] = [e for e in edges if e[2].band == e[1]]
+                heapify(edges)
 
 
 _UNSET = object()
@@ -327,7 +382,7 @@ class CongestionManager:
         if fl.pending_requests > 0:
             mf.demand -= 1
         if fl.update_cb is not None:
-            del mf.rated[bisect_left(mf.rated, fl.id, key=_by_id)]
+            mf.unindex(fl)
         idx = mf.members.index(fl)
         mf.members.pop(idx)
         if idx < mf.rr_cursor:
@@ -355,12 +410,15 @@ class CongestionManager:
     register_send = _api("register_send", register_send)
 
     def register_update(self, flow_id: int, cb: UpdateCallback) -> None:
+        """Register cb for rate callbacks, or drop the registration with
+        None; a new registration's band is around the rate last notified."""
         fl = self._flow(flow_id)
-        rated = fl.mf.rated
+        mf = fl.mf
         if fl.update_cb is None and cb is not None:
-            insort(rated, fl, key=_by_id)
+            mf.nrated += 1
+            mf.index(fl)
         elif fl.update_cb is not None and cb is None:
-            del rated[bisect_left(rated, fl.id, key=_by_id)]
+            mf.unindex(fl)
         fl.update_cb = cb
     register_update = _api("register_update", register_update)
 
@@ -372,6 +430,9 @@ class CongestionManager:
             raise InvalidThreshold(f"down={down} up={up}")
         fl.thresh_down = float(down)
         fl.thresh_up = float(up)
+        if fl.update_cb is not None:
+            fl.mf.index(fl)
+            fl.mf.trim()
     thresh = _api("thresh", thresh)
 
     # -- transmission control --------------------------------------------
@@ -591,16 +652,36 @@ class CongestionManager:
         return (mf.cwnd / mf.srtt) / max(1, mf.demand)
 
     def _eval_thresholds(self, mf: _Macroflow) -> None:
-        if not mf.rated:
+        """Queue a rate callback for each registered member of mf whose
+        band the current rate has left, in member id order, and re-key it
+        around that rate.
+
+        The band index pops only the entries the rate crosses: the high
+        edges up to rate and the low edges down to it. Each live entry
+        popped is a member that fires (see _Macroflow.index); a stale one
+        is dropped. An update that crosses no edge pops nothing."""
+        if not mf.nrated:
             return
         rate = self._flow_rate(mf)
-        for fl in mf.rated:
-            r0 = fl.last_notified_rate
-            if rate == r0:
-                continue
-            if rate <= r0 * fl.thresh_down or rate >= r0 * fl.thresh_up:
-                fl.last_notified_rate = rate
-                self._update_queue.append((fl.id, rate, mf.srtt, mf.loss_rate))
+        up, down = mf.up_edges, mf.down_edges
+        fired = []
+        while up and up[0][0] <= rate:
+            _, seq, fl = heappop(up)
+            if fl.band == seq:
+                fired.append(fl)
+        neg = -rate
+        while down and down[0][0] <= neg:
+            _, seq, fl = heappop(down)
+            if fl.band == seq:
+                fired.append(fl)
+        if not fired:
+            return
+        fired.sort(key=_by_id)
+        for fl in fired:
+            fl.last_notified_rate = rate
+            mf.index(fl)
+            self._update_queue.append((fl.id, rate, mf.srtt, mf.loss_rate))
+        mf.trim()
 
     # -- dispatch ---------------------------------------------------------
 

@@ -186,14 +186,18 @@ class Deadline:
         self._ev: Optional[ScheduledEvent] = None
 
     def arm(self, delay: float) -> None:
+        """Set the deadline to ``now + delay``. A time the loop refuses
+        (NaN, or in the past) raises PastTime and leaves the timer as it
+        was: the new entry is scheduled before the old one is cancelled."""
         at = self.loop.now + delay
-        self.at = at
         ev = self._ev
-        if ev is not None:
-            if ev.time <= at:
-                return          # pops early and moves itself to ``at``
-            ev.cancel()
+        if ev is not None and ev.time <= at:
+            self.at = at        # the entry pops early and moves itself to ``at``
+            return
         self._ev = self.loop.schedule(at, self._fire)
+        if ev is not None:
+            ev.cancel()
+        self.at = at
 
     def stop(self) -> None:
         # The entry stays: a later arm may reuse it, else it pops as a no-op.

@@ -2,8 +2,11 @@
 outstanding bytes, declined grants, rate-threshold callbacks, and the
 periodic tick (idle decay, liveness re-dispatch, suggested period).
 """
+import random
+
 import pytest
 
+from cmsim import core
 from cmsim.core import (BASE_TICK, CongestionManager, FeedbackReport, FlowKey,
                         LossMode, Proto)
 from cmsim.trace import TraceKind, Tracer
@@ -204,6 +207,186 @@ def test_default_thresholds_notify_on_any_change():
     cm.update(fid, FeedbackReport(100, 100))
     cm.update(fid, FeedbackReport(100, 100))
     assert len(got) == 3
+
+
+# With srtt 0.125 s the rate is exactly 8 * cwnd: 12000 B/s at one MTU.
+# In slow start an update with nrecd bytes raises cwnd by nrecd.
+
+def rated_flows(cm, n, band):
+    got = []
+    fids = [cm.open(key(p)) for p in range(1, n + 1)]
+    for f in fids:
+        cm.register_update(f, lambda f, r, s, l: got.append((f, r)))
+        cm.thresh(f, *band)
+    return fids, got
+
+
+def grow(cm, fid, nrecd):
+    cm.update(fid, FeedbackReport(nrecd, nrecd))
+
+
+def test_rate_exactly_on_either_edge_fires():
+    cm = CongestionManager()
+    (fid,), got = rated_flows(cm, 1, (0.5, 2.0))
+    cm.update(fid, FeedbackReport(0, 0, rtt=0.125))
+    assert got == [(fid, 12000.0)]
+    grow(cm, fid, 1499)                             # 23992, just inside
+    assert len(got) == 1
+    grow(cm, fid, 1)                                # 24000 = 12000 * 2.0
+    assert got[-1] == (fid, 24000.0)
+    cm.update(fid, FeedbackReport(0, 0, LossMode.PERSISTENT))
+    assert got[-1] == (fid, 12000.0)                # 12000 = 24000 * 0.5
+    assert len(got) == 3
+
+
+def test_unchanged_rate_never_fires():
+    cm = CongestionManager()
+    fids, got = rated_flows(cm, 3, (1.0, 1.0))
+    for _ in range(3):                  # no rtt sample yet: rate == r0 == 0
+        grow(cm, fids[0], MTU)
+    assert got == []
+    cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))
+    assert [f for f, _ in got] == fids
+    for _ in range(3):                  # up == down == 1.0, rate unchanged
+        cm.update(fids[1], FeedbackReport(0, 0))
+    assert len(got) == 3
+    grow(cm, fids[0], 1)
+    assert len(got) == 6
+
+
+def test_thresh_mid_band_rekeys_around_the_last_notified_rate():
+    cm = CongestionManager()
+    (a, b), got = rated_flows(cm, 2, (0.5, 4.0))
+    cm.update(a, FeedbackReport(0, 0, rtt=0.125))   # both notified at 12000
+    grow(cm, a, 375)                                # 15000, inside the band
+    cm.thresh(a, 0.9, 1.1)          # narrowed: 15000 is now above 13200
+    cm.thresh(b, 0.25, 8.0)         # widened around 12000 too
+    got.clear()
+    cm.update(b, FeedbackReport(0, 0))              # rate unchanged
+    assert got == [(a, 15000.0)]
+    cm.thresh(a, 0.5, 4.0)          # widened: 59992 stays inside
+    grow(cm, a, 3000 - 1875)                        # 24000
+    grow(cm, a, 7499 - 3000)                        # 59992
+    assert got == [(a, 15000.0)]
+    grow(cm, a, 1)                                  # 60000 = 15000 * 4.0
+    assert got == [(a, 15000.0), (a, 60000.0)]
+    grow(cm, a, 12000 - 7500)                       # 96000 = 12000 * 8.0
+    assert got[-1] == (b, 96000.0)
+
+
+def test_reregistered_flow_keeps_its_last_notified_rate():
+    cm = CongestionManager()
+    (fid,), got = rated_flows(cm, 1, (0.5, 2.0))
+    cm.update(fid, FeedbackReport(0, 0, rtt=0.125))  # notified at 12000
+    cm.register_update(fid, None)
+    grow(cm, fid, 750)                               # 18000, unregistered
+    cm.register_update(fid, lambda f, r, s, l: got.append((f, r)))
+    cm.update(fid, FeedbackReport(0, 0))             # inside [6000, 24000]
+    assert got == [(fid, 12000.0)]
+    grow(cm, fid, 750)                               # 24000
+    assert got == [(fid, 12000.0), (fid, 24000.0)]
+
+
+def test_closing_rated_members_drops_their_band_entries():
+    cm = CongestionManager()
+    fids, got = rated_flows(cm, 4, (0.5, 2.0))
+    mf = cm._macroflows[1]
+    cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))
+    cm.close(fids[1])
+    cm.close(fids[2])
+    live = [e[2].id for h in (mf.up_edges, mf.down_edges) for e in h
+            if e[2].band == e[1]]
+    assert sorted(live) == [fids[0], fids[0], fids[3], fids[3]]
+    got.clear()
+    grow(cm, fids[0], MTU)                           # 24000: both fire
+    assert [f for f, _ in got] == [fids[0], fids[3]]
+    cm.close(fids[0])
+    cm.close(fids[3])
+    assert mf.up_edges == [] and mf.down_edges == []
+
+
+# Cost guards for the band index, counted rather than timed: an update
+# that crosses no member's band pops no heap entry and reads no member's
+# band, where a walk over the members would read every one. These managers
+# have no grant or decay to give, so every heappop the core makes is a
+# band pop.
+
+BAND_FIELDS = ("last_notified_rate", "thresh_down", "thresh_up")
+
+
+def count_touches(monkeypatch):
+    """Count the core's heappop calls and its reads of the band fields."""
+    touches = [0]
+    real = core.heappop
+
+    def counting(heap):
+        touches[0] += 1
+        return real(heap)
+
+    monkeypatch.setattr(core, "heappop", counting)
+    for name in BAND_FIELDS:
+        slot = core._Flow.__dict__[name]
+
+        def get(fl, slot=slot):
+            touches[0] += 1
+            return slot.__get__(fl, core._Flow)
+
+        monkeypatch.setattr(core._Flow, name,
+                            property(get, slot.__set__))
+    return touches
+
+
+def test_update_inside_every_band_touches_no_member(monkeypatch):
+    n = 10_000
+    cm = CongestionManager()
+    fids, got = rated_flows(cm, n, (1e-3, 1e3))
+    pops = count_touches(monkeypatch)
+    cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))
+    assert len(got) == n
+    fired = pops[0]
+    for _ in range(3):                  # the rate moves inside every band
+        grow(cm, fids[0], MTU)
+        cm.update(fids[1], FeedbackReport(MTU, 0, LossMode.PERSISTENT))
+    assert (pops[0], len(got)) == (fired, n)
+
+
+def test_unchanged_rate_touches_no_member(monkeypatch):
+    n = 10_000
+    cm = CongestionManager()
+    fids, got = rated_flows(cm, n, (1e-3, 1.0))
+    pops = count_touches(monkeypatch)
+    for _ in range(3):                  # rate == r0 == 0 before any rtt
+        grow(cm, fids[0], MTU)
+    assert pops[0] == 0 and got == []
+    cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))
+    assert len(got) == n
+    fired = pops[0]
+    for _ in range(3):                  # up == 1.0 and rate == r0
+        cm.update(fids[-1], FeedbackReport(0, 0))
+    assert (pops[0], len(got)) == (fired, n)
+
+
+def test_band_index_stays_within_twice_the_rated_members():
+    n = 100
+    cm = CongestionManager()
+    got = []
+    fids = [cm.open(key(p)) for p in range(1, n + 1)]
+    for k, f in enumerate(fids):
+        cm.register_update(f, lambda *a: got.append(a))
+        cm.thresh(f, 1.0 / (1.0 + 0.01 * k), 1.0 + 0.01 * k)
+    mf = cm._macroflows[1]
+    rng = random.Random(1)
+    cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))
+    steps = 0
+    while len(got) < 10_000:
+        steps += 1
+        assert steps < 20_000
+        if rng.random() < 0.2:
+            cm.update(fids[0], FeedbackReport(MTU, 0, LossMode.TRANSIENT))
+        else:
+            grow(cm, fids[0], rng.randrange(0, 3 * MTU))
+        assert len(mf.up_edges) <= 2 * n
+        assert len(mf.down_edges) <= 2 * n
 
 
 # -- tick -----------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Stateful check of the core scheduler against a reference of its rules.
 
 A hypothesis state machine drives open, close, request, bulk_request,
-notify, update in all four loss modes and tick with an advancing clock
-(by fixed steps or to a macroflow's idle deadline), over three
-destinations, with clients that accept or decline their grants and may
-request again from inside the grant callback. A small model keeps the
-rules the scheduler must follow:
+notify, update in all four loss modes, register_update, thresh and tick
+with an advancing clock (by fixed steps or to a macroflow's idle
+deadline), over three destinations, with clients that accept or decline
+their grants and may request again from inside the grant callback. A
+small model keeps the rules the scheduler must follow:
 
   * a grant goes to the lowest-id macroflow that has a pending request and
     window room (outstanding + mtu <= cwnd), round-robin over its members
@@ -19,12 +19,24 @@ rules the scheduler must follow:
     reporting flow's charge and the macroflow's, each clamped at 0, and
     close discharges what the flow still carries.
 
+  * rate callbacks follow the linear walk the band index replaced: after
+    an update, and for each macroflow a tick decays, every member
+    registered for them, in id order, whose last notified rate r0
+    differs from the rate and has rate <= r0 * down or rate >= r0 * up
+    is notified of (flow, rate, srtt, loss_rate) and r0 becomes the rate.
+    r0 survives a dropped registration. The thresh draws include down
+    and up of 1.0 and up of inf, and the RTT samples are powers of two,
+    so that a rate often lands exactly on a band edge.
+
 Each grant is compared with the model's choice when it happens, and after
-every step no grant may remain that the model would still give, and each
-macroflow's outstanding equals the model's. The model reads cwnd and the
-RTO from the core itself: the window arithmetic has its own tests
-(test_core_window.py, the aimd_oracle check).
+every step no grant may remain that the model would still give, each
+macroflow's outstanding equals the model's and the rate callbacks so far
+are the model's, in order. The model reads cwnd and the RTO from the core
+itself: the window arithmetic has its own tests (test_core_window.py, the
+aimd_oracle check).
 """
+from math import inf
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
@@ -40,6 +52,8 @@ DESTS = ("d0", "d1", "d2")
 MAX_FLOWS = 6
 REREQUESTS_PER_STEP = 3
 CLIENTS = ("accept", "decline", "accept_again", "decline_again")
+# (down, up) notification bands
+BANDS = ((1.0, 1.0), (0.5, 1.0), (1.0, 2.0), (0.5, 2.0), (0.5, inf))
 
 
 class _ModelFlow:
@@ -48,6 +62,9 @@ class _ModelFlow:
         self.client = client
         self.pending = 0
         self.charge = 0
+        self.rated = False
+        self.down = self.up = 1.0
+        self.last = 0.0           # rate last notified
 
 
 class _ModelMacroflow:
@@ -72,6 +89,8 @@ class CoreScheduler(RuleBasedStateMachine):
         self.mf_of_dst = {}
         self.port = 0
         self.rerequests = 0
+        self.got = []             # rate callbacks made
+        self.want = []            # rate callbacks the walk makes
 
     # -- the model --------------------------------------------------------
 
@@ -123,6 +142,27 @@ class CoreScheduler(RuleBasedStateMachine):
         fids = sorted(self.flows)
         return fids[i % len(fids)]
 
+    def on_rate(self, fid, rate, srtt, loss_rate):
+        self.got.append((fid, rate, srtt, loss_rate))
+
+    def demands(self):
+        return {mfid: sum(self.flows[f].pending > 0 for f in m.members)
+                for mfid, m in self.mfs.items()}
+
+    def walk(self, mfid, demand):
+        """The rate callbacks mf's evaluation makes, by the linear walk
+        over its members, at the demand it saw; cwnd and srtt do not
+        change between the evaluation and the end of the call."""
+        mf = self.real(mfid)
+        rate = (mf.cwnd / mf.srtt) / max(1, demand) if mf.srtt > 0 else 0.0
+        for fid in sorted(self.mfs[mfid].members):
+            fl = self.flows[fid]
+            if not fl.rated or rate == fl.last:
+                continue
+            if rate <= fl.last * fl.down or rate >= fl.last * fl.up:
+                fl.last = rate
+                self.want.append((fid, rate, mf.srtt, mf.loss_rate))
+
     # -- rules ------------------------------------------------------------
 
     def setup_step(self):
@@ -131,8 +171,9 @@ class CoreScheduler(RuleBasedStateMachine):
         self.rerequests = 0
 
     @precondition(lambda self: len(self.flows) < MAX_FLOWS)
-    @rule(dst=st.sampled_from(DESTS), client=st.sampled_from(CLIENTS))
-    def open(self, dst, client):
+    @rule(dst=st.sampled_from(DESTS), client=st.sampled_from(CLIENTS),
+          band=st.sampled_from((None,) + BANDS))
+    def open(self, dst, client, band):
         self.setup_step()
         self.port += 1
         fid = self.cm.open(FlowKey("c", self.port, dst, 9))
@@ -144,12 +185,24 @@ class CoreScheduler(RuleBasedStateMachine):
         self.flows[fid] = _ModelFlow(mfid, client)
         self.mfs[mfid].members.append(fid)
         self.cm.register_send(fid, self.on_grant)
+        if band is not None:
+            self.flows[fid].rated = True
+            self.cm.register_update(fid, self.on_rate)
+            self.set_band(fid, band)
 
     @precondition(lambda self: self.flows)
     @rule(i=st.integers(0, MAX_FLOWS - 1))
     def close(self, i):
+        self.close_flow(self.pick(i))
+
+    @precondition(lambda self: any(fl.rated for fl in self.flows.values()))
+    @rule(i=st.integers(0, MAX_FLOWS - 1))
+    def close_rated(self, i):
+        rated = sorted(f for f, fl in self.flows.items() if fl.rated)
+        self.close_flow(rated[i % len(rated)])
+
+    def close_flow(self, fid):
         self.setup_step()
-        fid = self.pick(i)
         fl = self.flows.pop(fid)
         m = self.mfs[fl.mfid]
         m.outstanding = max(0, m.outstanding - fl.charge)
@@ -210,7 +263,7 @@ class CoreScheduler(RuleBasedStateMachine):
           nsent=st.sampled_from((0, MTU, 3 * MTU, 8 * MTU)),
           lost=st.sampled_from((0.0, 0.5, 1.0)),
           mode=st.sampled_from(LossMode),
-          rtt=st.sampled_from((None, 0.004, 0.05, 2.0)))
+          rtt=st.sampled_from((None, 2.0 ** -8, 2.0 ** -4, 2.0)))
     def update(self, i, nsent, lost, mode, rtt):
         self.setup_step()
         nrecd = nsent - int(nsent * lost)
@@ -219,7 +272,27 @@ class CoreScheduler(RuleBasedStateMachine):
         m = self.mfs[fl.mfid]
         fl.charge = max(0, fl.charge - nsent)
         m.outstanding = max(0, m.outstanding - nsent)
+        demand = self.demands()[fl.mfid]
         self.cm.update(fid, FeedbackReport(nsent, nrecd, mode, rtt))
+        self.walk(fl.mfid, demand)
+
+    @precondition(lambda self: self.flows)
+    @rule(i=st.integers(0, MAX_FLOWS - 1), on=st.booleans())
+    def register_update(self, i, on):
+        self.setup_step()
+        fid = self.pick(i)
+        self.flows[fid].rated = on
+        self.cm.register_update(fid, self.on_rate if on else None)
+
+    @precondition(lambda self: self.flows)
+    @rule(i=st.integers(0, MAX_FLOWS - 1), band=st.sampled_from(BANDS))
+    def thresh(self, i, band):
+        self.setup_step()
+        self.set_band(self.pick(i), band)
+
+    def set_band(self, fid, band):
+        self.flows[fid].down, self.flows[fid].up = band
+        self.cm.thresh(fid, *band)
 
     @rule(dt=st.sampled_from((0.01, 0.5, 1.0, 4.0)))
     def tick(self, dt):
@@ -243,8 +316,11 @@ class CoreScheduler(RuleBasedStateMachine):
                and self.now - self.mfs[mfid].last_send
                >= IDLE_RTO_MULTIPLE * self.real(mfid).rto()]
         before = {mfid: self.real(mfid).cwnd for mfid in self.mfs}
+        demands = self.demands()
         rows = len(self.tracer.records)
         self.cm.tick(self.now)
+        for mfid in due:
+            self.walk(mfid, demands[mfid])
         decayed = [mfid for mfid in sorted(self.mfs)
                    if before[mfid] > MTU and self.real(mfid).cwnd == MTU]
         assert decayed == due
@@ -262,6 +338,17 @@ class CoreScheduler(RuleBasedStateMachine):
     @invariant()
     def nothing_left_to_grant(self):
         assert self.next_grant() is None
+
+    @invariant()
+    def rate_callbacks_match(self):
+        assert self.got == self.want
+
+    @invariant()
+    def band_index_stays_bounded(self):
+        for mfid in self.mfs:
+            mf = self.real(mfid)
+            assert len(mf.up_edges) <= 2 * mf.nrated
+            assert len(mf.down_edges) <= 2 * mf.nrated
 
     @invariant()
     def outstanding_matches(self):

@@ -241,6 +241,23 @@ def test_thousand_rearms_leave_at_most_one_live_entry():
     assert fired == [999 * 0.01 + (0.2 + (999 % 7) * 0.01)]
 
 
+@pytest.mark.parametrize("bad", [NAN, -0.5])
+@pytest.mark.parametrize("pending", [True, False])
+def test_refused_arm_leaves_the_deadline_as_it_was(bad, pending):
+    loop = EventLoop()
+    d, fired = _deadline(loop)
+    if pending:
+        d.arm(1.0)
+    with pytest.raises(PastTime):
+        d.arm(bad)
+    assert d.at == (1.0 if pending else None)
+    assert _live_entries(loop) == int(pending)
+    d.arm(2.0)                 # later than the pending entry, if any
+    loop.run_until(10.0)
+    assert fired == [2.0]
+    assert d.at is None
+
+
 # -- link timing ----------------------------------------------------------
 
 
