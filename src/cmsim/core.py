@@ -38,7 +38,9 @@ clock must never run backwards.
 Rate callbacks. A registered member is notified when its macroflow's
 rate, which every member shares, leaves its band: rate != r0 and
 (rate <= r0 * down or rate >= r0 * up), where r0 is the rate it was last
-notified of (0 before the first) and (down, up) its thresh. The band
+notified of (0 before the first) and (down, up) its thresh. At r0 = 0
+every band notifies the first nonzero rate, up = inf included (whose
+0 * inf is NaN, which no rate reaches). The band
 index holds, per macroflow, a min-heap of each member's high edge and a
 max-heap of its low edge, so an update pops only the members whose edge
 the rate has crossed; see _Macroflow.index for the exact keys.
@@ -218,13 +220,15 @@ class _Macroflow:
         side, rate <= key on the low side, the keys being the rule's own
         products r0 * up and r0 * down. An edge that equals r0 (up or down
         1.0, r0 0 or inf) is moved one float off r0, since rate == r0
-        never fires. A high edge that no rate can cross (r0 inf, or the
-        NaN of 0 * inf) gets no entry."""
+        never fires. At r0 = 0 the high edge is the least positive float
+        whatever up is, so the first nonzero rate fires (module
+        docstring). A high edge that no rate can cross (r0 inf) gets no
+        entry."""
         r0 = fl.last_notified_rate
         self.band_seq += 1
         fl.band = seq = self.band_seq
         hi = r0 * fl.thresh_up
-        if hi == r0:
+        if hi == r0 or r0 == 0.0:
             hi = nextafter(r0, inf)
         if hi > r0:
             heappush(self.up_edges, (hi, seq, fl))

@@ -16,16 +16,19 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import defaultdict
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, compress, repeat
+from operator import mul, sub
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..apps import (AlfLayeredSource, CbrAudioSource, LayerConfig,
                     PacedLayeredSource)
 from ..core import CongestionManager, FlowKey, Proto
 from ..sim import Dispatcher, EventLoop, Link, Path
-from ..trace import TraceKind, TraceRecord, Tracer, rows, write_csv
+from ..trace import TraceKind, TraceRecord, Tracer, columns, write_csv
 from ..transport.feedback import AppAckReceiver, DatagramSender
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..transport.udpcc import UdpCcSocket
@@ -318,17 +321,26 @@ def write_outputs(out: RunOutput, outdir: str) -> None:
 # -- summaries ------------------------------------------------------------
 
 
-def _downsample(series: List[List[float]], cap: int = SERIES_CAP) -> List[List[float]]:
-    if len(series) <= cap:
-        return series
-    stride = math.ceil(len(series) / cap)
-    kept = series[::stride]
-    if kept[-1] != series[-1]:
-        kept.append(series[-1])
+# per kind code, the translate table that maps the code to 1 and every
+# other byte to 0 (bytes(n) is n zero bytes): it turns the kind column
+# into a selector for itertools.compress
+_ONLY = [bytes(kind.code) + b"\x01" + bytes(255 - kind.code)
+         for kind in TraceKind]
+
+
+def _downsample(ts: array, vs: array, cap: int = SERIES_CAP) -> List[List[float]]:
+    """The [t, v] points a summary keeps of a series: all of them up to
+    cap, else every stride-th from the first, plus the last point unless
+    the last one kept equals it."""
+    stride = max(1, math.ceil(len(ts) / cap))
+    kept = list(map(list, zip(ts[::stride], vs[::stride])))
+    last = [ts[-1], vs[-1]]
+    if kept[-1] != last:
+        kept.append(last)
     return kept
 
 
-def _stats(values: List[float]) -> Dict[str, float]:
+def _stats(values: Sequence[float]) -> Dict[str, float]:
     n = len(values)
     if n == 0:
         return {"count": 0, "mean": 0.0, "std": 0.0, "cov": 0.0}
@@ -339,91 +351,115 @@ def _stats(values: List[float]) -> Dict[str, float]:
             "cov": std / mean if mean > 0 else 0.0}
 
 
+def _sums(rows: Iterable[Tuple[int, float]],
+          flows: Iterable[int]) -> Dict[int, float]:
+    """Per flow of flows, its rows' values added from 0 in row order."""
+    out = dict.fromkeys(flows, 0)
+    for flow, v in rows:
+        out[flow] += v
+    return out
+
+
+def _series(rows: Iterable[Tuple[int, float, float]]
+            ) -> Dict[int, Tuple[array, array]]:
+    """Per flow, the t and value arrays of its (flow, t, value) rows."""
+    out: Dict[int, Tuple[array, array]] = {}
+    for flow, t, v in rows:
+        s = out.get(flow)
+        if s is None:
+            s = out[flow] = (array("d"), array("d"))
+        s[0].append(t)
+        s[1].append(v)
+    return out
+
+
 def summarize_trace(cfg: ExperimentConfig,
                     records: Iterable[TraceRecord]) -> Dict[str, Any]:
-    """Pure function of (config, trace): recomputable offline."""
-    per_flow: Dict[int, Dict[str, float]] = defaultdict(
-        lambda: {"sent_pkts": 0, "sent_bytes": 0, "delivered_pkts": 0,
-                 "delivered_bytes": 0, "dropped_pkts": 0, "marked_pkts": 0})
-    cwnd_series: Dict[int, List[List[float]]] = {}
-    layer_series: Dict[int, List[List[float]]] = {}
-    rate_cbs: Dict[int, List[List[float]]] = {}
-    transfers: List[Dict[str, float]] = []
-    policer_drops = 0
-    buf_drops = 0
-    audio_sends: List[Tuple[float, float]] = []   # (t, frame seq)
-    keep_audio = cfg.scenario == "audio_cbr"
+    """Pure function of (config, trace): recomputable offline.
 
-    for t, flow, kind, v1, v2 in rows(records):
-        if kind is TraceKind.SEND:
-            e = per_flow[flow]
-            e["sent_pkts"] += 1
-            e["sent_bytes"] += v2
-            if keep_audio:
-                audio_sends.append((t, v1))
-        elif kind is TraceKind.DELIVER:
-            e = per_flow[flow]
-            e["delivered_pkts"] += 1
-            e["delivered_bytes"] += v2
-        elif kind is TraceKind.DROP:
-            per_flow[flow]["dropped_pkts"] += 1
-        elif kind is TraceKind.MARK:
-            per_flow[flow]["marked_pkts"] += 1
-        elif kind is TraceKind.CWND_CHANGE:
-            cwnd_series.setdefault(flow, []).append([t, v1])
-        elif kind is TraceKind.LAYER_CHANGE:
-            layer_series.setdefault(flow, []).append([t, v1])
-        elif kind is TraceKind.RATE_CALLBACK:
-            rate_cbs.setdefault(flow, []).append([t, v1])
-        elif kind is TraceKind.TRANSFER_DONE:
-            transfers.append({"index": int(v1), "elapsed": v2,
-                              "done_at": t})
-        elif kind is TraceKind.POLICER_DROP:
-            policer_drops += 1
-        elif kind is TraceKind.BUF_DROP:
-            buf_drops += 1
+    It reads the trace's columns (``trace.columns``) and keeps no object
+    per row. Each kind's rows are picked by a C-level ``compress`` whose
+    selector, one 0/1 byte per row, ``translate`` makes from the kind
+    codes; per-flow row counts come from ``Counter``. Send and
+    Deliver bytes are summed per flow in trace order, so the float sums
+    are those of a row-by-row pass. The CwndChange, LayerChange and
+    RateCallback series are per-flow ``array("d")`` pairs; [t, v] lists
+    are built only for the points the summary keeps."""
+    t, flow, kinds, v1, v2 = columns(records)
 
-    for e in per_flow.values():
-        e["throughput_bps"] = e["delivered_bytes"] * 8.0 / cfg.duration
+    def picked(k: TraceKind, col: Iterable) -> Iterable:
+        """col's items on the rows of kind k, in trace order."""
+        if k.code not in kinds:
+            return ()
+        return compress(col, kinds.translate(_ONLY[k.code]))
 
-    layer_occupancy: Dict[int, Dict[str, Any]] = {}
-    for fid, changes in layer_series.items():
+    sent = Counter(picked(TraceKind.SEND, flow))
+    delivered = Counter(picked(TraceKind.DELIVER, flow))
+    dropped = Counter(picked(TraceKind.DROP, flow))
+    marked = Counter(picked(TraceKind.MARK, flow))
+    sent_bytes = _sums(picked(TraceKind.SEND, zip(flow, v2)), sent)
+    delivered_bytes = _sums(picked(TraceKind.DELIVER, zip(flow, v2)),
+                            delivered)
+    per_flow = {
+        str(f): {"sent_pkts": sent[f], "sent_bytes": sent_bytes.get(f, 0),
+                 "delivered_pkts": delivered[f],
+                 "delivered_bytes": delivered_bytes.get(f, 0),
+                 "dropped_pkts": dropped[f], "marked_pkts": marked[f],
+                 "throughput_bps":
+                     delivered_bytes.get(f, 0) * 8.0 / cfg.duration}
+        for f in sorted(sent.keys() | delivered.keys() | dropped.keys()
+                        | marked.keys())}
+
+    cwnd_series = _series(picked(TraceKind.CWND_CHANGE, zip(flow, t, v1)))
+    layer_series = _series(picked(TraceKind.LAYER_CHANGE, zip(flow, t, v1)))
+    rate_cbs = _series(picked(TraceKind.RATE_CALLBACK, zip(flow, t, v1)))
+
+    layer_occupancy: Dict[str, Dict[str, Any]] = {}
+    for fid in sorted(layer_series):
+        ts, layers = layer_series[fid]
         occ: Dict[int, float] = {}
-        for (t0, layer), (t1, _) in zip(changes, changes[1:] + [[cfg.duration, 0.0]]):
+        for t0, layer, t1 in zip(ts, layers, chain(ts[1:], (cfg.duration,))):
             occ[int(layer)] = occ.get(int(layer), 0.0) + max(0.0, t1 - t0)
         total = sum(occ.values())
-        layer_occupancy[fid] = {
-            "changes": max(0, len(changes) - 1),
+        layer_occupancy[str(fid)] = {
+            "changes": max(0, len(ts) - 1),
             "fractions": {str(k): v / total for k, v in sorted(occ.items())}
             if total > 0 else {},
         }
 
-    rate_stats: Dict[int, Dict[str, Any]] = {}
-    for fid, points in rate_cbs.items():
-        st = _stats([p[1] for p in points])
-        st["first_t"] = points[0][0]
-        rate_stats[fid] = st
+    rate_stats: Dict[str, Dict[str, Any]] = {}
+    for fid in sorted(rate_cbs):
+        ts, rates = rate_cbs[fid]
+        st = _stats(rates)
+        st["first_t"] = ts[0]
+        rate_stats[str(fid)] = st
 
     out: Dict[str, Any] = {
-        "per_flow": {str(k): per_flow[k] for k in sorted(per_flow)},
-        "cwnd_series": {str(k): _downsample(v)
-                        for k, v in sorted(cwnd_series.items())},
-        "layer_occupancy": {str(k): v
-                            for k, v in sorted(layer_occupancy.items())},
-        "rate_callbacks": {str(k): v for k, v in sorted(rate_stats.items())},
-        "transfers": transfers,
+        "per_flow": per_flow,
+        "cwnd_series": {str(k): _downsample(*cwnd_series[k])
+                        for k in sorted(cwnd_series)},
+        "layer_occupancy": layer_occupancy,
+        "rate_callbacks": rate_stats,
+        "transfers": [{"index": int(i), "elapsed": e, "done_at": done}
+                      for done, i, e in picked(TraceKind.TRANSFER_DONE,
+                                               zip(t, v1, v2))],
     }
 
     if cfg.scenario == "audio_cbr":
         generated = int(cfg.duration / cfg.frame_interval) + 1
-        delays = [t - seq * cfg.frame_interval for t, seq in audio_sends]
+        policer_drops = kinds.count(TraceKind.POLICER_DROP.code)
+        # a frame's delay in the app buffer: its send time less the time
+        # its seq was generated
+        delays = map(sub, picked(TraceKind.SEND, t),
+                     map(mul, picked(TraceKind.SEND, v1),
+                         repeat(cfg.frame_interval)))
         out["audio"] = {
             "generated_frames": generated,
-            "sent_frames": len(audio_sends),
+            "sent_frames": kinds.count(TraceKind.SEND.code),
             "policer_drops": policer_drops,
-            "buf_drops": buf_drops,
+            "buf_drops": kinds.count(TraceKind.BUF_DROP.code),
             "policer_drop_fraction": policer_drops / generated,
-            "max_app_buf_delay": max(delays) if delays else 0.0,
+            "max_app_buf_delay": max(delays, default=0.0),
         }
     return out
 

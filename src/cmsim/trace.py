@@ -19,15 +19,20 @@ Rows are appended in nondecreasing time order; CSV serialization lives here
 so a trace written by one process can be recomputed offline by another.
 
 A Tracer stores its rows as five columns rather than one object per row:
-t, value1 and value2 in ``array("d")`` columns of unboxed doubles, flow
-ids and kinds in lists of references to objects the caller already
-holds. A row costs about 40 bytes (five 8-byte slots, plus the columns'
-spare capacity) where a TraceRecord tuple with its boxed floats cost
-about 150, and the columns are five objects for the garbage collector to
-track instead of one per row. ``Tracer.records`` is a read-only
+t, value1 and value2 in ``array("d")`` columns of unboxed doubles, kinds
+as one-byte codes in a ``bytearray``, and flow ids in a list of
+references to ints the caller already holds. A row costs about 34 bytes
+(four 8-byte slots and one byte, plus the columns' spare capacity) where
+a TraceRecord tuple with its boxed floats cost about 150, and the columns
+are five objects for the garbage collector to track instead of one per
+row. Each TraceKind member carries its code as the plain attribute
+``code`` (its index in ``KINDS``), set once at import, so ``emit`` reads
+it without hashing the member. ``Tracer.records`` is a read-only
 ``Sequence[TraceRecord]`` view over the columns: indexing and iterating
-build TraceRecords on demand. ``write_csv`` and ``summarize_trace`` read
-the columns directly through ``rows``.
+build TraceRecords on demand, decoding codes through ``KINDS``.
+``write_csv`` and ``summarize_trace`` read the columns themselves through
+``columns``, which transposes any other TraceRecord iterable into the
+same five columns.
 """
 from __future__ import annotations
 
@@ -51,6 +56,16 @@ class TraceKind(enum.Enum):
     TRANSFER_DONE = "TransferDone"
 
 
+# the kinds by code: KINDS[kind.code] is kind
+KINDS: Tuple[TraceKind, ...] = tuple(TraceKind)
+for _code, _kind in enumerate(KINDS):
+    _kind.code = _code
+del _code, _kind
+
+# t, flow, kind code, value1, value2
+Columns = Tuple[array, List[int], bytearray, array, array]
+
+
 class TraceRecord(NamedTuple):
     t: float
     flow: int
@@ -59,13 +74,17 @@ class TraceRecord(NamedTuple):
     value2: float
 
 
+def _records(t, flow, kind, value1, value2) -> Iterator[TraceRecord]:
+    return map(TraceRecord._make,
+               zip(t, flow, map(KINDS.__getitem__, kind), value1, value2))
+
+
 class RecordView(Sequence[TraceRecord]):
     """A read-only view of a Tracer's columns as TraceRecords. It sees
     rows emitted after it was made; a slice is a list of TraceRecords."""
     __slots__ = ("_columns",)
 
-    def __init__(self, columns: Tuple[array, List[int], List[TraceKind],
-                                      array, array]) -> None:
+    def __init__(self, columns: Columns) -> None:
         self._columns = columns
 
     def __len__(self) -> int:
@@ -73,12 +92,12 @@ class RecordView(Sequence[TraceRecord]):
 
     def __getitem__(self, i):  # an int gives a TraceRecord, a slice a list
         if isinstance(i, slice):
-            return list(map(TraceRecord._make,
-                            zip(*(col[i] for col in self._columns))))
-        return TraceRecord._make(col[i] for col in self._columns)
+            return list(_records(*(col[i] for col in self._columns)))
+        t, flow, kind, value1, value2 = (col[i] for col in self._columns)
+        return TraceRecord(t, flow, KINDS[kind], value1, value2)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return map(TraceRecord._make, zip(*self._columns))
+        return _records(*self._columns)
 
 
 class Tracer:
@@ -89,7 +108,9 @@ class Tracer:
     def __init__(self) -> None:
         self._t = array("d")
         self._flow: List[int] = []
-        self._kind: List[TraceKind] = []
+        # a bytearray, not an array("B"), whose append parses its argument
+        # through a format string at about five times the cost
+        self._kind = bytearray()
         self._value1 = array("d")
         self._value2 = array("d")
         self.records: Sequence[TraceRecord] = RecordView(
@@ -97,6 +118,8 @@ class Tracer:
 
     def emit(self, t: float, flow: int, kind: TraceKind,
              value1: float, value2: float) -> None:
+        if type(kind) is not TraceKind:
+            raise TypeError(f"trace kind {kind!r} is no TraceKind")
         try:
             self._t.append(t)
             self._value1.append(value1)
@@ -107,19 +130,25 @@ class Tracer:
             del self._t[n:], self._value1[n:], self._value2[n:]
             raise
         self._flow.append(flow)
-        self._kind.append(kind)
+        self._kind.append(kind.code)
 
     def __len__(self) -> int:
         return len(self._kind)
 
 
-def rows(records: Iterable[TraceRecord]
-         ) -> Iterable[Tuple[float, int, TraceKind, float, float]]:
-    """The (t, flow, kind, value1, value2) rows of a trace: zipped straight
-    from the columns for a Tracer's records, else the records themselves."""
-    if isinstance(records, RecordView):
-        return zip(*records._columns)
-    return records
+def columns(records: Iterable[TraceRecord]) -> Columns:
+    """The (t, flow, kind code, value1, value2) columns of a trace: a
+    Tracer's own for its records, else the records emitted into a new
+    Tracer, which stores t, value1 and value2 as floats."""
+    if not isinstance(records, RecordView):
+        tracer = Tracer()
+        for r in records:
+            tracer.emit(*r)
+        records = tracer.records
+    return records._columns
+
+
+_NAMES = tuple(kind.value for kind in KINDS)
 
 
 def write_csv(path: str, records: Iterable[TraceRecord]) -> None:
@@ -129,11 +158,13 @@ def write_csv(path: str, records: Iterable[TraceRecord]) -> None:
     "N.0", keeping reruns byte-identical. No field ever needs quoting: a
     float repr, an int and a kind name hold no comma, quote or line break.
     """
+    ts, flows, kinds, v1s, v2s = columns(records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,flow,kind,value1,value2\r\n")
         fh.writelines(
-            f"{float(t)!r},{flow},{kind.value},{float(v1)!r},{float(v2)!r}\r\n"
-            for t, flow, kind, v1, v2 in rows(records))
+            f"{t!r},{flow},{name},{v1!r},{v2!r}\r\n"
+            for t, flow, name, v1, v2 in zip(
+                ts, flows, map(_NAMES.__getitem__, kinds), v1s, v2s))
 
 
 def read_csv(path: str) -> List[TraceRecord]:

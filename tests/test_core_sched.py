@@ -3,6 +3,7 @@ outstanding bytes, declined grants, rate-threshold callbacks, and the
 periodic tick (idle decay, liveness re-dispatch, suggested period).
 """
 import random
+from math import inf
 
 import pytest
 
@@ -156,6 +157,22 @@ def test_first_nonzero_rate_always_notifies():
     cm.thresh(fid, 0.5, 2.0)
     cm.update(fid, FeedbackReport(0, 0, rtt=0.1))
     assert got == [pytest.approx(MTU / 0.1)]
+
+
+def test_an_unbounded_band_set_before_the_first_rate_notifies_it():
+    # r0 is 0 before the first notification, and 0 * inf is NaN, which no
+    # rate reaches: the first nonzero rate must fire whatever up is
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    got = []
+    cm.register_update(fid, lambda f, rate, srtt, lr: got.append(rate))
+    cm.thresh(fid, 0.5, inf)
+    cm.update(fid, FeedbackReport(0, 0, rtt=0.1))      # 15000: first rate
+    assert got == [MTU / 0.1]
+    cm.update(fid, FeedbackReport(1500, 1500))         # 30000: no ceiling
+    assert got == [MTU / 0.1]
+    cm.update(fid, FeedbackReport(0, 0, rtt=10.0))     # under 0.5x
+    assert len(got) == 2 and got[1] < 0.5 * MTU / 0.1
 
 
 def test_rate_changes_inside_band_stay_quiet():

@@ -22,8 +22,9 @@ small model keeps the rules the scheduler must follow:
   * rate callbacks follow the linear walk the band index replaced: after
     an update, and for each macroflow a tick decays, every member
     registered for them, in id order, whose last notified rate r0
-    differs from the rate and has rate <= r0 * down or rate >= r0 * up
-    is notified of (flow, rate, srtt, loss_rate) and r0 becomes the rate.
+    differs from the rate and has r0 == 0, rate <= r0 * down or
+    rate >= r0 * up is notified of (flow, rate, srtt, loss_rate) and r0
+    becomes the rate.
     r0 survives a dropped registration. The thresh draws include down
     and up of 1.0 and up of inf, and the RTT samples are powers of two,
     so that a rate often lands exactly on a band edge.
@@ -159,7 +160,8 @@ class CoreScheduler(RuleBasedStateMachine):
             fl = self.flows[fid]
             if not fl.rated or rate == fl.last:
                 continue
-            if rate <= fl.last * fl.down or rate >= fl.last * fl.up:
+            if fl.last == 0.0 or rate <= fl.last * fl.down or \
+                    rate >= fl.last * fl.up:
                 fl.last = rate
                 self.want.append((fid, rate, mf.srtt, mf.loss_rate))
 
