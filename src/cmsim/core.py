@@ -30,10 +30,10 @@ never nest inside a client API call; _api states that boundary.
 
 The scheduler keeps its state as calls arrive instead of scanning every
 destination or member on every call: a min-heap of macroflows that may be
-ready for a grant (lowest id served first), a per-macroflow count of
-members with pending requests, a per-macroflow band index of the members
-registered for rate callbacks, and a heap of idle-decay deadlines. The
-clock must never run backwards.
+ready for a grant (lowest id served first), a per-macroflow sorted list of
+the ids of members with pending requests, a per-macroflow band index of the
+members registered for rate callbacks, and a heap of idle-decay deadlines.
+The clock must never run backwards.
 
 Rate callbacks. A registered member is notified when its macroflow's
 rate, which every member shares, leaves its band: rate != r0 and
@@ -48,6 +48,7 @@ the rate has crossed; see _Macroflow.index for the exact keys.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -164,9 +165,9 @@ class _Flow:
 class _Macroflow:
     __slots__ = ("id", "dst", "mtu", "cwnd", "ssthresh", "outstanding",
                  "srtt", "rttvar", "loss_rate", "ca_acc", "recovery_left",
-                 "last_cut_time", "members", "rr_cursor", "last_send_time",
-                 "demand", "nrated", "up_edges", "down_edges", "band_seq",
-                 "in_ready", "decay_key")
+                 "last_cut_time", "members", "wanting", "rr_next",
+                 "last_send_time", "nrated", "up_edges", "down_edges",
+                 "band_seq", "in_ready", "decay_key")
 
     def __init__(self, mfid: int, dst: str, mtu: int, ssthresh: int,
                  now: float) -> None:
@@ -182,10 +183,10 @@ class _Macroflow:
         self.ca_acc = 0            # CA byte accumulator toward the next +MTU
         self.recovery_left = 0     # reported bytes until another cut is allowed
         self.last_cut_time = float("-inf")
-        self.members: List[_Flow] = []
-        self.rr_cursor = 0
+        self.members: List[_Flow] = []  # in id order, as open appends
+        self.wanting: List[int] = []    # sorted ids, pending_requests > 0
+        self.rr_next = 0           # least id the next grant may go to
         self.last_send_time = now
-        self.demand = 0            # members with pending_requests > 0
         self.nrated = 0            # members with an update callback
         # the band index (see index): (high edge, seq, flow), least on
         # top, and (-low edge, seq, flow), greatest edge on top
@@ -384,20 +385,15 @@ class CongestionManager:
         mf = fl.mf
         mf.outstanding = max(0, mf.outstanding - fl.outstanding)
         if fl.pending_requests > 0:
-            mf.demand -= 1
+            del mf.wanting[bisect_left(mf.wanting, flow_id)]
         if fl.update_cb is not None:
             mf.unindex(fl)
-        idx = mf.members.index(fl)
-        mf.members.pop(idx)
-        if idx < mf.rr_cursor:
-            mf.rr_cursor -= 1
-        if mf.members:
-            mf.rr_cursor %= len(mf.members)
-        else:
-            # keep the macroflow: destination state survives its last
-            # member so later flows inherit cwnd/srtt instead of
-            # restarting cold; it ages only via idle decay
-            mf.rr_cursor = 0
+        members = mf.members
+        del members[bisect_left(members, flow_id, key=_by_id)]
+        # the macroflow stays, so later flows inherit cwnd/srtt; past the
+        # last member the next grant wraps, and a later member waits its turn
+        if not members or mf.rr_next > members[-1].id:
+            mf.rr_next = 0
         self._mark_ready(mf)
     close = _api("close", close)
 
@@ -408,9 +404,12 @@ class CongestionManager:
     # -- registrations ----------------------------------------------------
 
     def register_send(self, flow_id: int, cb: SendCallback) -> None:
+        """Register cb for grants; TypeError unless cb is callable, so
+        every member with a pending request has a callback."""
         fl = self._flow(flow_id)
+        if not callable(cb):
+            raise TypeError(f"send callback {cb!r} is not callable")
         fl.send_cb = cb
-        self._mark_ready(fl.mf)
     register_send = _api("register_send", register_send)
 
     def register_update(self, flow_id: int, cb: UpdateCallback) -> None:
@@ -449,7 +448,7 @@ class CongestionManager:
             raise NoCallbackRegistered(f"flow {flow_id}")
         fl.pending_requests += 1
         if fl.pending_requests == 1:
-            fl.mf.demand += 1
+            insort(fl.mf.wanting, flow_id)
         self._mark_ready(fl.mf)
     request = _api("request", _request)
 
@@ -653,7 +652,7 @@ class CongestionManager:
     def _flow_rate(self, mf: _Macroflow) -> float:
         if mf.srtt <= 0.0:
             return 0.0
-        return (mf.cwnd / mf.srtt) / max(1, mf.demand)
+        return (mf.cwnd / mf.srtt) / max(1, len(mf.wanting))
 
     def _eval_thresholds(self, mf: _Macroflow) -> None:
         """Queue a rate callback for each registered member of mf whose
@@ -691,9 +690,9 @@ class CongestionManager:
 
     def _mark_ready(self, mf: _Macroflow) -> None:
         """Put mf on the ready heap if it has a grant to give. Called
-        wherever demand rises or the window opens (request, update,
-        register_send), so the heap holds every macroflow that is ready."""
-        if not mf.in_ready and mf.demand and \
+        wherever a member starts wanting or the window opens (request,
+        update, close), so the heap holds every macroflow that is ready."""
+        if not mf.in_ready and mf.wanting and \
                 mf.outstanding + mf.mtu <= mf.cwnd:
             mf.in_ready = True
             heappush(self._ready, mf.id)
@@ -717,26 +716,26 @@ class CongestionManager:
 
     def _grant_one(self) -> bool:
         """Grant to the lowest-id ready macroflow, round-robin over its
-        members from rr_cursor. A macroflow stays on the heap while it is
-        being served, so a grant callback that raises strands nothing."""
+        wanting members: the least wanting id at or after rr_next, else
+        the least one. A macroflow stays on the heap while it is being
+        served, so a grant callback that raises strands nothing."""
         ready = self._ready
         while ready:
             mf = self._macroflows[ready[0]]
-            if mf.demand and mf.outstanding + mf.mtu <= mf.cwnd:
-                n = len(mf.members)
-                for i in range(n):
-                    idx = (mf.rr_cursor + i) % n
-                    fl = mf.members[idx]
-                    if fl.pending_requests > 0 and fl.send_cb is not None:
-                        fl.pending_requests -= 1
-                        if fl.pending_requests == 0:
-                            mf.demand -= 1
-                        mf.rr_cursor = (idx + 1) % n
-                        self.op_counts["cmapp_send"] += 1
-                        self._trace(fl.id, TraceKind.GRANT, mf.cwnd,
-                                    mf.outstanding)
-                        fl.send_cb(fl.id)
-                        return True
+            wanting = mf.wanting
+            if wanting and mf.outstanding + mf.mtu <= mf.cwnd:
+                i = bisect_left(wanting, mf.rr_next)
+                if i == len(wanting):
+                    i = 0
+                fl = self._flows[wanting[i]]
+                fl.pending_requests -= 1
+                if fl.pending_requests == 0:
+                    del wanting[i]
+                mf.rr_next = 0 if fl is mf.members[-1] else fl.id + 1
+                self.op_counts["cmapp_send"] += 1
+                self._trace(fl.id, TraceKind.GRANT, mf.cwnd, mf.outstanding)
+                fl.send_cb(fl.id)
+                return True
             heappop(ready)
             mf.in_ready = False
         return False

@@ -335,10 +335,6 @@ class Link:
         self._enqueue(pkt)
         return outcome
 
-    def forward(self, pkt: Packet, now: float) -> None:
-        """Sink adapter so links can be chained into multi-hop paths."""
-        self.send(pkt)
-
     def _arrive(self, pkt: Packet) -> None:
         self._trace(pkt, TraceKind.DELIVER)
         if self.sink is not None:
@@ -346,23 +342,21 @@ class Link:
 
 
 class Path:
-    """A unidirectional sequence of links; delivery chains hop by hop.
+    """A unidirectional path of exactly one link.
 
-    The path's sink is kept as the last link's sink, so the final hop
-    hands each packet straight to it; ``set_sink`` replaces it there.
-    Without a sink, the last link drops what it delivers silently."""
+    The path's sink is kept as the link's sink, so the link hands each
+    packet it delivers straight to it; ``set_sink`` replaces it there.
+    Without a sink, the link drops what it delivers silently."""
 
     def __init__(self, links: List[Link],
                  sink: Optional[Callable[[Packet, float], None]] = None) -> None:
-        if not links:
-            raise ValueError("path needs at least one link")
+        if len(links) != 1:
+            raise ValueError("a path is exactly one link")
         self.links = links
-        for a, b in zip(links, links[1:]):
-            a.sink = b.forward
-        links[-1].sink = sink
+        links[0].sink = sink
 
     def set_sink(self, sink: Callable[[Packet, float], None]) -> None:
-        self.links[-1].sink = sink
+        self.links[0].sink = sink
 
     def send(self, pkt: Packet) -> LinkOutcome:
         return self.links[0].send(pkt)

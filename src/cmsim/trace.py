@@ -168,11 +168,13 @@ def write_csv(path: str, records: Iterable[TraceRecord]) -> None:
 
 
 def read_csv(path: str) -> List[TraceRecord]:
+    """The rows of a write_csv file; ValueError on any other header."""
     out: List[TraceRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
-        assert header == ["t", "flow", "kind", "value1", "value2"]
+        header = next(rd, None)
+        if header != ["t", "flow", "kind", "value1", "value2"]:
+            raise ValueError(f"{path}: not a trace header: {header}")
         for row in rd:
             out.append(TraceRecord(float(row[0]), int(row[1]), TraceKind(row[2]),
                                    float(row[3]), float(row[4])))

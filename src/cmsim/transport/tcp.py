@@ -264,11 +264,11 @@ class TcpSender:
     def on_ack(self, pkt: Packet, now: float) -> None:
         if self.closed:
             return
-        if pkt.meta == "synack":
-            self._on_established()
-            return
         info = pkt.meta
         if not isinstance(info, AckInfo):
+            # typed first, so an ACK costs no AckInfo.__eq__
+            if info == "synack":
+                self._on_established()
             return
         ack = info.ack
         if ack < self.snd_una:

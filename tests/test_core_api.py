@@ -157,6 +157,20 @@ def test_request_after_register_send_grants():
     assert got == [fid]
 
 
+def test_register_send_refuses_a_callback_that_is_not_callable():
+    """Every flow with a pending request therefore has a callback to
+    grant to; the registration it had stays."""
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    got = []
+    cm.register_send(fid, got.append)
+    for cb in (None, 42, "cb"):
+        with pytest.raises(TypeError):
+            cm.register_send(fid, cb)
+    cm.request(fid)
+    assert got == [fid]
+
+
 def test_thresh_validation():
     cm = CongestionManager()
     fid = cm.open(key(1))

@@ -146,6 +146,92 @@ def test_grant_passes_flow_id_of_owner():
     assert seen == [b]
 
 
+def grant_one_at_a_time(cm, n):
+    """n flows on one macroflow at cwnd MTU, each granted alone; returns
+    the flows, the grant order and a call that frees the window for the
+    next grant without growing it."""
+    order = []
+
+    def accept(fid):
+        order.append(fid)
+        cm.notify(fid, MTU)
+
+    fids = make_flows(cm, n, accept)
+    return fids, order, lambda: cm.update(fids[0], FeedbackReport(MTU, 0))
+
+
+def test_closing_the_next_member_when_it_is_last_wraps_to_the_front():
+    """The rotation stood at c, the last member, when c closed: it wraps
+    to a, and d, opened later, waits its turn behind a."""
+    cm = CongestionManager()
+    (a, b, c), order, free = grant_one_at_a_time(cm, 3)
+    cm.request(a)
+    free()
+    cm.request(b)
+    free()
+    cm.close(c)
+    d = cm.open(key(4))
+    cm.register_send(d, order.append)
+    cm.bulk_request([d, a])
+    assert order == [a, b, a]
+    free()
+    assert order == [a, b, a, d]
+
+
+def test_a_member_opened_after_a_wrap_is_served_after_the_older_ones():
+    cm = CongestionManager()
+    (a, b), order, free = grant_one_at_a_time(cm, 2)
+    cm.request(a)
+    free()
+    cm.request(b)                              # b is last: the rotation wraps
+    free()
+    c = cm.open(key(3))
+    cm.register_send(c, order.append)
+    cm.bulk_request([c, b, a])
+    free()
+    free()
+    assert order == [a, b, a, b, c]
+
+
+def test_closing_a_member_before_the_next_one_keeps_the_rotation():
+    cm = CongestionManager()
+    (a, b, c), order, free = grant_one_at_a_time(cm, 3)
+    cm.request(a)
+    free()
+    cm.request(b)
+    free()                                     # next up: c
+    cm.close(a)
+    cm.bulk_request([b, c])
+    cm.update(b, FeedbackReport(MTU, 0))      # free() reports on a, closed
+    assert order == [a, b, c, b]
+
+
+def test_a_grant_reads_no_member_scan():
+    """With 10^4 members and one of them wanting, a request and its grant
+    read O(1) entries of the member list, not a scan of it."""
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountingList.reads += 1
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            CountingList.reads += len(self)
+            return super().__iter__()
+
+    cm = CongestionManager()
+    granted = []
+    fids = make_flows(cm, 10 ** 4, granted.append)
+    mf = cm._macroflows[1]
+    mf.members = CountingList(mf.members)
+    for fid in (fids[5000], fids[-1], fids[0], fids[5000]):
+        CountingList.reads = 0
+        cm.request(fid)                       # granted before it returns
+        assert granted[-1] == fid
+        assert CountingList.reads <= 2
+
+
 # -- rate-threshold callbacks ---------------------------------------------
 
 

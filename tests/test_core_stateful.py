@@ -4,12 +4,20 @@ A hypothesis state machine drives open, close, request, bulk_request,
 notify, update in all four loss modes, register_update, thresh and tick
 with an advancing clock (by fixed steps or to a macroflow's idle
 deadline), over three destinations, with clients that accept or decline
-their grants and may request again from inside the grant callback. A
-small model keeps the rules the scheduler must follow:
+their grants and may request again from inside the grant callback. Three
+rules aim at the round robin's wraps: open adds up to three members at
+once, replace_next closes the member the cursor points at (the last
+member included) and opens another in its place, and request_all has
+every member of a macroflow request in one call, so that a member opened
+after a wrap competes with the older ones. A small model keeps the rules
+the scheduler must follow:
 
   * a grant goes to the lowest-id macroflow that has a pending request and
     window room (outstanding + mtu <= cwnd), round-robin over its members
-    from the cursor its last grant left;
+    from the cursor its last grant left: the index after the member
+    granted, 0 past the last member, kept on the same member when an
+    earlier one closes and wrapped to 0 when the last one closes under
+    it (the core keeps ids, not indexes; this is the reference);
   * tick(now) decays exactly the macroflows with cwnd > mtu that have been
     idle for IDLE_RTO_MULTIPLE * rto, in macroflow id order;
   * a flow's rate is cwnd / srtt split over the members with pending
@@ -174,8 +182,14 @@ class CoreScheduler(RuleBasedStateMachine):
 
     @precondition(lambda self: len(self.flows) < MAX_FLOWS)
     @rule(dst=st.sampled_from(DESTS), client=st.sampled_from(CLIENTS),
-          band=st.sampled_from((None,) + BANDS))
-    def open(self, dst, client, band):
+          band=st.sampled_from((None,) + BANDS), n=st.integers(1, 3))
+    def open(self, dst, client, band, n):
+        """Up to n flows to dst, so that macroflows often have several
+        members to rotate over."""
+        for _ in range(min(n, MAX_FLOWS - len(self.flows))):
+            self.open_flow(dst, client, band)
+
+    def open_flow(self, dst, client, band):
         self.setup_step()
         self.port += 1
         fid = self.cm.open(FlowKey("c", self.port, dst, 9))
@@ -202,6 +216,21 @@ class CoreScheduler(RuleBasedStateMachine):
     def close_rated(self, i):
         rated = sorted(f for f, fl in self.flows.items() if fl.rated)
         self.close_flow(rated[i % len(rated)])
+
+    @precondition(lambda self: self.flows)
+    @rule(i=st.integers(0, MAX_FLOWS - 1), client=st.sampled_from(CLIENTS))
+    def replace_next(self, i, client):
+        """Close the member the cursor points at, open another to its
+        destination and have every member request. Whether the rotation
+        wrapped at the last grant or wraps now, because the closed member
+        was the last one, the new member waits behind the older ones."""
+        mfid = self.flows[self.pick(i)].mfid
+        m = self.mfs[mfid]
+        fid = m.members[m.cursor]
+        dst = self.cm.macroflow_state(fid).dst_addr
+        self.close_flow(fid)
+        self.open_flow(dst, client, None)
+        self.request_members(mfid)
 
     def close_flow(self, fid):
         self.setup_step()
@@ -245,6 +274,21 @@ class CoreScheduler(RuleBasedStateMachine):
         one is ready when the grants are dispatched."""
         self.setup_step()
         fids = [self.pick(i) for i in picks]
+        for fid in fids:
+            self.flows[fid].pending += 1
+        self.cm.bulk_request(fids)
+
+    @precondition(lambda self: self.flows)
+    @rule(i=st.integers(0, MAX_FLOWS - 1))
+    def request_all(self, i):
+        self.setup_step()
+        self.request_members(self.flows[self.pick(i)].mfid)
+
+    def request_members(self, mfid):
+        """Every member of the macroflow requests in one call, newest
+        first, so that the rotation, not the call order, picks who is
+        served first."""
+        fids = self.mfs[mfid].members[::-1]
         for fid in fids:
             self.flows[fid].pending += 1
         self.cm.bulk_request(fids)
@@ -380,6 +424,6 @@ class CoreScheduler(RuleBasedStateMachine):
 
 
 CoreScheduler.TestCase.settings = settings(
-    derandomize=True, database=None, deadline=None, max_examples=60,
+    derandomize=True, database=None, deadline=None, max_examples=120,
     stateful_step_count=40)
 TestCoreScheduler = CoreScheduler.TestCase

@@ -384,9 +384,10 @@ def test_each_accepted_packet_schedules_one_event_per_hop():
             outcomes[link].append(send(p))
         link.send = send
     delivered = []
-    path = Path([a, b], sink=lambda p, t: delivered.append(p.seq))
+    a.sink = lambda p, t: b.send(p)
+    b.sink = lambda p, t: delivered.append(p.seq)
     for i in range(20):
-        loop.schedule(i * 0.001, path.send, pkt(seq=i, size=1000))
+        loop.schedule(i * 0.001, a.send, pkt(seq=i, size=1000))
     before = loop.scheduled
     loop.run()
     accepted = {link: outs.count(LinkOutcome.QUEUED)
@@ -511,24 +512,26 @@ def test_constructor_validation():
 # -- paths, dispatch, tracing ---------------------------------------------
 
 
-def test_path_chains_hops_and_adds_delays():
+def test_path_is_one_link_with_a_replaceable_sink():
     loop = EventLoop()
     got = []
     a = Link(loop, bandwidth_bps=1e8, prop_delay=0.01, name="a")
-    b = Link(loop, bandwidth_bps=1e8, prop_delay=0.02, name="b")
-    path = Path([a, b], sink=lambda p, t: got.append(t))
+    path = Path([a], sink=lambda p, t: got.append(t))
     path.send(pkt(size=1000))
     loop.run()
-    # two serializations of 80 us each plus both propagation delays
-    assert got == [pytest.approx(0.03016)]
-    # set_sink replaces the final sink; without one, deliveries drop
+    # one serialization of 80 us plus the propagation delay
+    assert got == [pytest.approx(0.01008)]
+    # set_sink replaces the sink; without one, deliveries drop
     replaced = []
     path.set_sink(lambda p, t: replaced.append(p.seq))
     path.send(pkt(seq=1, size=1000))
     bare = Path([Link(loop, bandwidth_bps=1e8, prop_delay=0.01, name="c")])
     bare.send(pkt(seq=2, size=1000))
     loop.run()
-    assert (got, replaced) == ([pytest.approx(0.03016)], [1])
+    assert (got, replaced) == ([pytest.approx(0.01008)], [1])
+    for links in ([], [a, Link(loop, bandwidth_bps=1e8, prop_delay=0.0)]):
+        with pytest.raises(ValueError):
+            Path(links)
 
 
 def test_dispatcher_routes_by_flow_and_ignores_unknown():

@@ -132,6 +132,19 @@ def test_handshake_connection_cancels_no_event(monkeypatch):
     assert cancelled == []
 
 
+def test_acks_after_the_handshake_compare_no_ack_info(monkeypatch):
+    """on_ack types an ACK before it looks for the SYN-ACK, so no ACK
+    costs an AckInfo.__eq__."""
+    compared = []
+    monkeypatch.setattr(tcp.AckInfo, "__eq__",
+                        lambda a, b: compared.append(b) or a is b)
+    loop = EventLoop()
+    b = build(loop, total=16 * MSS, handshake=True)
+    loop.run_until(10.0)
+    assert len(b.done) == 1
+    assert compared == []
+
+
 def test_transfer_survives_random_loss():
     loop = EventLoop()
     b = build(loop, total=120 * 1024, loss=0.05, seed=9)

@@ -2,11 +2,15 @@
 writes for the same rows, and read_csv gives the rows back."""
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmsim import trace
 from cmsim.trace import TraceKind, TraceRecord, read_csv, write_csv
 
 # floats as they reach the trace, ints passed where a float is expected,
@@ -47,3 +51,36 @@ def test_write_csv_matches_csv_writer_and_round_trips(rows):
         with open(got, "rb") as a, open(ref, "rb") as b:
             assert a.read() == b.read()
         assert read_csv(got) == rows
+
+
+WRONG_HEADER = "a,b,c,d,e\r\n0.0,1,Send,0.0,1500.0\r\n"
+
+
+def test_read_csv_refuses_a_file_without_the_trace_header():
+    with tempfile.TemporaryDirectory() as d:
+        for text in (WRONG_HEADER, ""):
+            path = os.path.join(d, "bad.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            with pytest.raises(ValueError):
+                read_csv(path)
+
+
+def test_read_csv_refuses_a_wrong_header_under_python_O():
+    """The header check is no assert, which python -O strips."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trace.__file__)))
+    code = ("import sys\n"
+            "from cmsim.trace import read_csv\n"
+            "try:\n"
+            "    read_csv(sys.argv[1])\n"
+            "except ValueError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "bad.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(WRONG_HEADER)
+        done = subprocess.run([sys.executable, "-O", "-c", code, path],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
