@@ -18,7 +18,7 @@ ends.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 from ..core import CongestionManager, FlowKey
 from ..sim import EventLoop, Path
@@ -54,23 +54,29 @@ class TokenBucket:
 
 
 class CbrAudioSource(DatagramSender):
-    """Fixed-rate frame source feeding a policed, freshness-bounded buffer."""
+    """Fixed-rate frame source feeding a policed, freshness-bounded buffer.
+    tracer gets a row per frame sent or dropped. ValueError, before the
+    flow opens, for a setting that would crash or starve the source."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
                  loop: EventLoop, frame_size: int = 160,
                  frame_interval: float = 0.02, app_buf_limit: int = 4,
                  policer_depth_frames: int = 2,
-                 thresh: Tuple[float, float] = (0.9, 1.1),
-                 tracer: Optional[Tracer] = None) -> None:
+                 thresh: Tuple[float, float] = (0.9, 1.1), *,
+                 tracer: Tracer) -> None:
         self.frame_size = self._datagram_size(data_path, frame_size)
-        self.source_rate = frame_size / frame_interval
+        # written so that NaN, which compares false, is refused
+        if not (frame_interval > 0 and app_buf_limit >= 1
+                and policer_depth_frames >= 1):
+            raise ValueError("frame_interval must be > 0, app_buf_limit and "
+                             "policer_depth_frames >= 1")
         super().__init__(cm, key, data_path, loop, tracer)
         self.frame_interval = frame_interval
         self.app_buf_limit = app_buf_limit
         cm.register_send(self.flow, self._on_grant)
         cm.register_update(self.flow, self._on_rate)
         self._or_close(lambda: cm.thresh(self.flow, thresh[0], thresh[1]))
-        self.policer = TokenBucket(self.source_rate,
+        self.policer = TokenBucket(frame_size / frame_interval,
                                    policer_depth_frames * frame_size,
                                    now=loop.now)
         self._buf: Deque[Tuple[int, float]] = deque()   # (frame seq, t generated)
@@ -96,7 +102,7 @@ class CbrAudioSource(DatagramSender):
             if not self._pending_request:
                 self._pending_request = True
                 self.cm.request(self.flow)
-        elif self.tracer is not None:
+        else:
             self.tracer.emit(now, self.flow, TraceKind.POLICER_DROP,
                              seq, self.frame_size)
         # not a sim.Deadline: perfbench's spans would then count each
@@ -105,9 +111,8 @@ class CbrAudioSource(DatagramSender):
 
     def _drop_head(self, now: float) -> None:
         seq, _ = self._buf.popleft()
-        if self.tracer is not None:
-            self.tracer.emit(now, self.flow, TraceKind.BUF_DROP,
-                             seq, self.frame_size)
+        self.tracer.emit(now, self.flow, TraceKind.BUF_DROP,
+                         seq, self.frame_size)
 
     def _evict_stale(self, now: float) -> None:
         horizon = self.app_buf_limit * self.frame_interval

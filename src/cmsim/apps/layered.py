@@ -34,7 +34,7 @@ DEFAULT_SAFETY = 0.9
 
 @dataclass(frozen=True)
 class LayerConfig:
-    """Cumulative layer rates in bytes/second, lowest first."""
+    """Cumulative layer rates in bytes/second, lowest first, all > 0."""
 
     rates: Tuple[int, ...] = DEFAULT_LAYER_RATES
     safety: float = DEFAULT_SAFETY
@@ -42,8 +42,10 @@ class LayerConfig:
     def __post_init__(self) -> None:
         if not self.rates:
             raise ValueError("at least one layer required")
-        if any(b <= a for a, b in zip(self.rates, self.rates[1:])):
-            raise ValueError("layer rates must be strictly increasing")
+        # written so that a NaN lowest rate, which compares false, is refused
+        if not self.rates[0] > 0 or \
+                any(b <= a for a, b in zip(self.rates, self.rates[1:])):
+            raise ValueError("layer rates must be positive, strictly increasing")
         if not 0.0 < self.safety <= 1.0:
             raise ValueError("safety must be in (0, 1]")
 
@@ -64,12 +66,13 @@ class LayerConfig:
 
 
 class AlfLayeredSource(DatagramSender):
-    """Grant-clocked source: one packet per grant, layer re-picked each time."""
+    """Grant-clocked source: one packet per grant, layer re-picked each time.
+    tracer gets a Send row per packet, a LayerChange row per layer taken."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
                  loop: EventLoop, layers: Optional[LayerConfig] = None,
-                 packet_size: Optional[int] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 packet_size: Optional[int] = None, *,
+                 tracer: Tracer) -> None:
         if packet_size is not None:
             packet_size = self._datagram_size(data_path, packet_size)
         super().__init__(cm, key, data_path, loop, tracer)
@@ -83,9 +86,8 @@ class AlfLayeredSource(DatagramSender):
         self._seq = 0
 
     def start(self) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.loop.now, self.flow,
-                             TraceKind.LAYER_CHANGE, self.layer, 0.0)
+        self.tracer.emit(self.loop.now, self.flow, TraceKind.LAYER_CHANGE,
+                         self.layer, 0.0)
         self.cm.request(self.flow)
 
     def _on_grant(self, fid: int) -> None:
@@ -94,9 +96,8 @@ class AlfLayeredSource(DatagramSender):
         layer = self.layers.pick(q.rate)
         if layer != self.layer:
             self.layer = layer
-            if self.tracer is not None:
-                self.tracer.emit(now, self.flow, TraceKind.LAYER_CHANGE,
-                                 layer, q.rate)
+            self.tracer.emit(now, self.flow, TraceKind.LAYER_CHANGE,
+                             layer, q.rate)
         seq = self._seq
         self._seq += 1
         self._transmit(seq, self.packet_size, now)
@@ -107,13 +108,14 @@ class AlfLayeredSource(DatagramSender):
 
 
 class PacedLayeredSource(DatagramSender):
-    """Self-clocked source: sends at the layer rate, adapts on rate callbacks."""
+    """Self-clocked source: sends at the layer rate, adapts on rate callbacks.
+    tracer gets a Send row per packet, a LayerChange row per layer taken."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
                  loop: EventLoop, layers: Optional[LayerConfig] = None,
                  packet_size: int = 1500,
-                 thresh: Tuple[float, float] = (0.7, 1.4),
-                 tracer: Optional[Tracer] = None) -> None:
+                 thresh: Tuple[float, float] = (0.7, 1.4), *,
+                 tracer: Tracer) -> None:
         self.packet_size = self._datagram_size(data_path, packet_size)
         super().__init__(cm, key, data_path, loop, tracer)
         self.layers = layers if layers is not None else LayerConfig()
@@ -127,9 +129,8 @@ class PacedLayeredSource(DatagramSender):
         return self.packet_size / self.layers.rate_of(self.layer)
 
     def start(self) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.loop.now, self.flow,
-                             TraceKind.LAYER_CHANGE, self.layer, 0.0)
+        self.tracer.emit(self.loop.now, self.flow, TraceKind.LAYER_CHANGE,
+                         self.layer, 0.0)
         self._send_frame()
 
     def _send_frame(self) -> None:
@@ -147,9 +148,8 @@ class PacedLayeredSource(DatagramSender):
         layer = self.layers.pick(rate)
         if layer != self.layer:
             self.layer = layer
-            if self.tracer is not None:
-                self.tracer.emit(now, self.flow, TraceKind.LAYER_CHANGE,
-                                 layer, rate)
+            self.tracer.emit(now, self.flow, TraceKind.LAYER_CHANGE,
+                             layer, rate)
 
     # own attribute: perfbench/spans.py METHODS wraps it via cls.__dict__
     on_feedback = DatagramSender.on_feedback

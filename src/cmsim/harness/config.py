@@ -223,8 +223,9 @@ def validate(cfg: ExperimentConfig) -> None:
     _require(cfg.max_acks >= 1, "max_acks", "must be at least 1")
     _require(cfg.max_delay >= 0, "max_delay", "must be nonnegative")
     _require(len(cfg.layer_rates) >= 1, "layer_rates", "needs at least one layer")
-    _require(all(b > a for a, b in zip(cfg.layer_rates, cfg.layer_rates[1:])),
-             "layer_rates", "must be strictly increasing")
+    rates = cfg.layer_rates
+    _require(rates[0] > 0 and all(b > a for a, b in zip(rates, rates[1:])),
+             "layer_rates", "must be positive and strictly increasing")
     _require(0.0 < cfg.safety <= 1.0, "safety", "must be in (0, 1]")
     _require(0.0 < cfg.thresh_down <= 1.0, "thresh_down", "must be in (0, 1]")
     _require(cfg.thresh_up >= 1.0, "thresh_up", "must be at least 1")

@@ -109,11 +109,11 @@ class RenoSender:
     mss*mss/cwnd per ACK, fast retransmit on the third dupack halves the
     window, timeouts collapse to one mss and retransmit the head segment
     with a doubling RTO. An unbounded source: every new segment is a full
-    mss. Intentionally not built on the congestion core.
-    """
+    mss. Intentionally not built on the congestion core. Each segment
+    sent gets a Send row in tracer."""
 
     def __init__(self, loop: EventLoop, flow_id: int, data_path: Path,
-                 mss: int = _DEF_MTU, tracer: Optional[Tracer] = None) -> None:
+                 mss: int = _DEF_MTU, *, tracer: Tracer) -> None:
         self.loop = loop
         self.flow_id = flow_id
         self.path = data_path
@@ -146,17 +146,15 @@ class RenoSender:
         self._arm_rto()
 
     def _emit(self, seq: int, size: int, rtx: bool) -> None:
-        pkt = Packet(flow=self.flow_id, seq=seq, size=size,
-                     kind=PacketKind.DATA)
-        if self.tracer is not None:
-            self.tracer.emit(self.loop.now, self.flow_id, TraceKind.SEND, seq, size)
+        self.tracer.emit(self.loop.now, self.flow_id, TraceKind.SEND, seq, size)
         if rtx:
             if self._timed is not None and seq < self._timed[0]:
                 self._timed_rtx = True
         elif self._timed is None:
             self._timed = (seq + size, self.loop.now)
             self._timed_rtx = False
-        self.path.send(pkt)
+        self.path.send(Packet(flow=self.flow_id, seq=seq, size=size,
+                              kind=PacketKind.DATA))
 
     # -- timers ------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import mul, sub
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..apps import (AlfLayeredSource, CbrAudioSource, LayerConfig,
                     PacedLayeredSource)
@@ -48,27 +48,22 @@ class RunOutput:
     ctx: Dict[str, Any]
 
 
-def _attach_ticker(loop: EventLoop, cm: CongestionManager) -> None:
+def _cm(cfg: ExperimentConfig, loop: EventLoop,
+        tracer: Tracer) -> CongestionManager:
+    cm = CongestionManager(mtu=cfg.mtu, clock=lambda: loop.now, tracer=tracer)
+
     def tick() -> None:
         cm.tick(loop.now)
         loop.schedule_after(cm.tick_period(), tick)
 
     loop.schedule_after(cm.tick_period(), tick)
-
-
-def _cm(cfg: ExperimentConfig, loop: EventLoop,
-        tracer: Tracer) -> CongestionManager:
-    cm = CongestionManager(mtu=cfg.mtu, clock=lambda: loop.now, tracer=tracer)
-    _attach_ticker(loop, cm)
     return cm
 
 
 def _duplex(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
-            name: str, bandwidth: Optional[int] = None,
-            loss: Optional[float] = None) -> tuple:
-    fwd = Link(loop, bandwidth if bandwidth is not None else cfg.bandwidth_bps,
-               cfg.delay, queue_limit=cfg.queue_limit,
-               loss_prob=cfg.loss_prob if loss is None else loss,
+            name: str) -> tuple:
+    fwd = Link(loop, cfg.bandwidth_bps, cfg.delay,
+               queue_limit=cfg.queue_limit, loss_prob=cfg.loss_prob,
                ecn_mode=cfg.ecn, mtu=cfg.mtu, seed=cfg.seed,
                name=f"{name}-fwd", tracer=tracer)
     rev = Link(loop, cfg.ack_bandwidth_bps, cfg.delay, queue_limit=REV_QUEUE,
@@ -138,17 +133,14 @@ def build_sharing(cfg: ExperimentConfig, loop: EventLoop,
     def start_transfer(i: int) -> None:
         t0 = loop.now
         key = FlowKey("client", 2000 + i, "server", 80, Proto.TCP)
-        box: Dict[str, TcpSender] = {}
 
         def done(now: float) -> None:
-            tracer.emit(now, box["s"].flow, TraceKind.TRANSFER_DONE,
-                        i, now - t0)
-            box["s"].close()
+            tracer.emit(now, s.flow, TraceKind.TRANSFER_DONE, i, now - t0)
+            s.close()
             if i + 1 < cfg.num_transfers:
                 loop.schedule_after(cfg.transfer_gap, start_transfer, i + 1)
 
         s = TcpSender(cm, key, fwd, loop, tracer=tracer, on_complete=done)
-        box["s"] = s
         r = TcpReceiver(loop, rev, s.flow)
         route_fwd.register(s.flow, r.on_data)
         route_rev.register(s.flow, s.on_ack)

@@ -54,10 +54,14 @@ class AppAckReceiver:
 
     def __init__(self, loop: EventLoop, ack_path: Path, flow: int,
                  max_acks: int = 1, max_delay: float = 0.0) -> None:
+        # a bool is no int here; a NaN delay, which compares false, fails
+        if type(max_acks) is not int or max_acks < 1 or not max_delay >= 0:
+            raise ValueError(f"max_acks {max_acks!r} must be an int >= 1 "
+                             f"and max_delay {max_delay!r} >= 0")
         self.loop = loop
         self.ack_path = ack_path
         self.flow = flow
-        self.max_acks = max(1, int(max_acks))
+        self.max_acks = max_acks
         self.max_delay = float(max_delay)
         self.highest_seen = -1
         self._pending: List[int] = []
@@ -137,10 +141,10 @@ class DatagramSender:
     """One controller flow sending datagrams, with app-level ack feedback.
 
     Subclasses register their callbacks on self.flow and call _transmit
-    for each datagram they send."""
+    for each datagram they send, which gives it a Send row in tracer."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
-                 loop: EventLoop, tracer: Optional[Tracer] = None) -> None:
+                 loop: EventLoop, tracer: Tracer) -> None:
         self.cm = cm
         self.loop = loop
         self.path = data_path
@@ -175,8 +179,7 @@ class DatagramSender:
         follow-up (a re-request, the next timer, on_sent) comes after
         this call and sees the datagram already charged."""
         self.tracker.on_sent(seq, size, now)
-        if self.tracer is not None:
-            self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
+        self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
         self.path.send(Packet(flow=self.flow, seq=seq, size=size,
                               kind=PacketKind.DATA))
         self.cm.notify(self.flow, size)

@@ -104,10 +104,11 @@ class TcpReceiver:
 
 
 class TcpSender:
-    """Sender half of the reliable stream; windowing lives in the manager."""
+    """Sender half of the reliable stream; windowing lives in the manager.
+    tracer gets a Send row per data segment, retransmissions included."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
-                 loop: EventLoop, tracer: Optional[Tracer] = None,
+                 loop: EventLoop, tracer: Tracer,
                  on_complete: Optional[Callable[[float], None]] = None) -> None:
         self.cm = cm
         self.loop = loop
@@ -223,11 +224,9 @@ class TcpSender:
         self.cm.notify(self.flow, 0)
 
     def _emit(self, seq: int, size: int, now: float) -> None:
-        pkt = Packet(flow=self.flow, seq=seq, size=size,
-                     kind=PacketKind.DATA)
-        if self.tracer is not None:
-            self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
-        self.path.send(pkt)
+        self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
+        self.path.send(Packet(flow=self.flow, seq=seq, size=size,
+                              kind=PacketKind.DATA))
         self._charged += size
         self.cm.notify(self.flow, size)
         if self._rto.at is None:

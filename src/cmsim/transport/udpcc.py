@@ -6,7 +6,8 @@ provided. Loss and RTT information comes back through application-level
 ACK packets, which DatagramSender folds into feedback reports for the
 controller. A datagram must fit the MTU of the path's first link; send()
 rejects one that does not before it is queued, since a grant spent on a
-datagram the link refuses would never be notified.
+datagram the link refuses would never be notified. Each datagram sent
+gets a Send row in the socket's tracer.
 
 Given a request_batch list, the socket does not request grants itself;
 it appends its flow to that list once per datagram, so the owner can
@@ -28,7 +29,7 @@ from .feedback import DatagramSender
 
 class UdpCcSocket(DatagramSender):
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
-                 loop: EventLoop, tracer: Optional[Tracer] = None,
+                 loop: EventLoop, tracer: Tracer,
                  request_batch: Optional[List[int]] = None) -> None:
         super().__init__(cm, key, data_path, loop, tracer)
         self.request_batch = request_batch

@@ -73,6 +73,11 @@ def test_layer_config_rejects_bad_tables():
         LayerConfig(rates=(100, 100))
     with pytest.raises(ValueError):
         LayerConfig(rates=(200, 100))
+    # a paced source at a lowest rate of 0 divides by zero, and at a
+    # negative one schedules its next frame in the past
+    for rates in ((0, 16384), (-5, 16384), (float("nan"), 16384)):
+        with pytest.raises(ValueError):
+            LayerConfig(rates=rates)
     with pytest.raises(ValueError):
         LayerConfig(safety=0.0)
     with pytest.raises(ValueError):
@@ -119,7 +124,7 @@ def test_alf_requests_no_grant_before_start():
     loop = EventLoop()
     cm = CongestionManager()
     path = CollectPath()
-    AlfLayeredSource(cm, key(), path, loop)
+    AlfLayeredSource(cm, key(), path, loop, tracer=Tracer())
     assert cm.op_counts.get("request", 0) == 0
     assert path.packets == []
 
@@ -164,7 +169,7 @@ def test_paced_direct_rate_hint_switches_layers():
     loop = EventLoop()
     cm = CongestionManager()
     path = CollectPath()
-    src = PacedLayeredSource(cm, key(), path, loop)
+    src = PacedLayeredSource(cm, key(), path, loop, tracer=Tracer())
     src._on_rate(src.flow, 150000.0, 0.1, 0.0)
     assert src.layer == 3
     assert src.interval == pytest.approx(1500 / 131072)
@@ -244,7 +249,7 @@ def test_audio_grant_on_empty_buffer_declines():
     loop = EventLoop()
     cm = CongestionManager()
     path = CollectPath()
-    src = CbrAudioSource(cm, key(), path, loop)
+    src = CbrAudioSource(cm, key(), path, loop, tracer=Tracer())
     before = cm.op_counts.get("notify", 0)
     src._on_grant(src.flow)
     assert cm.op_counts["notify"] == before + 1
@@ -254,7 +259,7 @@ def test_audio_grant_on_empty_buffer_declines():
 def test_audio_rate_callback_retunes_policer():
     loop = EventLoop()
     cm = CongestionManager()
-    src = CbrAudioSource(cm, key(), CollectPath(), loop)
+    src = CbrAudioSource(cm, key(), CollectPath(), loop, tracer=Tracer())
     assert src.policer.rate == pytest.approx(8000.0)
     src._on_rate(src.flow, 4000.0, 0.02, 0.0)
     assert src.policer.rate == pytest.approx(4000.0)
@@ -264,11 +269,11 @@ def test_audio_rate_callback_retunes_policer():
 
 SOURCES = {
     "paced": lambda cm, loop, n: PacedLayeredSource(
-        cm, key(), CollectPath(), loop, packet_size=n),
+        cm, key(), CollectPath(), loop, packet_size=n, tracer=Tracer()),
     "alf": lambda cm, loop, n: AlfLayeredSource(
-        cm, key(), CollectPath(), loop, packet_size=n),
+        cm, key(), CollectPath(), loop, packet_size=n, tracer=Tracer()),
     "audio": lambda cm, loop, n: CbrAudioSource(
-        cm, key(), CollectPath(), loop, frame_size=n),
+        cm, key(), CollectPath(), loop, frame_size=n, tracer=Tracer()),
 }
 
 
@@ -298,12 +303,23 @@ REJECTED = [
     (AlfLayeredSource, {"packet_size": 0}, ValueError),
     (CbrAudioSource, {"frame_size": 0}, ValueError),
     (AlfLayeredSource, {}, ValueError),
+    # an empty app buffer would pop from an empty deque at the first
+    # frame, a policer shallower than one frame would drop every frame,
+    # and a frame interval not > 0 would divide by zero or schedule the
+    # next frame in the past
+    (CbrAudioSource, {"app_buf_limit": 0}, ValueError),
+    (CbrAudioSource, {"policer_depth_frames": 0}, ValueError),
+    (CbrAudioSource, {"frame_interval": 0}, ValueError),
+    (CbrAudioSource, {"frame_interval": -0.02}, ValueError),
+    (CbrAudioSource, {"frame_interval": float("nan")}, ValueError),
 ]
 
 
 @pytest.mark.parametrize("cls,kwargs,error", REJECTED,
                          ids=["paced-thresh", "audio-thresh", "paced-size",
-                              "alf-size", "audio-size", "alf-cm-mtu"])
+                              "alf-size", "audio-size", "alf-cm-mtu",
+                              "audio-buf", "audio-depth", "audio-interval-0",
+                              "audio-interval-neg", "audio-interval-nan"])
 def test_rejected_construction_leaves_no_flow_open(cls, kwargs, error):
     """The rejected source's flow is closed: its key opens again, it is no
     member of the macroflow, and no callback of it is left registered for
@@ -311,9 +327,10 @@ def test_rejected_construction_leaves_no_flow_open(cls, kwargs, error):
     cm, loop = CongestionManager(mtu=DEFAULT_MTU + 1), EventLoop()
     sibling = cm.open(key(7001))
     with pytest.raises(error):
-        cls(cm, key(), CollectPath(), loop, **kwargs)
+        cls(cm, key(), CollectPath(), loop, tracer=Tracer(), **kwargs)
     assert cm.macroflow_state(sibling).members == (sibling,)
     cm.update(sibling, FeedbackReport(1500, 1500, LossMode.NO_LOSS, rtt=0.1))
     ok = {"packet_size": DEFAULT_MTU} if cls is AlfLayeredSource else {}
-    src = cls(cm, key(), CollectPath(), loop, **ok)     # the key opens again
+    # the key opens again
+    src = cls(cm, key(), CollectPath(), loop, tracer=Tracer(), **ok)
     assert cm.macroflow_state(sibling).members == (sibling, src.flow)

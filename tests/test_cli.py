@@ -41,7 +41,12 @@ def test_written_config_reruns_to_the_same_trace(tmp_path):
     ["--scenario", "udpcc_basic", "--set", "no_such_field=1"],
     ["--scenario", "udpcc_basic", "--set", "loss_prob=1.5"],
     ["--check", "no_such_check"],
-], ids=["unknown-field", "loss-prob-out-of-range", "unknown-check"])
+    ["--scenario", "layered_rate", "--set", "layer_rates=0,16384",
+     "--set", "duration=1"],
+    ["--scenario", "layered_rate", "--set", "layer_rates=-5,16384",
+     "--set", "duration=1"],
+], ids=["unknown-field", "loss-prob-out-of-range", "unknown-check",
+        "zero-layer-rate", "negative-layer-rate"])
 def test_bad_input_exits_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err

@@ -107,6 +107,18 @@ def test_flush_timer_fires_once_at_its_last_arming():
     assert acks == [(0.0625, (0, 1)), (0.125 + 0.25, (2,))]
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_acks": 0}, {"max_acks": 2.9}, {"max_acks": True},
+    {"max_delay": -1.0}, {"max_delay": float("nan")},
+], ids=["acks-0", "acks-float", "acks-bool", "delay-neg", "delay-nan"])
+def test_receiver_rejects_bad_batching(kwargs):
+    """Each was once taken silently: 0 became 1, 2.9 became 2, and a
+    negative or NaN delay was kept."""
+    loop = EventLoop()
+    with pytest.raises(ValueError):
+        AppAckReceiver(loop, fast_path(loop), flow=1, **kwargs)
+
+
 def test_each_batch_reports_only_new_seqs():
     loop = EventLoop()
     acks = []

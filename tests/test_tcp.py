@@ -15,6 +15,7 @@ from cmsim.errors import ConnectionClosed, UnknownFlow
 from cmsim.harness.oracles import RenoSender
 from cmsim.sim import (EventLoop, Link, Packet, PacketKind, Path,
                        ScheduledEvent)
+from cmsim.trace import Tracer
 from cmsim.transport import tcp
 from cmsim.transport.tcp import MAX_RTO, TcpReceiver, TcpSender
 
@@ -64,7 +65,7 @@ def build(loop, total=None, loss=0.0, ecn=False, seed=1, handshake=False,
     sender_path = DropFilter(fwd, loop, drop) if drop else fwd
     done = []
     s = TcpSender(cm, FlowKey("c", 1, "srv", 80, Proto.TCP), sender_path,
-                  loop, on_complete=done.append)
+                  loop, Tracer(), on_complete=done.append)
     s.established = not handshake
     r = TcpReceiver(loop, rev, s.flow)
     fwd.set_sink(r.on_data)
@@ -236,7 +237,7 @@ def test_reno_timeout_follows_the_last_ack_of_a_long_run():
     fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="fwd")])
     rev = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="rev")])
     filt = DropFilter(fwd, loop, lambda pkt, now: now >= 1.0)
-    s = RenoSender(loop, 900, filt)
+    s = RenoSender(loop, 900, filt, tracer=Tracer())
     r = TcpReceiver(loop, rev, 900)
     fwd.set_sink(r.on_data)
     s.start()
@@ -346,7 +347,7 @@ def test_segment_larger_than_first_link_mtu_is_rejected_at_construction():
     fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, mtu=1000)])
     key = FlowKey("c", 1, "srv", 80, Proto.TCP)
     with pytest.raises(ValueError):
-        TcpSender(cm, key, fwd, loop)
+        TcpSender(cm, key, fwd, loop, Tracer())
     assert cm.op_counts.get("cmapp_send", 0) == 0
     flow = cm.open(key)         # DuplicateFlow if the key were still held
     assert cm.macroflow_state(flow).members == (flow,)

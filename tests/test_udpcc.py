@@ -27,6 +27,7 @@ def sends(tracer):
 def wire(loop, cm, max_acks=1, on_sent=None, **sock_kwargs):
     fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="fwd")])
     rev = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="rev")])
+    sock_kwargs.setdefault("tracer", Tracer())
     sock = UdpCcSocket(cm, key(), fwd, loop, **sock_kwargs)
     sock.on_sent = on_sent
     recv = AppAckReceiver(loop, rev, sock.flow, max_acks=max_acks)
