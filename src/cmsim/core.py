@@ -22,7 +22,15 @@ Window rules (integer bytes throughout):
     wall time has passed, whichever comes first; the time release keeps
     an epoch from outliving a real round trip when the send rate has
     just collapsed;
-  * persistent loss: same ssthresh cut, cwnd back to one MTU.
+  * a transient loss of data sent before the last cut, reported by a
+    member other than the one whose report made that cut, never cuts:
+    that cut already answered the drop burst, which the sibling only
+    saw late. It still discharges its bytes and counts toward the loss
+    rate. This is NewReno's recovery point (RFC 6582) per macroflow, and
+    it extends RFC 3124's cm_update: it applies only to reports that
+    carry lost_sent_at (see FeedbackReport); one without it, and every
+    report of the member that made the cut, follows the epoch rule;
+  * persistent loss: same ssthresh cut, cwnd back to one MTU, always.
 
 Grants are issued round-robin over flows with pending requests whenever
 outstanding + MTU <= cwnd. Grant and rate callbacks are synchronous but
@@ -105,11 +113,19 @@ class FeedbackReport:
     nsent is the bytes the report covers; update() discharges them from
     the macroflow's outstanding bytes. nrecd is the part of them that
     arrived, so 0 <= nrecd <= nsent. lossmode is the kind of loss seen and
-    rtt an optional fresh RTT sample (seconds)."""
+    rtt an optional fresh RTT sample (seconds).
+
+    lost_sent_at, an extension of RFC 3124's cm_update, is the clock's
+    time when the newest byte the report counts as lost was sent, or
+    None. With it, a sibling's late report of a drop burst that a cut
+    already answered does not cut again (module docstring); None keeps
+    the RFC's rule. It comes last, so positional construction of the
+    other fields is unchanged."""
     nsent: int
     nrecd: int
     lossmode: LossMode = LossMode.NO_LOSS
     rtt: Optional[float] = None
+    lost_sent_at: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -165,9 +181,9 @@ class _Flow:
 class _Macroflow:
     __slots__ = ("id", "dst", "mtu", "cwnd", "ssthresh", "outstanding",
                  "srtt", "rttvar", "loss_rate", "ca_acc", "recovery_left",
-                 "last_cut_time", "members", "wanting", "rr_next",
-                 "last_send_time", "nrated", "up_edges", "down_edges",
-                 "band_seq", "in_ready", "decay_key")
+                 "last_cut_time", "last_cut_flow", "members", "wanting",
+                 "rr_next", "last_send_time", "nrated", "up_edges",
+                 "down_edges", "band_seq", "in_ready", "decay_key")
 
     def __init__(self, mfid: int, dst: str, mtu: int, ssthresh: int,
                  now: float) -> None:
@@ -183,6 +199,7 @@ class _Macroflow:
         self.ca_acc = 0            # CA byte accumulator toward the next +MTU
         self.recovery_left = 0     # reported bytes until another cut is allowed
         self.last_cut_time = float("-inf")
+        self.last_cut_flow = 0     # id of the member whose report cut last
         self.members: List[_Flow] = []  # in id order, as open appends
         self.wanting: List[int] = []    # sorted ids, pending_requests > 0
         self.rr_next = 0           # least id the next grant may go to
@@ -474,8 +491,9 @@ class CongestionManager:
         exceeds the flow's charge still discharges bytes its siblings
         notified, and leaves the flow nothing for close to return. Raises
         InvalidReport, before any state changes, unless
-        0 <= nrecd <= nsent < inf, any rtt sample is in (0, inf) and
-        lossmode is a LossMode."""
+        0 <= nrecd <= nsent < inf, any rtt sample is in (0, inf), any
+        lost_sent_at is finite and no later than the clock, and lossmode
+        is a LossMode."""
         fl = self._flow(flow_id)
         nsent, nrecd = report.nsent, report.nrecd
         if not 0 <= nrecd <= nsent < inf:
@@ -483,6 +501,10 @@ class CongestionManager:
         nsent, nrecd = int(nsent), int(nrecd)
         if report.rtt is not None and not 0.0 < report.rtt < inf:
             raise InvalidReport(f"rtt={report.rtt}")
+        now = self._clock()
+        lost_sent_at = report.lost_sent_at
+        if lost_sent_at is not None and not -inf < lost_sent_at <= now:
+            raise InvalidReport(f"lost_sent_at={lost_sent_at} now={now}")
         mode = report.lossmode
         if not isinstance(mode, LossMode):
             raise InvalidReport(f"lossmode={mode}")
@@ -510,7 +532,6 @@ class CongestionManager:
 
         old_cwnd, old_ssthresh = mf.cwnd, mf.ssthresh
         mf.recovery_left = max(0, mf.recovery_left - nsent)
-        now = self._clock()
         if mode == LossMode.NO_LOSS:
             if nrecd > 0:
                 if mf.cwnd < mf.ssthresh:
@@ -522,6 +543,10 @@ class CongestionManager:
                     while mf.ca_acc >= mf.cwnd:
                         mf.ca_acc -= mf.cwnd
                         mf.cwnd += mf.mtu
+        elif mode == LossMode.TRANSIENT and lost_sent_at is not None and \
+                lost_sent_at < mf.last_cut_time and \
+                flow_id != mf.last_cut_flow:
+            pass    # a sibling's late view of the burst the last cut answered
         else:       # PERSISTENT always cuts, TRANSIENT/ECN once per epoch
             persistent = mode == LossMode.PERSISTENT
             spacing = mf.srtt if mf.srtt > 0 else INITIAL_RTO
@@ -532,6 +557,7 @@ class CongestionManager:
                 mf.ca_acc = 0
                 mf.recovery_left = mf.cwnd
                 mf.last_cut_time = now
+                mf.last_cut_flow = flow_id
 
         if mf.cwnd != old_cwnd or mf.ssthresh != old_ssthresh:
             self._trace(flow_id, TraceKind.CWND_CHANGE, mf.cwnd, mf.ssthresh)

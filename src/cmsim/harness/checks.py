@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core import CongestionManager, FeedbackReport, FlowKey, LossMode, Proto
 from ..trace import TraceKind, TraceRecord
 from .config import SCENARIO_NAMES, make_config
-from .oracles import aimd_reference
+from .oracles import Update, aimd_reference
 from .scenarios import RunOutput, run_experiment, write_outputs
 
 _EPS = 1e-9
@@ -59,15 +59,20 @@ def _traffic(out: RunOutput) -> List[Tuple[float, int, str, float, float]]:
 def check_aimd_oracle(sequences: int = 10_000, max_len: int = 200,
                       seed: int = 1009) -> CheckResult:
     """Random feedback sequences through a bare controller must reproduce
-    the reference cwnd trace exactly, and do so inside the time budget."""
+    the reference cwnd trace exactly, and do so inside the time budget.
+
+    Two members share the macroflow and the clock stays at 0.0, so a
+    loss report's lost_sent_at of -0.5 predates every cut, 0.0 none, and
+    None opts out: each sequence mixes siblings' stale losses with the
+    cutting member's own and with reports under the plain epoch rule."""
     rng = random.Random(seed)
     rnd = rng.random
     mtu = 1500
     t0 = time.perf_counter()
     checked = 0
     for i in range(sequences):
-        updates: List[Tuple[int, int, str]] = []
-        reports: List[FeedbackReport] = []
+        updates: List[Update] = []
+        reports: List[Tuple[int, FeedbackReport]] = []
         for _ in range(rng.randint(1, max_len)):
             nsent = int(rnd() * (3 * mtu + 1))
             nrecd = int(rnd() * (nsent + 1))
@@ -76,17 +81,23 @@ def check_aimd_oracle(sequences: int = 10_000, max_len: int = 200,
                     LossMode.TRANSIENT if m < 0.85 else
                     LossMode.ECN if m < 0.90 else LossMode.PERSISTENT)
             rtt = 0.01 + rnd() * 0.29 if rnd() < 0.3 else None
-            updates.append((nsent, nrecd, mode.value))
-            reports.append(FeedbackReport(nsent, nrecd, mode, rtt))
+            member = 1 if rnd() < 0.5 else 0
+            lost = None
+            if m >= 0.70:
+                r = rnd()
+                lost = None if r < 0.4 else 0.0 if r < 0.6 else -0.5
+            updates.append((nsent, nrecd, mode.value, 0.0, rtt, member, lost))
+            reports.append((member,
+                            FeedbackReport(nsent, nrecd, mode, rtt, lost)))
         want = aimd_reference(updates, mtu=mtu)
         cm = CongestionManager(mtu=mtu)
-        fid = cm.open(_flow_key())
+        fids = (cm.open(_flow_key()), cm.open(_flow_key(5001)))
         # Direct state read: a MacroflowState snapshot per update would put
         # the 10^4-sequence sweep over its runtime budget.
-        mf = cm._flows[fid].mf
+        mf = cm._flows[fids[0]].mf
         push = cm.update
-        for step, (rep, expect) in enumerate(zip(reports, want)):
-            push(fid, rep)
+        for step, ((member, rep), expect) in enumerate(zip(reports, want)):
+            push(fids[member], rep)
             if mf.cwnd != expect:
                 return CheckResult(
                     "aimd_oracle", False,

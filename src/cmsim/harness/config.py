@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from math import inf
 from typing import Any, Dict, List
 
 from ..errors import ConfigError
@@ -222,6 +223,10 @@ def validate(cfg: ExperimentConfig) -> None:
              f"must be in (0, mtu={cfg.mtu}]")
     _require(cfg.max_acks >= 1, "max_acks", "must be at least 1")
     _require(cfg.max_delay >= 0, "max_delay", "must be nonnegative")
+    _require(cfg.max_acks == 1 or 0 < cfg.max_delay < inf, "max_delay",
+             f"must be positive and finite when max_acks > 1 (here "
+             f"{cfg.max_acks}): only the timer flushes a partial batch, so "
+             "without one the sender stops once its window is unacked")
     _require(len(cfg.layer_rates) >= 1, "layer_rates", "needs at least one layer")
     rates = cfg.layer_rates
     _require(rates[0] > 0 and all(b > a for a, b in zip(rates, rates[1:])),

@@ -12,7 +12,7 @@ congestion core:
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
 from ..trace import TraceKind, Tracer
@@ -27,8 +27,7 @@ _INITIAL_RTO = 1.0
 NO_LOSS, TRANSIENT, PERSISTENT, ECN = "no_loss", "transient", "persistent", "ecn"
 
 
-Update = Union[Tuple[int, int, str],
-               Tuple[int, int, str, float, Optional[float]]]
+Update = Tuple[int, int, str, float, Optional[float], int, Optional[float]]
 
 
 def aimd_reference(updates: Sequence[Update],
@@ -37,11 +36,10 @@ def aimd_reference(updates: Sequence[Update],
                    init_ssthresh: int = _DEF_SSTHRESH) -> List[int]:
     """Recompute the cwnd trace for a report sequence, one entry per update.
 
-    Each update is (nsent, nrecd, lossmode), or (nsent, nrecd, lossmode,
-    now, rtt) with the clock's time at the update and an RTT sample or
-    None. A 3-tuple takes no sample and keeps the time of the update
-    before it (0.0 at the start). Returns cwnd (integer bytes) after
-    every update.
+    Each update is (nsent, nrecd, lossmode, now, rtt, member,
+    lost_sent_at): the clock's time at the update, an RTT sample or None,
+    the id of the reporting member and the send time of the newest byte
+    lost or None. Returns cwnd (integer bytes) after every update.
 
     Window rules, restated independently of the implementation under test:
       - srtt is the first RTT sample, then 7/8 srtt + 1/8 sample, folded
@@ -54,6 +52,9 @@ def aimd_reference(updates: Sequence[Update],
         where an epoch ends after one post-cut window of reported nsent,
         or once now - (time of the last cut) >= srtt (1 s before any
         sample);
+      - but a transient whose lost_sent_at is before the last cut, from
+        a member other than the one whose report made that cut, never
+        halves;
       - persistent: halve ssthresh (floor 2*mtu), cwnd to one mtu, always.
     """
     cwnd = mtu if init_cwnd is None else int(init_cwnd)
@@ -61,15 +62,12 @@ def aimd_reference(updates: Sequence[Update],
     acc = 0
     recovery_left = 0
     srtt = 0.0
-    now, last_cut = 0.0, float("-inf")
+    last_cut = float("-inf")
+    cutter = None       # member whose report made the last cut
     trace: List[int] = []
-    for update in updates:
-        if len(update) == 3:
-            nsent, nrecd, mode = update
-        else:
-            nsent, nrecd, mode, now, rtt = update
-            if rtt is not None:
-                srtt = rtt if srtt <= 0.0 else 0.875 * srtt + 0.125 * rtt
+    for nsent, nrecd, mode, now, rtt, member, lost_at in updates:
+        if rtt is not None:
+            srtt = rtt if srtt <= 0.0 else 0.875 * srtt + 0.125 * rtt
         recovery_left = max(0, recovery_left - nsent)
         if mode == NO_LOSS:
             if nrecd > 0:
@@ -83,19 +81,21 @@ def aimd_reference(updates: Sequence[Update],
                         acc -= cwnd
                         cwnd += mtu
         elif mode in (TRANSIENT, ECN):
-            if recovery_left == 0 or \
-                    now - last_cut >= (srtt if srtt > 0.0 else _INITIAL_RTO):
+            stale = mode == TRANSIENT and lost_at is not None and \
+                lost_at < last_cut and member != cutter
+            if not stale and (recovery_left == 0 or now - last_cut >=
+                              (srtt if srtt > 0.0 else _INITIAL_RTO)):
                 ssthresh = max(cwnd // 2, 2 * mtu)
                 cwnd = ssthresh
                 acc = 0
                 recovery_left = cwnd
-                last_cut = now
+                last_cut, cutter = now, member
         elif mode == PERSISTENT:
             ssthresh = max(cwnd // 2, 2 * mtu)
             cwnd = mtu
             acc = 0
             recovery_left = cwnd
-            last_cut = now
+            last_cut, cutter = now, member
         else:
             raise ValueError(f"unknown lossmode {mode}")
         trace.append(cwnd)

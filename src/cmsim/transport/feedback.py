@@ -21,7 +21,10 @@ highest_seen and still unacknowledged. Late acks for a packet already
 declared lost are dropped from accounting (cannot happen on FIFO paths,
 but keeps nrecd <= nsent under reordering). The RTT sample is taken
 from the tracker's own send time of the highest seq acked, so the ack
-carries no timestamp.
+carries no timestamp. A report that counts packets lost also carries the
+send time of the newest of them as lost_sent_at, so a macroflow cut
+already made for that drop burst is not made again when this flow sees
+the burst after a sibling did (see the core's window rules).
 
 DatagramSender is the loop every datagram client of the controller runs:
 it opens the flow, transmits one datagram per opportunity (tracker, Send
@@ -116,25 +119,27 @@ class FeedbackTracker:
                 if newest is None or s > newest:
                     newest, newest_sent = s, entry[1]
         horizon = ack.highest_seen - REORDER_PACKETS
-        lost = lost_bytes = 0
+        lost_bytes = 0
+        # sends come in seq order, so the last lost popped is the newest
+        lost_sent_at: Optional[float] = None
         while unresolved:
             s = next(iter(unresolved))  # insertion order == seq order
             if s > horizon:
                 break
-            lost += 1
-            lost_bytes += unresolved.pop(s)[0]
+            size, lost_sent_at = unresolved.pop(s)
+            lost_bytes += size
         nsent = nrecd + lost_bytes
         if nsent == 0:
             return None
         rtt = None if newest is None else now - newest_sent
         # Loss dominates marks: a halving for the hole already covers the mark.
-        if lost:
+        if lost_sent_at is not None:
             mode = LossMode.TRANSIENT
         elif ack.marked > 0:
             mode = LossMode.ECN
         else:
             mode = LossMode.NO_LOSS
-        return FeedbackReport(nsent=nsent, nrecd=nrecd, lossmode=mode, rtt=rtt)
+        return FeedbackReport(nsent, nrecd, mode, rtt, lost_sent_at)
 
 
 class DatagramSender:

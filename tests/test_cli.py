@@ -45,8 +45,11 @@ def test_written_config_reruns_to_the_same_trace(tmp_path):
      "--set", "duration=1"],
     ["--scenario", "layered_rate", "--set", "layer_rates=-5,16384",
      "--set", "duration=1"],
+    ["--scenario", "delayed_feedback", "--set", "max_delay=0"],
+    ["--scenario", "delayed_feedback", "--set", "max_delay=inf"],
 ], ids=["unknown-field", "loss-prob-out-of-range", "unknown-check",
-        "zero-layer-rate", "negative-layer-rate"])
+        "zero-layer-rate", "negative-layer-rate", "batch-without-timer",
+        "batch-with-endless-timer"])
 def test_bad_input_exits_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err

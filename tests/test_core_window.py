@@ -1,14 +1,19 @@
 """Window arithmetic: byte-counted slow start and congestion avoidance,
-loss cuts with their floors, the one-cut-per-epoch rule, and agreement
-with the independent straight-line recomputation in the harness oracles.
+loss cuts with their floors, the one-cut-per-epoch rule, the rule that a
+sibling's late report of a drop burst already cut for does not cut again,
+and agreement with the independent straight-line recomputation in the
+harness oracles.
 """
 import random
+from math import inf, nan
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmsim.core import (CongestionManager, FeedbackReport, FlowKey, LossMode,
                         Phase, Proto)
+from cmsim.errors import InvalidReport
 from cmsim.harness.oracles import aimd_reference
 
 MTU = 1500
@@ -165,27 +170,131 @@ def test_growth_resumes_cleanly_after_cut():
     assert cm.macroflow_state(fid).cwnd == 16500
 
 
+# -- stale losses: one drop burst, one cut per macroflow ------------------
+
+
+def cut_by_a():
+    """Members a and b on one macroflow with srtt 0.1 s and cwnd 24000;
+    at t=1.0 a reports a loss of data sent at 0.9 and cuts to 12000.
+    Returns (cm, a, b, now), now being the clock's settable cell."""
+    now = [0.0]
+    cm = CongestionManager(mtu=MTU, clock=lambda: now[0])
+    a = cm.open(FlowKey("c", 1, "s", 2, Proto.UDP))
+    b = cm.open(FlowKey("c", 3, "s", 2, Proto.UDP))
+    cm.update(a, FeedbackReport(0, 0, rtt=0.1))
+    cm.update(a, FeedbackReport(22500, 22500))
+    now[0] = 1.0
+    cm.update(a, FeedbackReport(1500, 0, LossMode.TRANSIENT, None, 0.9))
+    assert cm.macroflow_state(a).cwnd == 12000
+    return cm, a, b, now
+
+
+def test_siblings_stale_loss_does_not_cut_but_is_accounted():
+    """Past both epoch releases (one srtt of time, a post-cut window of
+    bytes), b's report of data sent before the cut still does not cut;
+    it discharges its bytes and raises the loss rate."""
+    cm, a, b, now = cut_by_a()
+    now[0] = 1.5
+    cm.notify(b, 12000)
+    before = cm.macroflow_state(b)
+    cm.update(b, FeedbackReport(12000, 0, LossMode.TRANSIENT, None, 0.95))
+    after = cm.macroflow_state(b)
+    assert (after.cwnd, after.ssthresh) == (12000, 12000)
+    assert after.outstanding == 0
+    assert after.loss_rate > before.loss_rate
+
+
+def test_cutting_members_own_stale_loss_follows_the_epoch_rule():
+    cm, a, b, now = cut_by_a()
+    now[0] = 1.05        # inside the epoch: held
+    cm.update(a, FeedbackReport(100, 0, LossMode.TRANSIENT, None, 0.95))
+    assert cm.macroflow_state(a).cwnd == 12000
+    now[0] = 1.5         # one srtt on: a cuts again for its own old loss
+    cm.update(a, FeedbackReport(100, 0, LossMode.TRANSIENT, None, 0.95))
+    assert cm.macroflow_state(a).cwnd == 6000
+
+
+def test_loss_sent_from_the_cut_on_cuts_and_moves_the_cutter():
+    cm, a, b, now = cut_by_a()
+    now[0] = 1.05        # a fresh loss inside the epoch is still held
+    cm.update(b, FeedbackReport(100, 0, LossMode.TRANSIENT, None, 1.02))
+    assert cm.macroflow_state(b).cwnd == 12000
+    now[0] = 1.5         # data sent at the cut's instant is not before it
+    cm.update(b, FeedbackReport(100, 0, LossMode.TRANSIENT, None, 1.0))
+    assert cm.macroflow_state(b).cwnd == 6000
+    # b made the last cut at 1.5, so a's loss of data sent at 1.4 is stale
+    now[0] = 2.0
+    cm.update(a, FeedbackReport(100, 0, LossMode.TRANSIENT, None, 1.4))
+    assert cm.macroflow_state(a).cwnd == 6000
+
+
+def test_persistent_always_cuts_even_for_a_siblings_stale_loss():
+    cm, a, b, now = cut_by_a()
+    now[0] = 1.05
+    cm.update(b, FeedbackReport(100, 0, LossMode.PERSISTENT, None, 0.95))
+    st_ = cm.macroflow_state(b)
+    assert (st_.cwnd, st_.ssthresh) == (MTU, 6000)
+
+
+@pytest.mark.parametrize("mode,lost_sent_at", [
+    (LossMode.TRANSIENT, None), (LossMode.ECN, None), (LossMode.ECN, 0.95),
+], ids=["transient-none", "ecn-none", "ecn-stale"])
+def test_report_without_the_rule_keeps_the_epoch_rule(mode, lost_sent_at):
+    """A report with no lost_sent_at, and any ECN report, is cut for or
+    held exactly as before the rule: held inside the epoch, cut after."""
+    cm, a, b, now = cut_by_a()
+    now[0] = 1.05
+    cm.update(b, FeedbackReport(100, 0, mode, None, lost_sent_at))
+    assert cm.macroflow_state(b).cwnd == 12000
+    now[0] = 1.5
+    cm.update(b, FeedbackReport(100, 0, mode, None, lost_sent_at))
+    assert cm.macroflow_state(b).cwnd == 6000
+
+
+@pytest.mark.parametrize("lost_sent_at", [nan, inf, -inf, 1.5],
+                         ids=["nan", "inf", "-inf", "after-clock"])
+def test_bad_lost_sent_at_raises_before_any_state_change(lost_sent_at):
+    cm, a, b, now = cut_by_a()
+    now[0] = 1.25
+    cm.notify(b, 3000)
+    before = cm.macroflow_state(b)
+    with pytest.raises(InvalidReport):
+        cm.update(b, FeedbackReport(3000, 0, LossMode.TRANSIENT, 0.05,
+                                    lost_sent_at))
+    assert cm.macroflow_state(b) == before
+
+
 # -- oracle agreement -----------------------------------------------------
 
 
+MEMBERS = 3
+
+
 def drive_timed(seq):
-    """Drive a fresh core through ((nsent, nrecd, mode), dt, rtt) steps on
-    a clock that advances dt before each update. Returns the cwnd after
-    each update and the updates as the oracle takes them."""
+    """Drive a fresh core through ((nsent, nrecd, mode), dt, rtt, member,
+    lost_ago) steps on a clock that advances dt before each update. The
+    report comes from member (0 to MEMBERS - 1, all on one macroflow)
+    and says its newest lost byte was sent lost_ago seconds before the
+    update, or carries no lost_sent_at when lost_ago is None. Returns the
+    cwnd after each update and the updates as the oracle takes them."""
     now = [0.0]
     cm, fid = fresh(clock=lambda: now[0])
+    fids = [fid] + [cm.open(FlowKey("c", 10 + i, "s", 2, Proto.UDP))
+                    for i in range(1, MEMBERS)]
     got, updates = [], []
-    for (nsent, nrecd, mode), dt, rtt in seq:
+    for (nsent, nrecd, mode), dt, rtt, member, lost_ago in seq:
         now[0] += dt
-        cm.update(fid, FeedbackReport(nsent, nrecd, mode, rtt))
+        lost = None if lost_ago is None else now[0] - lost_ago
+        cm.update(fids[member], FeedbackReport(nsent, nrecd, mode, rtt, lost))
         got.append(cm.macroflow_state(fid).cwnd)
-        updates.append((nsent, nrecd, mode.value, now[0], rtt))
+        updates.append((nsent, nrecd, mode.value, now[0], rtt, member, lost))
     return got, updates
 
 
 def test_random_sequences_match_oracle_exactly():
     """Clock steps of up to 0.3 s against srtt samples of 0.01-0.3 s, so
-    recovery epochs end by wall time as well as by reported bytes."""
+    recovery epochs end by wall time as well as by reported bytes; losses
+    sent up to 0.6 s back land on both sides of the last cut."""
     rng = random.Random(424242)
     modes = [LossMode.NO_LOSS] * 7 + [LossMode.TRANSIENT] * 2 + \
         [LossMode.ECN, LossMode.PERSISTENT]
@@ -196,7 +305,9 @@ def test_random_sequences_match_oracle_exactly():
             seq.append(((nsent, rng.randint(0, nsent), rng.choice(modes)),
                         rng.choice((0.0, rng.uniform(0.0, 0.3))),
                         rng.uniform(0.01, 0.3) if rng.random() < 0.3
-                        else None))
+                        else None,
+                        rng.randrange(MEMBERS),
+                        rng.choice((None, 0.0, rng.uniform(0.0, 0.6)))))
         got, updates = drive_timed(seq)
         assert got == aimd_reference(updates, mtu=MTU)
 
@@ -221,7 +332,9 @@ def test_property_cwnd_never_below_one_mtu(seq):
 
 timed_report_st = st.tuples(
     report_st, st.floats(0.0, 0.3),
-    st.one_of(st.none(), st.floats(0.01, 0.3)))
+    st.one_of(st.none(), st.floats(0.01, 0.3)),
+    st.integers(0, MEMBERS - 1),
+    st.one_of(st.none(), st.floats(0.0, 0.6)))
 
 
 @settings(deadline=None)

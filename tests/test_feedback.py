@@ -284,12 +284,16 @@ class RangeTracker:
                         newest, newest_sent = s, entry[1]
         horizon = ack.highest_seen - REORDER_PACKETS
         lost = lost_bytes = 0
+        lost_sent_at = None
         while unresolved:
             s = next(iter(unresolved))
             if s > horizon:
                 break
             lost += 1
-            lost_bytes += unresolved.pop(s)[0]
+            size, sent_at = unresolved.pop(s)
+            lost_bytes += size
+            lost_sent_at = sent_at if lost_sent_at is None \
+                else max(lost_sent_at, sent_at)
         nsent = nrecd + lost_bytes
         if nsent == 0:
             return None
@@ -300,7 +304,8 @@ class RangeTracker:
             mode = LossMode.ECN
         else:
             mode = LossMode.NO_LOSS
-        return FeedbackReport(nsent=nsent, nrecd=nrecd, lossmode=mode, rtt=rtt)
+        return FeedbackReport(nsent=nsent, nrecd=nrecd, lossmode=mode, rtt=rtt,
+                              lost_sent_at=lost_sent_at)
 
 
 class TwoPassTracker:
@@ -327,6 +332,8 @@ class TwoPassTracker:
                 lost.append(s)
         nrecd = sum(self._unresolved[s][0] for s in acked)
         lost_bytes = sum(self._unresolved[s][0] for s in lost)
+        lost_sent_at = max((self._unresolved[s][1] for s in lost),
+                           default=None)
         rtt = None
         if acked:
             newest = max(acked)
@@ -344,7 +351,8 @@ class TwoPassTracker:
             mode = LossMode.ECN
         else:
             mode = LossMode.NO_LOSS
-        return FeedbackReport(nsent=nsent, nrecd=nrecd, lossmode=mode, rtt=rtt)
+        return FeedbackReport(nsent=nsent, nrecd=nrecd, lossmode=mode, rtt=rtt,
+                              lost_sent_at=lost_sent_at)
 
 
 SEND = st.tuples(st.just("send"), st.integers(1, 3), st.integers(1, 1500))

@@ -43,15 +43,15 @@ GOLDEN = {
     ("delayed_feedback", "config.json"):
         "71d4d710847df9a56de64b7f8bec9cada49614d1c4d00d7956b7b9134cc76093",
     ("fairness_ensemble", "trace.csv"):
-        "743980e4724df2ae99fe4cfbd3fe7b362ddd47d643c3f5446209bfa42f7d5b49",
+        "abbc369ee4f99820cfe9f109ff66b134d3e1e28bd2b505762c4b616a47cfc394",
     ("fairness_ensemble", "summary.json"):
-        "436370548d0623f18fba911507f35674e4088686cb4d8859f3ea284b11ad825f",
+        "96bbd5eb55ac508f7707ecfc53a9f5fa499f7a881b8b24e843d2b0f279ca4b0e",
     ("fairness_ensemble", "config.json"):
         "c6a12ee0535be9bb86cad1c92d5fd6f64625a1e6bf1d388807a05699dab724b0",
     ("udpcc_basic", "trace.csv"):
-        "015732f1234860b23a77ae8ed4ff0732a367337321cc21b9dcbff00464b0b27c",
+        "a6c9307d740116f93bef8540384ffc6513d0a4234887f17ece888bb1ac87bf1b",
     ("udpcc_basic", "summary.json"):
-        "d35db765f0dc0169e98b533d079feedeaa8a92bdb03e7fa2ef6f91510061b64a",
+        "0899f0a2cd353e8c83aef7e724f2c20afdda1d68c1843440875f8aea1f32019a",
     ("udpcc_basic", "config.json"):
         "95e568c7fc81f97a71f636d281d6b25671bf338537eb8fda78a38ef06f5fb3e2",
     ("audio_cbr", "trace.csv"):
