@@ -22,7 +22,7 @@ from typing import Deque, Tuple
 
 from ..core import CongestionManager, FlowKey
 from ..sim import EventLoop, Path
-from ..trace import TraceKind, Tracer
+from ..trace import BUF_DROP, POLICER_DROP, Tracer
 from ..transport.feedback import DatagramSender
 
 STALE_EPS = 1e-9
@@ -103,7 +103,7 @@ class CbrAudioSource(DatagramSender):
                 self._pending_request = True
                 self.cm.request(self.flow)
         else:
-            self.tracer.emit(now, self.flow, TraceKind.POLICER_DROP,
+            self.tracer.emit(now, self.flow, POLICER_DROP,
                              seq, self.frame_size)
         # not a sim.Deadline: perfbench's spans would then count each
         # _tick, the apps layer's largest self time, under sim's _fire
@@ -111,7 +111,7 @@ class CbrAudioSource(DatagramSender):
 
     def _drop_head(self, now: float) -> None:
         seq, _ = self._buf.popleft()
-        self.tracer.emit(now, self.flow, TraceKind.BUF_DROP,
+        self.tracer.emit(now, self.flow, BUF_DROP,
                          seq, self.frame_size)
 
     def _evict_stale(self, now: float) -> None:

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 from ..core import CongestionManager, FlowKey
 from ..sim import EventLoop, Path
-from ..trace import TraceKind, Tracer
+from ..trace import LAYER_CHANGE, Tracer
 from ..transport.feedback import DatagramSender
 
 DEFAULT_LAYER_RATES = (16384, 32768, 65536, 131072)
@@ -86,7 +86,7 @@ class AlfLayeredSource(DatagramSender):
         self._seq = 0
 
     def start(self) -> None:
-        self.tracer.emit(self.loop.now, self.flow, TraceKind.LAYER_CHANGE,
+        self.tracer.emit(self.loop.now, self.flow, LAYER_CHANGE,
                          self.layer, 0.0)
         self.cm.request(self.flow)
 
@@ -96,7 +96,7 @@ class AlfLayeredSource(DatagramSender):
         layer = self.layers.pick(q.rate)
         if layer != self.layer:
             self.layer = layer
-            self.tracer.emit(now, self.flow, TraceKind.LAYER_CHANGE,
+            self.tracer.emit(now, self.flow, LAYER_CHANGE,
                              layer, q.rate)
         seq = self._seq
         self._seq += 1
@@ -129,7 +129,7 @@ class PacedLayeredSource(DatagramSender):
         return self.packet_size / self.layers.rate_of(self.layer)
 
     def start(self) -> None:
-        self.tracer.emit(self.loop.now, self.flow, TraceKind.LAYER_CHANGE,
+        self.tracer.emit(self.loop.now, self.flow, LAYER_CHANGE,
                          self.layer, 0.0)
         self._send_frame()
 
@@ -148,7 +148,7 @@ class PacedLayeredSource(DatagramSender):
         layer = self.layers.pick(rate)
         if layer != self.layer:
             self.layer = layer
-            self.tracer.emit(now, self.flow, TraceKind.LAYER_CHANGE,
+            self.tracer.emit(now, self.flow, LAYER_CHANGE,
                              layer, rate)
 
     # own attribute: perfbench/spans.py METHODS wraps it via cls.__dict__

@@ -66,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (DuplicateFlow, InvalidReport, InvalidThreshold,
                      NoCallbackRegistered, UnknownFlow)
-from .trace import TraceKind, Tracer
+from .trace import CWND_CHANGE, GRANT, RATE_CALLBACK, TraceKind, Tracer
 
 DEFAULT_MTU = 1500
 DEFAULT_SSTHRESH = 64 * 1024
@@ -97,6 +97,9 @@ class LossMode(enum.Enum):
     ECN = "ecn"
 
 
+NO_LOSS, TRANSIENT, PERSISTENT, ECN = LossMode
+
+
 @dataclass(frozen=True)
 class FlowKey:
     src_addr: str
@@ -123,7 +126,7 @@ class FeedbackReport:
     other fields is unchanged."""
     nsent: int
     nrecd: int
-    lossmode: LossMode = LossMode.NO_LOSS
+    lossmode: LossMode = NO_LOSS
     rtt: Optional[float] = None
     lost_sent_at: Optional[float] = None
 
@@ -280,8 +283,12 @@ def _api(name: str, impl: Callable) -> Callable:
     Grants and rate callbacks that the body makes due are queued and run
     when the outermost call returns or raises, so no callback nests inside
     a call; the core never calls its own API, so a call made outside a
-    dispatch is the outermost one. Arguments pass on positionally: sentinel
-    defaults cost less than forwarding *args."""
+    dispatch is the outermost one. It dispatches only when the ready heap
+    (every macroflow with a grant to give, see _mark_ready) or the
+    rate-callback queue holds something: with both empty, as after most
+    notify and query calls, the dispatch would return at once. tick ends
+    with the same test. Arguments pass on positionally: sentinel defaults
+    cost less than forwarding *args."""
     def call(self, a, b=_UNSET, c=_UNSET):
         self.op_counts[name] += 1
         try:
@@ -291,7 +298,7 @@ def _api(name: str, impl: Callable) -> Callable:
                 return impl(self, a, b)
             return impl(self, a, b, c)
         finally:
-            if not self._in_dispatch:
+            if not self._in_dispatch and (self._ready or self._update_queue):
                 self._dispatch()
     call.__name__ = name
     call.__qualname__ = f"CongestionManager.{name}"
@@ -460,20 +467,27 @@ class CongestionManager:
     def _request(self, flow_id: int) -> None:
         """Ask for one grant of up to MTU bytes; granted at the next
         dispatch once the window admits it."""
-        fl = self._flow(flow_id)
+        fl = self._flows.get(flow_id)
+        if fl is None or type(flow_id) is not int:
+            raise UnknownFlow(f"flow {flow_id}")
         if fl.send_cb is None:
             raise NoCallbackRegistered(f"flow {flow_id}")
+        mf = fl.mf
         fl.pending_requests += 1
         if fl.pending_requests == 1:
-            insort(fl.mf.wanting, flow_id)
-        self._mark_ready(fl.mf)
+            insort(mf.wanting, flow_id)
+        if not mf.in_ready and mf.outstanding + mf.mtu <= mf.cwnd:
+            mf.in_ready = True
+            heappush(self._ready, mf.id)
     request = _api("request", _request)
 
     def _notify(self, flow_id: int, nsent: int) -> None:
         """Charge nsent bytes actually put on the wire; nsent == 0 declines
         a grant so the scheduler can offer it to the next flow. Raises
         InvalidReport unless nsent is finite and nonnegative."""
-        fl = self._flow(flow_id)
+        fl = self._flows.get(flow_id)
+        if fl is None or type(flow_id) is not int:
+            raise UnknownFlow(f"flow {flow_id}")
         if not 0 <= nsent < inf:
             raise InvalidReport(f"nsent={nsent}")
         if nsent > 0:
@@ -494,7 +508,9 @@ class CongestionManager:
         0 <= nrecd <= nsent < inf, any rtt sample is in (0, inf), any
         lost_sent_at is finite and no later than the clock, and lossmode
         is a LossMode."""
-        fl = self._flow(flow_id)
+        fl = self._flows.get(flow_id)
+        if fl is None or type(flow_id) is not int:
+            raise UnknownFlow(f"flow {flow_id}")
         nsent, nrecd = report.nsent, report.nrecd
         if not 0 <= nrecd <= nsent < inf:
             raise InvalidReport(f"nsent={nsent} nrecd={nrecd}")
@@ -532,7 +548,7 @@ class CongestionManager:
 
         old_cwnd, old_ssthresh = mf.cwnd, mf.ssthresh
         mf.recovery_left = max(0, mf.recovery_left - nsent)
-        if mode == LossMode.NO_LOSS:
+        if mode is NO_LOSS:
             if nrecd > 0:
                 if mf.cwnd < mf.ssthresh:
                     mf.cwnd += nrecd
@@ -543,12 +559,12 @@ class CongestionManager:
                     while mf.ca_acc >= mf.cwnd:
                         mf.ca_acc -= mf.cwnd
                         mf.cwnd += mf.mtu
-        elif mode == LossMode.TRANSIENT and lost_sent_at is not None and \
+        elif mode is TRANSIENT and lost_sent_at is not None and \
                 lost_sent_at < mf.last_cut_time and \
                 flow_id != mf.last_cut_flow:
             pass    # a sibling's late view of the burst the last cut answered
         else:       # PERSISTENT always cuts, TRANSIENT/ECN once per epoch
-            persistent = mode == LossMode.PERSISTENT
+            persistent = mode is PERSISTENT
             spacing = mf.srtt if mf.srtt > 0 else INITIAL_RTO
             if persistent or mf.recovery_left == 0 or \
                     now - mf.last_cut_time >= spacing:
@@ -560,8 +576,9 @@ class CongestionManager:
                 mf.last_cut_flow = flow_id
 
         if mf.cwnd != old_cwnd or mf.ssthresh != old_ssthresh:
-            self._trace(flow_id, TraceKind.CWND_CHANGE, mf.cwnd, mf.ssthresh)
-        self._eval_thresholds(mf)
+            self._trace(flow_id, CWND_CHANGE, mf.cwnd, mf.ssthresh)
+        if mf.nrated:
+            self._eval_thresholds(mf)
         self._mark_ready(mf)
         # Keep the decay key at or before the idle deadline. Only this
         # method shrinks the RTO (with an rtt sample) or lifts cwnd above
@@ -659,11 +676,12 @@ class CongestionManager:
                 mf.ca_acc = 0
                 mf.last_send_time = now
                 if mf.members:
-                    self._trace(mf.members[0].id, TraceKind.CWND_CHANGE,
+                    self._trace(mf.members[0].id, CWND_CHANGE,
                                 mf.cwnd, mf.ssthresh)
-                self._eval_thresholds(mf)
+                if mf.nrated:
+                    self._eval_thresholds(mf)
         finally:
-            if not self._in_dispatch:
+            if not self._in_dispatch and (self._ready or self._update_queue):
                 self._dispatch()
 
     def tick_period(self) -> float:
@@ -688,9 +706,8 @@ class CongestionManager:
         The band index pops only the entries the rate crosses: the high
         edges up to rate and the low edges down to it. Each live entry
         popped is a member that fires (see _Macroflow.index); a stale one
-        is dropped. An update that crosses no edge pops nothing."""
-        if not mf.nrated:
-            return
+        is dropped. An update that crosses no edge pops nothing. Its
+        callers skip a macroflow with no registered member."""
         rate = self._flow_rate(mf)
         up, down = mf.up_edges, mf.down_edges
         fired = []
@@ -716,8 +733,9 @@ class CongestionManager:
 
     def _mark_ready(self, mf: _Macroflow) -> None:
         """Put mf on the ready heap if it has a grant to give. Called
-        wherever a member starts wanting or the window opens (request,
-        update, close), so the heap holds every macroflow that is ready."""
+        wherever a member starts wanting or the window opens (update,
+        close; request makes the same test inline), so the heap holds
+        every macroflow that is ready."""
         if not mf.in_ready and mf.wanting and \
                 mf.outstanding + mf.mtu <= mf.cwnd:
             mf.in_ready = True
@@ -732,7 +750,7 @@ class CongestionManager:
                     fl = self._flows.get(fid)
                     if fl is not None and fl.update_cb:
                         self.op_counts["cmapp_update"] += 1
-                        self._trace(fid, TraceKind.RATE_CALLBACK, rate, srtt)
+                        self._trace(fid, RATE_CALLBACK, rate, srtt)
                         fl.update_cb(fid, rate, srtt, lr)
                     continue
                 if not self._grant_one():
@@ -759,7 +777,7 @@ class CongestionManager:
                     del wanting[i]
                 mf.rr_next = 0 if fl is mf.members[-1] else fl.id + 1
                 self.op_counts["cmapp_send"] += 1
-                self._trace(fl.id, TraceKind.GRANT, mf.cwnd, mf.outstanding)
+                self._trace(fl.id, GRANT, mf.cwnd, mf.outstanding)
                 fl.send_cb(fl.id)
                 return True
             heappop(ready)

@@ -61,6 +61,16 @@ two-event model:
 
 Neither changes an output of the eight scenarios or the benchmark
 workloads; ``tests/test_link_model.py`` pins both.
+
+Enum members on the per-packet path. Loading a member through its class,
+as in ``PacketKind.DATA``, goes through ``EnumType``'s metaclass
+``__getattr__``: on CPython 3.11 that is about 110 ns, against about 10
+for a module global. So each enum that the per-packet path reads is
+unpacked into module-level names right below its class, in definition
+order (``DATA, ACK, APP_ACK = PacketKind``), and the hot path imports and
+reads those names, comparing members with ``is``. This holds for
+``PacketKind`` and ``LinkOutcome`` here, ``TraceKind`` in ``cmsim.trace``
+and ``LossMode`` in ``cmsim.core``.
 """
 from __future__ import annotations
 
@@ -72,7 +82,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from .errors import PastTime
-from .trace import TraceKind, Tracer
+from .trace import DELIVER, DROP, MARK, Tracer
 
 DEFAULT_QUEUE_LIMIT = 50
 DEFAULT_MTU = 1500
@@ -85,18 +95,18 @@ class PacketKind(enum.Enum):
     APP_ACK = "app_ack"
 
 
+DATA, ACK, APP_ACK = PacketKind
+
+
 @dataclass(slots=True)
 class Packet:
     flow: int
     seq: int
     size: int
-    kind: PacketKind = PacketKind.DATA
-    ecn_marked: bool = False
+    kind: PacketKind = DATA
+    # senders build packets positionally up to meta; the link sets the flag
     meta: Any = None
-
-    @property
-    def data_bearing(self) -> bool:
-        return self.kind == PacketKind.DATA
+    ecn_marked: bool = False
 
 
 class ScheduledEvent:
@@ -221,6 +231,9 @@ class LinkOutcome(enum.Enum):
     MARKED = "marked"   # accepted and queued, ECN-marked
 
 
+QUEUED, DROPPED, MARKED = LinkOutcome
+
+
 class Link:
     """One directional link: serialization + propagation + drop-tail queue.
 
@@ -267,11 +280,6 @@ class Link:
         self._backlog: Deque[Tuple[float, float, Packet,
                                    ScheduledEvent]] = deque()
 
-    def _trace(self, pkt: Packet, kind: TraceKind) -> None:
-        # Ack-type packets stay out of the trace to keep it data-plane only.
-        if self.tracer is not None and pkt.data_bearing:
-            self.tracer.emit(self.loop.now, pkt.flow, kind, pkt.seq, pkt.size)
-
     def _leave(self) -> None:
         """Drop the packets that have finished serialization. One that
         finishes exactly now has finished iff its service began before
@@ -315,28 +323,32 @@ class Link:
     # -- datapath ---------------------------------------------------------
 
     def send(self, pkt: Packet) -> LinkOutcome:
-        if pkt.kind == PacketKind.DATA and pkt.size > self.mtu:
+        if pkt.size > self.mtu and pkt.kind is DATA:
             raise ValueError(f"packet size {pkt.size} exceeds link mtu {self.mtu}")
         backlog = self._backlog
         if backlog and backlog[0][0] <= self.loop.now:
             self._leave()
         if len(backlog) >= self.queue_limit:
-            self._trace(pkt, TraceKind.DROP)
-            return LinkOutcome.DROPPED
-        outcome = LinkOutcome.QUEUED
-        if self.loss_prob > 0.0 and self._rng.random() < self.loss_prob:
-            if self.ecn_mode:
-                pkt.ecn_marked = True
-                self._trace(pkt, TraceKind.MARK)
-                outcome = LinkOutcome.MARKED
-            else:
-                self._trace(pkt, TraceKind.DROP)
-                return LinkOutcome.DROPPED
-        self._enqueue(pkt)
+            outcome = DROPPED
+        elif self.loss_prob > 0.0 and self._rng.random() < self.loss_prob:
+            outcome = MARKED if self.ecn_mode else DROPPED
+        else:
+            self._enqueue(pkt)
+            return QUEUED
+        # Ack-type packets stay out of the trace to keep it data-plane only.
+        if self.tracer is not None and pkt.kind is DATA:
+            self.tracer.emit(self.loop.now, pkt.flow,
+                             DROP if outcome is DROPPED else MARK,
+                             pkt.seq, pkt.size)
+        if outcome is MARKED:
+            pkt.ecn_marked = True
+            self._enqueue(pkt)
         return outcome
 
     def _arrive(self, pkt: Packet) -> None:
-        self._trace(pkt, TraceKind.DELIVER)
+        if self.tracer is not None and pkt.kind is DATA:
+            self.tracer.emit(self.loop.now, pkt.flow, DELIVER, pkt.seq,
+                             pkt.size)
         if self.sink is not None:
             self.sink(pkt, self.loop.now)
 
@@ -346,7 +358,9 @@ class Path:
 
     The path's sink is kept as the link's sink, so the link hands each
     packet it delivers straight to it; ``set_sink`` replaces it there.
-    Without a sink, the link drops what it delivers silently."""
+    Without a sink, the link drops what it delivers silently. ``send`` is
+    the link's own bound ``send``, so a packet sent on the path costs no
+    frame of the path's."""
 
     def __init__(self, links: List[Link],
                  sink: Optional[Callable[[Packet, float], None]] = None) -> None:
@@ -354,12 +368,10 @@ class Path:
             raise ValueError("a path is exactly one link")
         self.links = links
         links[0].sink = sink
+        self.send: Callable[[Packet], LinkOutcome] = links[0].send
 
     def set_sink(self, sink: Callable[[Packet, float], None]) -> None:
         self.links[0].sink = sink
-
-    def send(self, pkt: Packet) -> LinkOutcome:
-        return self.links[0].send(pkt)
 
 
 class Dispatcher:

@@ -27,7 +27,9 @@ a TraceRecord tuple with its boxed floats cost about 150, and the columns
 are five objects for the garbage collector to track instead of one per
 row. Each TraceKind member carries its code as the plain attribute
 ``code`` (its index in ``KINDS``), set once at import, so ``emit`` reads
-it without hashing the member. ``Tracer.records`` is a read-only
+it without hashing the member. The members are also module-level names
+(``SEND`` is ``TraceKind.SEND``), which the per-packet path imports and
+passes to ``emit`` (see ``cmsim.sim`` on enum members). ``Tracer.records`` is a read-only
 ``Sequence[TraceRecord]`` view over the columns: indexing and iterating
 build TraceRecords on demand, decoding codes through ``KINDS``.
 ``write_csv`` and ``summarize_trace`` read the columns themselves through
@@ -58,6 +60,8 @@ class TraceKind(enum.Enum):
 
 # the kinds by code: KINDS[kind.code] is kind
 KINDS: Tuple[TraceKind, ...] = tuple(TraceKind)
+(GRANT, SEND, DELIVER, DROP, MARK, CWND_CHANGE, RATE_CALLBACK, LAYER_CHANGE,
+ POLICER_DROP, BUF_DROP, TRANSFER_DONE) = KINDS
 for _code, _kind in enumerate(KINDS):
     _kind.code = _code
 del _code, _kind

@@ -37,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core import CongestionManager, FeedbackReport, FlowKey, LossMode
-from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
-from ..trace import TraceKind, Tracer
+from ..core import (ECN, NO_LOSS, TRANSIENT, CongestionManager,
+                    FeedbackReport, FlowKey)
+from ..sim import APP_ACK, DATA, Deadline, EventLoop, Packet, Path
+from ..trace import SEND, Tracer
 
 REORDER_PACKETS = 3
 APP_ACK_SIZE = 60
@@ -85,14 +86,11 @@ class AppAckReceiver:
 
     def _flush(self) -> None:
         self._timer.stop()
-        ack = AppAck(seqs=tuple(self._pending),
-                     highest_seen=self.highest_seen,
-                     marked=self._marked)
+        ack = AppAck(tuple(self._pending), self.highest_seen, self._marked)
         self._pending.clear()
         self._marked = 0
-        pkt = Packet(flow=self.flow, seq=self.highest_seen, size=APP_ACK_SIZE,
-                     kind=PacketKind.APP_ACK, meta=ack)
-        self.ack_path.send(pkt)
+        self.ack_path.send(Packet(self.flow, self.highest_seen, APP_ACK_SIZE,
+                                  APP_ACK, ack))
 
 
 class FeedbackTracker:
@@ -134,11 +132,11 @@ class FeedbackTracker:
         rtt = None if newest is None else now - newest_sent
         # Loss dominates marks: a halving for the hole already covers the mark.
         if lost_sent_at is not None:
-            mode = LossMode.TRANSIENT
+            mode = TRANSIENT
         elif ack.marked > 0:
-            mode = LossMode.ECN
+            mode = ECN
         else:
-            mode = LossMode.NO_LOSS
+            mode = NO_LOSS
         return FeedbackReport(nsent, nrecd, mode, rtt, lost_sent_at)
 
 
@@ -184,9 +182,8 @@ class DatagramSender:
         follow-up (a re-request, the next timer, on_sent) comes after
         this call and sees the datagram already charged."""
         self.tracker.on_sent(seq, size, now)
-        self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
-        self.path.send(Packet(flow=self.flow, seq=seq, size=size,
-                              kind=PacketKind.DATA))
+        self.tracer.emit(now, self.flow, SEND, seq, size)
+        self.path.send(Packet(self.flow, seq, size, DATA))
         self.cm.notify(self.flow, size)
 
     def on_feedback(self, pkt: Packet, now: float) -> None:

@@ -28,14 +28,13 @@ timers are sim.Deadlines, so stopping one never cancels a heap entry.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, NamedTuple, Optional, Tuple
 
-from ..core import (MAX_RTO, CongestionManager, FeedbackReport, FlowKey,
-                    LossMode)
+from ..core import (ECN, MAX_RTO, NO_LOSS, PERSISTENT, TRANSIENT,
+                    CongestionManager, FeedbackReport, FlowKey)
 from ..errors import ConnectionClosed
-from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
-from ..trace import TraceKind, Tracer
+from ..sim import ACK, DATA, Deadline, EventLoop, Packet, Path
+from ..trace import SEND, Tracer
 
 ACK_SIZE = 40
 SYN_RETRY = 1.0
@@ -44,8 +43,7 @@ SYN_RETRY = 1.0
 MAX_WINDOW = 65535
 
 
-@dataclass(frozen=True)
-class AckInfo:
+class AckInfo(NamedTuple):
     ack: int
     ece: bool = False
 
@@ -68,9 +66,7 @@ class TcpReceiver:
 
     def on_data(self, pkt: Packet, now: float) -> None:
         if pkt.meta == "syn":
-            reply = Packet(flow=self.flow, seq=0, size=ACK_SIZE,
-                           kind=PacketKind.ACK, meta="synack")
-            self.ack_path.send(reply)
+            self.ack_path.send(Packet(self.flow, 0, ACK_SIZE, ACK, "synack"))
             return
         if pkt.ecn_marked:
             self._ece_pending = True
@@ -96,11 +92,10 @@ class TcpReceiver:
         self._ooo = out
 
     def _ack_now(self) -> None:
-        info = AckInfo(ack=self.rcv_nxt, ece=self._ece_pending)
+        info = AckInfo(self.rcv_nxt, self._ece_pending)
         self._ece_pending = False
-        pkt = Packet(flow=self.flow, seq=self.rcv_nxt, size=ACK_SIZE,
-                     kind=PacketKind.ACK, meta=info)
-        self.ack_path.send(pkt)
+        self.ack_path.send(Packet(self.flow, self.rcv_nxt, ACK_SIZE, ACK,
+                                  info))
 
 
 class TcpSender:
@@ -149,9 +144,7 @@ class TcpSender:
     # -- handshake --------------------------------------------------------
 
     def _send_syn(self) -> None:
-        pkt = Packet(flow=self.flow, seq=0, size=ACK_SIZE,
-                     kind=PacketKind.ACK, meta="syn")
-        self.path.send(pkt)
+        self.path.send(Packet(self.flow, 0, ACK_SIZE, ACK, "syn"))
         self._syn.arm(self._syn_wait)
 
     def _syn_retry(self) -> None:
@@ -224,21 +217,15 @@ class TcpSender:
         self.cm.notify(self.flow, 0)
 
     def _emit(self, seq: int, size: int, now: float) -> None:
-        self.tracer.emit(now, self.flow, TraceKind.SEND, seq, size)
-        self.path.send(Packet(flow=self.flow, seq=seq, size=size,
-                              kind=PacketKind.DATA))
+        self.tracer.emit(now, self.flow, SEND, seq, size)
+        self.path.send(Packet(self.flow, seq, size, DATA))
         self._charged += size
         self.cm.notify(self.flow, size)
         if self._rto.at is None:
-            self._arm_rto()
+            self._rto.arm(min(self.cm.rto_estimate(self.flow) * self.backoff,
+                              MAX_RTO))
 
     # -- timers -----------------------------------------------------------
-
-    def _rto_value(self) -> float:
-        return min(self.cm.rto_estimate(self.flow) * self.backoff, MAX_RTO)
-
-    def _arm_rto(self) -> None:
-        self._rto.arm(self._rto_value())
 
     def _on_rto(self) -> None:
         if self.closed or self.snd_nxt <= self.snd_una:
@@ -252,11 +239,11 @@ class TcpSender:
             self._timed_rtx = True
         discharge = self._charged
         self._charged = 0
-        self.cm.update(self.flow, FeedbackReport(
-            nsent=discharge, nrecd=0, lossmode=LossMode.PERSISTENT))
+        self.cm.update(self.flow, FeedbackReport(discharge, 0, PERSISTENT))
         self.backoff = min(self.backoff * 2, 64)
         self.cm.request(self.flow)
-        self._arm_rto()
+        self._rto.arm(min(self.cm.rto_estimate(self.flow) * self.backoff,
+                          MAX_RTO))
 
     # -- network side -----------------------------------------------------
 
@@ -285,18 +272,16 @@ class TcpSender:
                     # window, so each credit is capped by what remains.
                     credit = min(seg, self._charged)
                     self._charged -= credit
-                    self.cm.update(self.flow, FeedbackReport(
-                        nsent=credit, nrecd=0, lossmode=LossMode.TRANSIENT))
+                    self.cm.update(self.flow,
+                                   FeedbackReport(credit, 0, TRANSIENT))
                     self.cm.request(self.flow)
                 elif self.dup_acks > 3:
                     credit = min(self.mss, self._charged)
                     self._charged -= credit
                     if credit > 0:
                         self.cm.update(self.flow, FeedbackReport(
-                            nsent=credit, nrecd=credit,
-                            lossmode=LossMode.NO_LOSS))
+                            credit, credit, NO_LOSS))
             return
-        newly = ack - self.snd_una
         sample = None
         if self._timed is not None and ack >= self._timed[0]:
             if not self._timed_rtx:
@@ -313,12 +298,12 @@ class TcpSender:
         # dupack credits and retransmission charges have pulled them apart.
         credit = max(0, self._charged - (self.snd_nxt - self.snd_una))
         self._charged -= credit
-        mode = LossMode.ECN if info.ece else LossMode.NO_LOSS
         self.cm.update(self.flow, FeedbackReport(
-            nsent=credit, nrecd=credit, lossmode=mode, rtt=sample))
+            credit, credit, ECN if info.ece else NO_LOSS, sample))
         self._top_up()
         if self.snd_nxt > self.snd_una:
-            self._arm_rto()
+            self._rto.arm(min(self.cm.rto_estimate(self.flow) * self.backoff,
+                              MAX_RTO))
         else:
             self._rto.stop()
         if not self._completed and self.total > 0 and self.snd_una >= self.total:

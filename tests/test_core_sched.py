@@ -624,6 +624,63 @@ def test_grant_callback_that_raises_uses_its_grant_up():
     assert granted == [a, b, a]                     # is left to grant
 
 
+# -- the dispatch at the API boundary --------------------------------------
+# An API call dispatches on its way out only when the ready heap or the
+# rate-callback queue holds something (see _api).
+
+
+def stranded(cm):
+    """Flows a and b on one macroflow; a's grant callback raises once,
+    with a second request of a's left. Returns (a, granted)."""
+    granted = []
+
+    def flaky(fid):
+        granted.append(fid)
+        if len(granted) == 1:
+            raise RuntimeError("client fault")
+
+    a, b = make_flows(cm, 2, flaky)
+    cm.notify(b, MTU)                               # window full
+    cm.request(a)
+    cm.request(a)
+    with pytest.raises(RuntimeError):
+        cm.update(b, FeedbackReport(MTU, MTU))      # cwnd 3000, a granted
+    assert granted == [a]
+    return a, granted
+
+
+def test_a_grant_callback_that_raises_leaves_its_macroflow_ready():
+    cm = CongestionManager()
+    a, _ = stranded(cm)
+    mfid = cm.macroflow_state(a).id
+    assert cm._ready == [mfid]
+    assert cm._macroflows[mfid].in_ready
+
+
+@pytest.mark.parametrize("call", ["notify", "query", "mtu"])
+def test_any_flows_next_call_grants_what_a_raising_callback_left(call):
+    cm = CongestionManager()
+    a, granted = stranded(cm)
+    # a flow of another destination, whose call makes nothing due itself
+    other = cm.open(FlowKey("c", 9, "elsewhere", 9, Proto.UDP))
+    args = (other, 0) if call == "notify" else (other,)
+    getattr(cm, call)(*args)
+    assert granted == [a, a]
+    assert cm._ready == []
+
+
+def test_a_rate_callback_made_due_by_update_runs_before_update_returns():
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    rates = []
+    cm.register_update(fid, lambda f, rate, srtt, lr: rates.append(rate))
+    cm.update(fid, FeedbackReport(MTU, MTU, rtt=0.1))   # nothing to grant
+    assert cm._ready == []
+    assert rates == [2 * MTU / 0.1]
+    cm.update(fid, FeedbackReport(MTU, MTU))            # cwnd 4500
+    assert rates == [2 * MTU / 0.1, 3 * MTU / 0.1]
+
+
 def test_tick_period_tracks_half_srtt():
     cm = CongestionManager()
     assert cm.tick_period() == BASE_TICK

@@ -321,7 +321,7 @@ report_st = st.integers(0, 4500).flatmap(
                          LossMode.PERSISTENT, LossMode.ECN])))
 
 
-@settings(deadline=None)
+@settings(derandomize=True, database=None, deadline=None)
 @given(st.lists(report_st, min_size=1, max_size=60))
 def test_property_cwnd_never_below_one_mtu(seq):
     cm, fid = fresh()
@@ -337,14 +337,14 @@ timed_report_st = st.tuples(
     st.one_of(st.none(), st.floats(0.0, 0.6)))
 
 
-@settings(deadline=None)
+@settings(derandomize=True, database=None, deadline=None)
 @given(st.lists(timed_report_st, min_size=1, max_size=60))
 def test_property_final_state_matches_oracle(seq):
     got, updates = drive_timed(seq)
     assert got[-1] == aimd_reference(updates, mtu=MTU)[-1]
 
 
-@settings(deadline=None)
+@settings(derandomize=True, database=None, deadline=None)
 @given(st.lists(st.integers(0, 4500), min_size=1, max_size=40))
 def test_property_no_loss_growth_is_monotone(amounts):
     cm, fid = fresh()
@@ -356,7 +356,7 @@ def test_property_no_loss_growth_is_monotone(amounts):
         prev = cur
 
 
-@settings(deadline=None)
+@settings(derandomize=True, database=None, deadline=None)
 @given(st.lists(st.integers(1, 4000), min_size=1, max_size=30))
 def test_property_partitions_equivalent_within_phase(chunks):
     total = sum(chunks)

@@ -40,7 +40,7 @@ class TwoEventLink:
         self._busy = False
 
     def _trace(self, pkt, kind):
-        if self.tracer is not None and pkt.data_bearing:
+        if self.tracer is not None and pkt.kind is PacketKind.DATA:
             self.tracer.emit(self.loop.now, pkt.flow, kind, pkt.seq, pkt.size)
 
     def set_bandwidth(self, bandwidth_bps):
