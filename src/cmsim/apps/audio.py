@@ -14,6 +14,13 @@ mechanisms reconcile that with the available bandwidth:
 At most one grant request is outstanding at a time; each grant sends the
 current head frame. Frames are generated from start() until the run
 ends.
+
+The frame tick is the most frequent event of a run with audio sources
+(one per frame_interval per source, grant or no grant), so it runs in
+one frame: it tests the buffer's head for staleness inline, entering
+the eviction loop only when the head is stale, drops on overflow
+inline, makes one policer call, and re-arms through loop.schedule at
+now + frame_interval.
 """
 from __future__ import annotations
 
@@ -35,18 +42,19 @@ class TokenBucket:
         self.tokens = float(depth)
         self._last = now
 
-    def _refill(self, now: float) -> None:
-        if now > self._last:
-            self.tokens = min(self.depth, self.tokens + self.rate * (now - self._last))
-            self._last = now
-
     def set_rate(self, rate: float, now: float) -> None:
-        # accrue at the old rate up to the change instant
-        self._refill(now)
+        # accrue at the old rate up to the change instant; a take of
+        # nothing only refills
+        self.take(0.0, now)
         self.rate = float(rate)
 
     def take(self, amount: float, now: float) -> bool:
-        self._refill(now)
+        """Refill at rate since the last call, capped at depth, then take
+        amount if that many tokens are there."""
+        if now > self._last:
+            self.tokens = min(self.depth,
+                              self.tokens + self.rate * (now - self._last))
+            self._last = now
         if self.tokens >= amount:
             self.tokens -= amount
             return True
@@ -73,6 +81,8 @@ class CbrAudioSource(DatagramSender):
         super().__init__(cm, key, data_path, loop, tracer)
         self.frame_interval = frame_interval
         self.app_buf_limit = app_buf_limit
+        # a buffered frame older than this is stale
+        self._max_age = app_buf_limit * frame_interval + STALE_EPS
         cm.register_send(self.flow, self._on_grant)
         cm.register_update(self.flow, self._on_rate)
         self._or_close(lambda: cm.thresh(self.flow, thresh[0], thresh[1]))
@@ -94,11 +104,14 @@ class CbrAudioSource(DatagramSender):
         now = self.loop.now
         seq = self.generated
         self.generated += 1
-        self._evict_stale(now)
+        buf = self._buf
+        if buf and now - buf[0][1] > self._max_age:
+            self._evict_stale(now)
         if self.policer.take(self.frame_size, now):
-            if len(self._buf) >= self.app_buf_limit:
-                self._drop_head(now)
-            self._buf.append((seq, now))
+            if len(buf) >= self.app_buf_limit:
+                self.tracer.emit(now, self.flow, BUF_DROP,
+                                 buf.popleft()[0], self.frame_size)
+            buf.append((seq, now))
             if not self._pending_request:
                 self._pending_request = True
                 self.cm.request(self.flow)
@@ -107,28 +120,26 @@ class CbrAudioSource(DatagramSender):
                              seq, self.frame_size)
         # not a sim.Deadline: perfbench's spans would then count each
         # _tick, the apps layer's largest self time, under sim's _fire
-        self.loop.schedule_after(self.frame_interval, self._tick)
-
-    def _drop_head(self, now: float) -> None:
-        seq, _ = self._buf.popleft()
-        self.tracer.emit(now, self.flow, BUF_DROP,
-                         seq, self.frame_size)
+        self.loop.schedule(now + self.frame_interval, self._tick)
 
     def _evict_stale(self, now: float) -> None:
-        horizon = self.app_buf_limit * self.frame_interval
-        while self._buf and now - self._buf[0][1] > horizon + STALE_EPS:
-            self._drop_head(now)
+        buf = self._buf
+        while buf and now - buf[0][1] > self._max_age:
+            self.tracer.emit(now, self.flow, BUF_DROP,
+                             buf.popleft()[0], self.frame_size)
 
     def _on_grant(self, fid: int) -> None:
         now = self.loop.now
-        self._evict_stale(now)
-        if not self._buf:
+        buf = self._buf
+        if buf and now - buf[0][1] > self._max_age:
+            self._evict_stale(now)
+        if not buf:
             self._pending_request = False
             self.cm.notify(self.flow, 0)
             return
-        seq, _ = self._buf.popleft()
+        seq, _ = buf.popleft()
         self._transmit(seq, self.frame_size, now)
-        if self._buf:
+        if buf:
             self.cm.request(self.flow)
         else:
             self._pending_request = False

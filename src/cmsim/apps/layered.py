@@ -136,11 +136,12 @@ class PacedLayeredSource(DatagramSender):
     def _send_frame(self) -> None:
         seq = self._seq
         self._seq += 1
-        self._transmit(seq, self.packet_size, self.loop.now)
+        now = self.loop.now
+        self._transmit(seq, self.packet_size, now)
         # new period takes effect here if the layer changed mid-interval.
         # Not a sim.Deadline: perfbench's spans would then count each
         # frame under sim's Deadline._fire instead of the apps layer.
-        self.loop.schedule_after(self.interval, self._send_frame)
+        self.loop.schedule(now + self.interval, self._send_frame)
 
     def _on_rate(self, fid: int, rate: float, srtt: float,
                  loss_rate: float) -> None:

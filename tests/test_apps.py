@@ -2,11 +2,13 @@
 estimate, grant-clocked versus self-paced transmission, token-bucket
 policing, and the drop-from-head freshness rules of the audio source.
 """
+import random
+from math import inf, nextafter
 from types import SimpleNamespace
 
 import pytest
 
-from cmsim.apps.audio import CbrAudioSource, TokenBucket
+from cmsim.apps.audio import STALE_EPS, CbrAudioSource, TokenBucket
 from cmsim.apps.layered import (AlfLayeredSource, LayerConfig,
                                 PacedLayeredSource)
 from cmsim.core import CongestionManager, FeedbackReport, FlowKey, LossMode
@@ -194,6 +196,38 @@ def test_token_bucket_rate_change_accrues_at_old_rate_first():
     assert not tb.take(1, 3.0)
 
 
+def test_token_bucket_take_matches_a_separate_refill_then_take():
+    """take refills in its own body. Against a reference that refills as
+    a step of its own (tokens = min(depth, tokens + rate * elapsed)) and
+    then takes, every outcome and every token count is the same float,
+    across rate changes and calls at one instant."""
+    rng = random.Random(28)
+    tb = TokenBucket(rate=8000.0, depth=320.0, now=0.0)
+    ref = SimpleNamespace(rate=8000.0, tokens=320.0, last=0.0)
+
+    def refill(now):
+        if now > ref.last:
+            ref.tokens = min(320.0, ref.tokens + ref.rate * (now - ref.last))
+            ref.last = now
+
+    now = 0.0
+    for _ in range(2000):
+        now += rng.choice((0.0, 0.001, 0.0137, 0.02, 0.3))
+        if rng.random() < 0.1:
+            rate = rng.choice((0.0, 4000.0, 8000.0, 12345.6))
+            tb.set_rate(rate, now)
+            refill(now)
+            ref.rate = rate
+            continue
+        amount = rng.choice((1, 80, 160, 321))
+        refill(now)
+        took = ref.tokens >= amount
+        if took:
+            ref.tokens -= amount
+        assert tb.take(amount, now) is took
+        assert tb.tokens == ref.tokens
+
+
 # -- constant-bit-rate audio ----------------------------------------------
 
 def test_audio_overflow_drops_oldest_frame_first():
@@ -243,6 +277,30 @@ def test_audio_evicts_stale_frames_without_overflow():
     # buffer
     assert drops == [(0.1, 0), (0.12, 1)]
     assert src.buffered == 0
+
+
+@pytest.mark.parametrize("past", [False, True],
+                         ids=["at-the-limit", "one-float-past"])
+def test_audio_tick_stale_test_at_the_boundary(past):
+    """The tick keeps a head frame exactly app_buf_limit * frame_interval
+    + STALE_EPS old, and drops one a float older with a BufDrop row at the
+    tick's instant."""
+    loop = EventLoop()
+    cm = CongestionManager()
+    tracer = Tracer()
+    src = CbrAudioSource(cm, key(), CollectPath(), loop, tracer=tracer)
+    cm.notify(src.flow, 1500)        # wedge the window shut
+    src.start()                      # frame 0, generated at t = 0.0
+    src._on_rate(src.flow, 0.0, 0.0, 0.0)   # the policer admits frame 1 only
+    at = src.app_buf_limit * src.frame_interval + STALE_EPS
+    if past:
+        at = nextafter(at, inf)
+    loop.schedule(at, src._tick)     # a tick at the boundary instant
+    loop.run_until(at)
+    drops = [(r.t, int(r.value1)) for r in tracer.records
+             if r.kind is TraceKind.BUF_DROP]
+    assert drops == ([(at, 0)] if past else [])
+    assert src.buffered == (1 if past else 2)
 
 
 def test_audio_grant_on_empty_buffer_declines():
