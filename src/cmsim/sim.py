@@ -5,7 +5,11 @@ insertion order, so a run is a pure function of its inputs and seeds.
 The loop's heap holds ``(time, seq, event)`` tuples, with ``seq`` the
 insertion count, so the heap orders entries by tuple comparison alone
 and never compares two events. A cancelled event keeps its entry and is
-skipped when popped.
+skipped when popped. ``ScheduledEvent`` defines no ``__init__``, so
+building a handle runs ``object``'s constructor at C level, and
+``schedule`` stores the handle's five slots itself: a scheduled event
+costs no Python frame beyond ``schedule``'s own. Every event, the
+``Deadline`` and link ones too, is scheduled through ``schedule``.
 
 A ``Deadline`` is a restartable one-shot timer for deadlines that move
 on nearly every packet, such as a retransmission timeout. It keeps at
@@ -112,17 +116,12 @@ class Packet:
 class ScheduledEvent:
     """Handle of one scheduled call; ``cancel`` stops it from running.
 
-    ``inserted`` is the virtual instant at which the call was scheduled.
+    ``EventLoop.schedule`` builds every handle and sets its five slots
+    itself; an ``__init__`` here would cost each event a Python frame
+    (see the module docstring). ``inserted`` is the virtual instant at
+    which the call was scheduled.
     """
     __slots__ = ("time", "fn", "args", "cancelled", "inserted")
-
-    def __init__(self, time: float, fn: Callable, args: tuple,
-                 inserted: float) -> None:
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.inserted = inserted
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -147,7 +146,12 @@ class EventLoop:
         # written so that a NaN time, which compares false, is refused
         if not at >= self.now:
             raise PastTime(f"schedule at {at}: not at or after now {self.now}")
-        ev = ScheduledEvent(at, fn, args, self.now)
+        ev = ScheduledEvent()
+        ev.time = at
+        ev.fn = fn
+        ev.args = args
+        ev.cancelled = False
+        ev.inserted = self.now
         heapq.heappush(self._heap, (at, self._seq, ev))
         self._seq += 1
         return ev

@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import enum
 from array import array
+from itertools import chain
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 
@@ -152,7 +153,44 @@ def columns(records: Iterable[TraceRecord]) -> Columns:
     return records._columns
 
 
-_NAMES = tuple(kind.value for kind in KINDS)
+# rows per chunk of write_csv; no structure it builds outgrows one chunk
+CSV_CHUNK = 1024
+# each kind's CSV field and the comma after it, by code
+_KIND_FIELDS = tuple(f"{kind.value}," for kind in KINDS)
+
+
+class _Fields(dict):
+    """One chunk's memo of a column: value -> its CSV field, with the
+    separators a subclass's ``__missing__`` adds. ``__missing__`` is a
+    bound ``str.format``, run at C level; it formats a value with no
+    entry and stores nothing."""
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, values) -> "_Fields":
+        """The field of each distinct value of a chunk's column, one
+        format per value, built at C level. 0.0 and -0.0 are one key but
+        print apart, so zero gets no entry; a NaN from the column equals
+        no key, its own included. Either is formatted on lookup."""
+        distinct = set(values)
+        memo = cls(zip(distinct, map(cls.__missing__, distinct)))
+        memo.pop(0.0, None)
+        return memo
+
+
+class _FlowFields(_Fields):
+    __slots__ = ()
+    __missing__ = ",{},".format
+
+
+class _Value1Fields(_Fields):
+    __slots__ = ()
+    __missing__ = "{!r},".format
+
+
+class _Value2Fields(_Fields):
+    __slots__ = ()
+    __missing__ = "{!r}\r\n".format
 
 
 def write_csv(path: str, records: Iterable[TraceRecord]) -> None:
@@ -161,14 +199,33 @@ def write_csv(path: str, records: Iterable[TraceRecord]) -> None:
     repr() round-trips floats exactly and renders integral values as
     "N.0", keeping reruns byte-identical. No field ever needs quoting: a
     float repr, an int and a kind name hold no comma, quote or line break.
+
+    The rows go out in chunks of ``CSV_CHUNK``, each taken as slices of
+    the five columns and written at once. Flow ids, value1 and value2
+    repeat a few values many times, so each chunk's fields for them come
+    from a memo of its distinct values, one format per value
+    (``_Fields.of``). Zeros and NaNs never take a memoised field and are
+    formatted on their own: 0.0 and -0.0 hash and compare alike but print
+    apart, and a NaN equals nothing. Flow ids are plain ints, which print
+    alike when equal. t is mostly distinct and gets one repr per row. A
+    flow field carries the commas on both its sides and every later field
+    the separator after it, so a chunk is one C-level join of its fields,
+    with no Python frame and no string per row. The memos and strings
+    held at a time are one chunk's, whatever the trace's length.
     """
     ts, flows, kinds, v1s, v2s = columns(records)
+    kind_field = _KIND_FIELDS.__getitem__
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,flow,kind,value1,value2\r\n")
-        fh.writelines(
-            f"{t!r},{flow},{name},{v1!r},{v2!r}\r\n"
-            for t, flow, name, v1, v2 in zip(
-                ts, flows, map(_NAMES.__getitem__, kinds), v1s, v2s))
+        for i in range(0, len(kinds), CSV_CHUNK):
+            j = i + CSV_CHUNK
+            flow, v1, v2 = flows[i:j], v1s[i:j], v2s[i:j]
+            rows = zip(map(repr, ts[i:j]),
+                       map(_FlowFields.of(flow).__getitem__, flow),
+                       map(kind_field, kinds[i:j]),
+                       map(_Value1Fields.of(v1).__getitem__, v1),
+                       map(_Value2Fields.of(v2).__getitem__, v2))
+            fh.write("".join(chain.from_iterable(rows)))
 
 
 def read_csv(path: str) -> List[TraceRecord]:

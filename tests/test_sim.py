@@ -4,11 +4,13 @@ Bernoulli loss, ECN marking, bandwidth changes, multi-hop paths, and
 packet conservation as seen through send outcomes, the sink and the
 trace.
 """
+import sys
+
 import pytest
 
 from cmsim.errors import PastTime
 from cmsim.sim import (Deadline, Dispatcher, EventLoop, Link, LinkOutcome,
-                       Packet, PacketKind, Path)
+                       Packet, PacketKind, Path, ScheduledEvent)
 from cmsim.trace import TraceKind, Tracer
 
 
@@ -87,6 +89,32 @@ def test_cancelled_event_does_not_fire():
     ev.cancel()
     loop.run()
     assert out == ["yes"]
+
+
+def test_schedule_makes_one_python_call_and_the_handle_keeps_its_fields():
+    # the handle is built without an __init__ frame; perfbench's spans
+    # wrap ScheduledEvent.cancel and read the handle's cancelled and fn
+    loop = EventLoop()
+    loop.run_until(2.0)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        ev = loop.schedule(3.0, max, 1, 2)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["schedule"]
+    assert (ev.time, ev.fn, ev.args, ev.cancelled, ev.inserted) == (
+        3.0, max, (1, 2), False, 2.0)
+    assert set(ScheduledEvent.__slots__) == {
+        "time", "fn", "args", "cancelled", "inserted"}
+    assert "cancel" in ScheduledEvent.__dict__
+    ev.cancel()
+    assert ev.cancelled is True
 
 
 def test_schedule_after_is_relative_to_now():

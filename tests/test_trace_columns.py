@@ -1,8 +1,9 @@
 """The columnar Tracer: its records view reads back the rows a list of
 TraceRecords would hold, write_csv and summarize_trace give the same
 output for both, summarize_trace gives the bytes of the row-by-row pass it
-replaced, a row costs at most 36 bytes, and summarizing costs at most 32
-bytes per row at its peak."""
+replaced, a row costs at most 36 bytes, summarizing costs at most 32
+bytes per row at its peak, and write_csv's peak stays under a fixed
+bound however many rows it writes."""
 import enum
 import json
 import math
@@ -328,3 +329,30 @@ def test_summarizing_costs_at_most_32_bytes_per_row_at_its_peak():
         tracemalloc.stop()
     assert stats["rate_callbacks"]["3"]["count"] == n // 8
     assert peak / n <= 32
+
+
+def write_csv_peak(n):
+    """tracemalloc's peak while write_csv writes n rows whose value1 are
+    all distinct, above what was held before it started."""
+    tracer = Tracer()
+    kinds = list(TraceKind)
+    for i in range(n):
+        tracer.emit(i * 1e-3, i % 7, kinds[i % len(kinds)], i * 1500.0, 1500.0)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "trace.csv")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_csv(path, tracer.records)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    return peak
+
+
+def test_write_csv_peak_is_bounded_and_does_not_grow_with_the_trace():
+    # one chunk's memos and strings peak near 350 kB; a memo over a whole
+    # column of 100k distinct values would hold several MB
+    small, large = write_csv_peak(50_000), write_csv_peak(100_000)
+    assert large <= 512 * 1024
+    assert large <= small * 1.05

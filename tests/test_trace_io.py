@@ -1,6 +1,7 @@
 """Trace CSV round trip: write_csv gives exactly the bytes csv.writer
 writes for the same rows, and read_csv gives the rows back."""
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -84,3 +85,39 @@ def test_read_csv_refuses_a_wrong_header_under_python_O():
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def chunk_rows():
+    """About 2.5 of write_csv's chunks. Both zeros share the first chunk,
+    one of them right at its end, and each value whose repr a memo could
+    get wrong appears in value1 and value2 of every chunk."""
+    n = 2 * trace.CSV_CHUNK + trace.CSV_CHUNK // 2
+    special = [float("nan"), float("inf"), -float("inf"), 5e-324, 1e16,
+               1e22, 0.0, -0.0]
+    kinds = list(TraceKind)
+    rows = []
+    for i in range(n):
+        v1 = special[i % len(special)] if i % 3 == 0 else float(i % 50)
+        v2 = special[(i // 5) % len(special)] if i % 5 == 0 else 1500.0
+        rows.append(TraceRecord(i // 4 * 1e-3, i % 9, kinds[i % len(kinds)],
+                                v1, v2))
+    rows[trace.CSV_CHUNK - 1] = rows[trace.CSV_CHUNK - 1]._replace(
+        value1=0.0, value2=-0.0)
+    rows[trace.CSV_CHUNK] = rows[trace.CSV_CHUNK]._replace(
+        value1=-0.0, value2=0.0)
+    return rows
+
+
+def test_write_csv_matches_csv_writer_across_chunks():
+    rows = chunk_rows()
+    first = rows[:trace.CSV_CHUNK]
+    for col in ("value1", "value2"):
+        signs = {math.copysign(1.0, getattr(r, col)) for r in first
+                 if getattr(r, col) == 0.0}
+        assert signs == {1.0, -1.0}
+    with tempfile.TemporaryDirectory() as d:
+        got, ref = os.path.join(d, "got.csv"), os.path.join(d, "ref.csv")
+        write_csv(got, rows)
+        reference_csv(ref, rows)
+        with open(got, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read()
