@@ -39,19 +39,23 @@ never nest inside a client API call; _api states that boundary.
 The scheduler keeps its state as calls arrive instead of scanning every
 destination or member on every call: a min-heap of macroflows that may be
 ready for a grant (lowest id served first), a per-macroflow sorted list of
-the ids of members with pending requests, a per-macroflow band index of the
-members registered for rate callbacks, and a heap of idle-decay deadlines.
-The clock must never run backwards.
+the ids of members with pending requests, per macroflow the members
+registered for rate callbacks grouped by band, and a heap of idle-decay
+deadlines. The clock must never run backwards.
 
 Rate callbacks. A registered member is notified when its macroflow's
 rate, which every member shares, leaves its band: rate != r0 and
-(rate <= r0 * down or rate >= r0 * up), where r0 is the rate it was last
-notified of (0 before the first) and (down, up) its thresh. At r0 = 0
-every band notifies the first nonzero rate, up = inf included (whose
-0 * inf is NaN, which no rate reaches). The band
-index holds, per macroflow, a min-heap of each member's high edge and a
-max-heap of its low edge, so an update pops only the members whose edge
-the rate has crossed; see _Macroflow.index for the exact keys.
+(rate <= r0 * down or rate >= r0 * up or r0 == 0), where r0 is the rate
+it was last notified of (0 before the first) and (down, up) its thresh.
+At r0 = 0 every band notifies the first nonzero rate, up = inf included
+(whose 0 * inf is NaN, which no rate reaches). Since the rate is shared,
+members with the same (r0, down, up) always fire together, so each
+macroflow keeps its registered members in groups keyed by that triple:
+an update tests the rule once per group, and a group that fires moves
+whole to its new r0. An update costs time linear in the macroflow's
+distinct bands, not its members. The workloads here hold at most 2 per
+macroflow; members that each set their own thresh would pay one test
+per member.
 """
 from __future__ import annotations
 
@@ -59,8 +63,8 @@ import enum
 from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from math import inf, nextafter
+from heapq import heappop, heappush
+from math import inf
 from operator import attrgetter
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
@@ -161,6 +165,7 @@ class MacroflowState:
 
 SendCallback = Callable[[int], None]
 UpdateCallback = Callable[[int, float, float, float], None]
+Band = Tuple[float, float, float]   # (r0, down, up)
 
 _by_id = attrgetter("id")
 
@@ -181,17 +186,17 @@ class _Flow:
         self.thresh_down = 1.0
         self.thresh_up = 1.0
         self.last_notified_rate = 0.0
-        # seq of the flow's live band-index entries; None while it has no
-        # update callback
-        self.band: Optional[int] = None
+        # key of the flow's group in mf.bands, (last_notified_rate,
+        # thresh_down, thresh_up); None while it has no update callback
+        self.band: Optional[Band] = None
 
 
 class _Macroflow:
     __slots__ = ("id", "dst", "mtu", "cwnd", "ssthresh", "outstanding",
                  "srtt", "rttvar", "loss_rate", "ca_acc", "recovery_left",
                  "last_cut_time", "last_cut_flow", "members", "wanting",
-                 "rr_next", "last_send_time", "nrated", "up_edges",
-                 "down_edges", "band_seq", "in_ready", "decay_key")
+                 "rr_next", "last_send_time", "bands", "in_ready",
+                 "decay_key")
 
     def __init__(self, mfid: int, dst: str, mtu: int, ssthresh: int,
                  now: float) -> None:
@@ -212,12 +217,8 @@ class _Macroflow:
         self.wanting: List[int] = []    # sorted ids, pending_requests > 0
         self.rr_next = 0           # least id the next grant may go to
         self.last_send_time = now
-        self.nrated = 0            # members with an update callback
-        # the band index (see index): (high edge, seq, flow), least on
-        # top, and (-low edge, seq, flow), greatest edge on top
-        self.up_edges: List[Tuple[float, int, _Flow]] = []
-        self.down_edges: List[Tuple[float, int, _Flow]] = []
-        self.band_seq = 0
+        # members with an update callback by band (see join); none empty
+        self.bands: Dict[Band, List[_Flow]] = {}
         self.in_ready = False      # on the manager's ready heap
         # key of this macroflow's live entry on the decay heap; None when it
         # has none, which happens only while cwnd <= mtu
@@ -237,45 +238,19 @@ class _Macroflow:
     def idle_deadline(self) -> float:
         return self.last_send_time + IDLE_RTO_MULTIPLE * self.rto()
 
-    def index(self, fl: _Flow) -> None:
-        """Key fl's band edges around r0 = fl.last_notified_rate; the
-        entries of its earlier keying go stale.
+    def join(self, fl: _Flow) -> None:
+        """Add fl to the group of its band around fl.last_notified_rate."""
+        fl.band = key = (fl.last_notified_rate, fl.thresh_down, fl.thresh_up)
+        self.bands.setdefault(key, []).append(fl)
 
-        A rate crosses an entry's key exactly when the notification rule
-        (module docstring) fires on that side: rate >= key on the high
-        side, rate <= key on the low side, the keys being the rule's own
-        products r0 * up and r0 * down. An edge that equals r0 (up or down
-        1.0, r0 0 or inf) is moved one float off r0, since rate == r0
-        never fires. At r0 = 0 the high edge is the least positive float
-        whatever up is, so the first nonzero rate fires (module
-        docstring). A high edge that no rate can cross (r0 inf) gets no
-        entry."""
-        r0 = fl.last_notified_rate
-        self.band_seq += 1
-        fl.band = seq = self.band_seq
-        hi = r0 * fl.thresh_up
-        if hi == r0 or r0 == 0.0:
-            hi = nextafter(r0, inf)
-        if hi > r0:
-            heappush(self.up_edges, (hi, seq, fl))
-        lo = r0 * fl.thresh_down
-        if lo == r0:
-            lo = nextafter(r0, -inf)
-        heappush(self.down_edges, (-lo, seq, fl))
-
-    def unindex(self, fl: _Flow) -> None:
+    def leave(self, fl: _Flow) -> None:
+        """Take fl out of its group, in time linear in the group's size;
+        the group goes once empty."""
+        group = self.bands[fl.band]
+        group.remove(fl)
+        if not group:
+            del self.bands[fl.band]
         fl.band = None
-        self.nrated -= 1
-        self.trim()
-
-    def trim(self) -> None:
-        """Drop the stale entries of a heap once they outnumber its live
-        ones, so each heap holds at most 2 * nrated entries."""
-        limit = 2 * self.nrated
-        for edges in (self.up_edges, self.down_edges):
-            if len(edges) > limit:
-                edges[:] = [e for e in edges if e[2].band == e[1]]
-                heapify(edges)
 
 
 _UNSET = object()
@@ -416,7 +391,7 @@ class CongestionManager:
         if fl.pending_requests > 0:
             del mf.wanting[bisect_left(mf.wanting, flow_id)]
         if fl.update_cb is not None:
-            mf.unindex(fl)
+            mf.leave(fl)
         members = mf.members
         del members[bisect_left(members, flow_id, key=_by_id)]
         # the macroflow stays, so later flows inherit cwnd/srtt; past the
@@ -441,16 +416,19 @@ class CongestionManager:
         fl.send_cb = cb
     register_send = _api("register_send", register_send)
 
-    def register_update(self, flow_id: int, cb: UpdateCallback) -> None:
+    def register_update(self, flow_id: int,
+                        cb: Optional[UpdateCallback]) -> None:
         """Register cb for rate callbacks, or drop the registration with
-        None; a new registration's band is around the rate last notified."""
+        None; TypeError for anything else, so every registered member has
+        a callback. A new registration's band is around the rate last
+        notified."""
         fl = self._flow(flow_id)
-        mf = fl.mf
+        if cb is not None and not callable(cb):
+            raise TypeError(f"update callback {cb!r} is not callable")
         if fl.update_cb is None and cb is not None:
-            mf.nrated += 1
-            mf.index(fl)
+            fl.mf.join(fl)
         elif fl.update_cb is not None and cb is None:
-            mf.unindex(fl)
+            fl.mf.leave(fl)
         fl.update_cb = cb
     register_update = _api("register_update", register_update)
 
@@ -463,8 +441,8 @@ class CongestionManager:
         fl.thresh_down = float(down)
         fl.thresh_up = float(up)
         if fl.update_cb is not None:
-            fl.mf.index(fl)
-            fl.mf.trim()
+            fl.mf.leave(fl)
+            fl.mf.join(fl)
     thresh = _api("thresh", thresh)
 
     # -- transmission control --------------------------------------------
@@ -584,7 +562,7 @@ class CongestionManager:
 
         if mf.cwnd != old_cwnd or mf.ssthresh != old_ssthresh:
             self._trace(flow_id, CWND_CHANGE, mf.cwnd, mf.ssthresh)
-        if mf.nrated:
+        if mf.bands:
             self._eval_thresholds(mf)
         self._mark_ready(mf)
         # Keep the decay key at or before the idle deadline. Only this
@@ -687,7 +665,7 @@ class CongestionManager:
                 if mf.members:
                     self._trace(mf.members[0].id, CWND_CHANGE,
                                 mf.cwnd, mf.ssthresh)
-                if mf.nrated:
+                if mf.bands:
                     self._eval_thresholds(mf)
         finally:
             if not self._in_dispatch and (self._ready or self._update_queue):
@@ -709,34 +687,38 @@ class CongestionManager:
 
     def _eval_thresholds(self, mf: _Macroflow) -> None:
         """Queue a rate callback for each registered member of mf whose
-        band the current rate has left, in member id order, and re-key it
-        around that rate.
+        band the current rate has left, in member id order; its band
+        moves to that rate.
 
-        The band index pops only the entries the rate crosses: the high
-        edges up to rate and the low edges down to it. Each live entry
-        popped is a member that fires (see _Macroflow.index); a stale one
-        is dropped. An update that crosses no edge pops nothing. Its
-        callers skip a macroflow with no registered member."""
+        The rule (module docstring) is tested once per group of mf.bands,
+        whose members share r0, down and up; a group that fires moves
+        whole to the key around the new rate, merging with any group
+        already there. The cost is one test per distinct band plus one
+        step per member that fires: an update that crosses no band reads
+        no member. Its callers skip a macroflow with no registered
+        member."""
         rate = self._flow_rate(mf)
-        up, down = mf.up_edges, mf.down_edges
-        fired = []
-        while up and up[0][0] <= rate:
-            _, seq, fl = heappop(up)
-            if fl.band == seq:
-                fired.append(fl)
-        neg = -rate
-        while down and down[0][0] <= neg:
-            _, seq, fl = heappop(down)
-            if fl.band == seq:
-                fired.append(fl)
-        if not fired:
+        bands = mf.bands
+        crossed = []
+        for key in bands:   # a loop, not a comprehension: no extra frame
+            r0, down, up = key
+            if rate != r0 and (rate <= r0 * down or rate >= r0 * up
+                               or r0 == 0.0):
+                crossed.append(key)
+        if not crossed:
             return
+        fired: List[_Flow] = []
+        for key in crossed:
+            group = bands.pop(key)
+            new = (rate, key[1], key[2])
+            for fl in group:
+                fl.last_notified_rate = rate
+                fl.band = new
+            bands.setdefault(new, []).extend(group)
+            fired += group
         fired.sort(key=_by_id)
         for fl in fired:
-            fl.last_notified_rate = rate
-            mf.index(fl)
             self._update_queue.append((fl.id, rate, mf.srtt, mf.loss_rate))
-        mf.trim()
 
     # -- dispatch ---------------------------------------------------------
 

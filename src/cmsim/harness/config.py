@@ -205,7 +205,7 @@ def _require(cond: bool, name: str, message: str) -> None:
 def validate(cfg: ExperimentConfig) -> None:
     _require(cfg.scenario in SCENARIO_NAMES, "scenario",
              f"unknown scenario {cfg.scenario!r}")
-    _require(cfg.duration > 0, "duration", "must be positive")
+    _require(0 < cfg.duration < inf, "duration", "must be positive and finite")
     _require(cfg.bandwidth_bps > 0, "bandwidth_bps", "must be positive")
     _require(cfg.ack_bandwidth_bps > 0, "ack_bandwidth_bps",
              "must be positive")

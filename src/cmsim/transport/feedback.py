@@ -34,6 +34,7 @@ decide only when to send and what.
 """
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core import (ECN, NO_LOSS, TRANSIENT, CongestionManager,
@@ -63,6 +64,10 @@ class AppAckReceiver:
         if type(max_acks) is not int or max_acks < 1 or not max_delay >= 0:
             raise ValueError(f"max_acks {max_acks!r} must be an int >= 1 "
                              f"and max_delay {max_delay!r} >= 0")
+        if max_acks > 1 and not 0 < max_delay < inf:
+            raise ValueError(f"max_delay {max_delay!r} must be positive and "
+                             f"finite when max_acks > 1 (here {max_acks}): "
+                             "only the timer flushes a partial batch")
         self.loop = loop
         self.ack_path = ack_path
         self.flow = flow

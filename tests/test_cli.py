@@ -8,7 +8,7 @@ import json
 import pytest
 
 from cmsim.errors import ConfigError
-from cmsim.harness import make_config
+from cmsim.harness import make_config, scenarios
 from cmsim.harness.cli import main
 
 OUTPUTS = ("trace.csv", "summary.json", "config.json")
@@ -53,6 +53,27 @@ def test_written_config_reruns_to_the_same_trace(tmp_path):
 def test_bad_input_exits_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_endless_duration_exits_2_before_any_run(tmp_path, monkeypatch,
+                                                 capsys, source):
+    """duration=inf, from --set or a config file's Infinity, once ran
+    until it was killed; it is refused before the scenario is built."""
+    def build(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setitem(scenarios.BUILDERS, "udpcc_basic", build)
+    if source == "set":
+        argv = ["--scenario", "udpcc_basic", "--set", "duration=inf"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "udpcc_basic", "duration": Infinity}')
+        argv = ["--config", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "field 'duration'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="field 'duration'"):
+        make_config("udpcc_basic", duration=float("inf"))
 
 
 def test_unreadable_config_file_exits_2(tmp_path, capsys):

@@ -171,6 +171,23 @@ def test_register_send_refuses_a_callback_that_is_not_callable():
     assert got == [fid]
 
 
+def test_register_update_refuses_a_callback_that_is_not_callable():
+    """A registration like register_send's: the bad callback joins no
+    band, so a later rate change, which may come from a sibling's update,
+    does not raise inside the dispatch; the registration it had stays."""
+    cm = CongestionManager()
+    fid, sib = cm.open(key(1)), cm.open(key(2))
+    got = []
+    cm.register_update(fid, lambda f, r, s, l: got.append((f, r)))
+    for cb in (5, "cb"):
+        with pytest.raises(TypeError):
+            cm.register_update(fid, cb)
+        with pytest.raises(TypeError):
+            cm.register_update(sib, cb)
+    cm.update(sib, FeedbackReport(0, 0, rtt=0.1))
+    assert got == [(fid, MTU / 0.1)]
+
+
 def test_thresh_validation():
     cm = CongestionManager()
     fid = cm.open(key(1))

@@ -390,43 +390,65 @@ def test_reregistered_flow_keeps_its_last_notified_rate():
     assert got == [(fid, 12000.0), (fid, 24000.0)]
 
 
+def groups(cm, mfid=1):
+    """The rate-callback groups of a macroflow, {band: sorted member ids},
+    after checking their structure: no group is empty or holds a member
+    twice, and every open member with an update callback sits in the group
+    of its own (r0, down, up), and no other member in any."""
+    mf = cm._macroflows[mfid]
+    out = {}
+    for band, group in mf.bands.items():
+        ids = [fl.id for fl in group]
+        assert ids and len(set(ids)) == len(ids), band
+        out[band] = sorted(ids)
+    rated = {fl.id: (fl.last_notified_rate, fl.thresh_down, fl.thresh_up)
+             for fl in mf.members if fl.update_cb is not None}
+    assert {f: b for b, ids in out.items() for f in ids} == rated
+    assert all(cm._flows[f].band == b for f, b in rated.items())
+    return out
+
+
 def test_closing_rated_members_drops_their_band_entries():
     cm = CongestionManager()
     fids, got = rated_flows(cm, 4, (0.5, 2.0))
-    mf = cm._macroflows[1]
     cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))
     cm.close(fids[1])
     cm.close(fids[2])
-    live = [e[2].id for h in (mf.up_edges, mf.down_edges) for e in h
-            if e[2].band == e[1]]
-    assert sorted(live) == [fids[0], fids[0], fids[3], fids[3]]
+    assert groups(cm) == {(12000.0, 0.5, 2.0): [fids[0], fids[3]]}
     got.clear()
     grow(cm, fids[0], MTU)                           # 24000: both fire
     assert [f for f, _ in got] == [fids[0], fids[3]]
     cm.close(fids[0])
+    assert groups(cm) == {(24000.0, 0.5, 2.0): [fids[3]]}
     cm.close(fids[3])
-    assert mf.up_edges == [] and mf.down_edges == []
+    assert cm._macroflows[1].bands == {}
 
 
-# Cost guards for the band index, counted rather than timed: an update
-# that crosses no member's band pops no heap entry and reads no member's
-# band, where a walk over the members would read every one. These managers
-# have no grant or decay to give, so every heappop the core makes is a
-# band pop.
+def test_dropped_registration_and_thresh_move_a_member_between_groups():
+    cm = CongestionManager()
+    (a, b), got = rated_flows(cm, 2, (0.5, 2.0))
+    assert groups(cm) == {(0.0, 0.5, 2.0): [a, b]}
+    cm.update(a, FeedbackReport(0, 0, rtt=0.125))   # both notified at 12000
+    cm.thresh(b, 0.25, 4.0)
+    assert groups(cm) == {(12000.0, 0.5, 2.0): [a],
+                          (12000.0, 0.25, 4.0): [b]}
+    cm.register_update(a, None)
+    assert groups(cm) == {(12000.0, 0.25, 4.0): [b]}
+    cm.thresh(b, 0.5, 2.0)
+    cm.register_update(a, lambda f, r, s, l: got.append((f, r)))
+    assert groups(cm) == {(12000.0, 0.5, 2.0): [a, b]}
 
-BAND_FIELDS = ("last_notified_rate", "thresh_down", "thresh_up")
+
+# Cost guards for the band groups, counted rather than timed: an update
+# that crosses no member's band reads no member's band fields, where a
+# walk over the members would read every one.
+
+BAND_FIELDS = ("last_notified_rate", "thresh_down", "thresh_up", "band")
 
 
 def count_touches(monkeypatch):
-    """Count the core's heappop calls and its reads of the band fields."""
+    """Count the core's reads of the members' band fields."""
     touches = [0]
-    real = core.heappop
-
-    def counting(heap):
-        touches[0] += 1
-        return real(heap)
-
-    monkeypatch.setattr(core, "heappop", counting)
     for name in BAND_FIELDS:
         slot = core._Flow.__dict__[name]
 
@@ -469,7 +491,47 @@ def test_unchanged_rate_touches_no_member(monkeypatch):
     assert (pops[0], len(got)) == (fired, n)
 
 
-def test_band_index_stays_within_twice_the_rated_members():
+THREE_BANDS = ((0.9, 1.1), (0.5, 2.0), (1e-3, 1e3))
+
+
+def test_three_bands_over_many_members_fire_by_group(monkeypatch):
+    """10^4 members in three interleaved bands: each crossing fires
+    exactly the groups it leaves, their members merged in id order."""
+    n = 10_000
+    cm = CongestionManager()
+    got = []
+    fids = [cm.open(key(p)) for p in range(1, n + 1)]
+    for k, f in enumerate(fids):
+        cm.register_update(f, lambda f, r, s, l: got.append((f, r)))
+        cm.thresh(f, *THREE_BANDS[k % 3])
+    thirds = [fids[k::3] for k in range(3)]
+    pops = count_touches(monkeypatch)
+    cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))        # 12000
+    assert got == [(f, 12000.0) for f in fids]
+    assert groups(cm) == {(12000.0, *THREE_BANDS[k]): thirds[k]
+                          for k in range(3)}
+    got.clear()
+    quiet = pops[0]
+    grow(cm, fids[0], 100)                          # 12800: inside all
+    assert (pops[0], got) == (quiet, [])
+    grow(cm, fids[0], 200)                          # 14400 >= 13200
+    assert got == [(f, 14400.0) for f in thirds[0]]
+    got.clear()
+    grow(cm, fids[0], 1200)                         # 24000 = 12000 * 2
+    assert got == [(f, 24000.0) for f in sorted(thirds[0] + thirds[1])]
+    assert groups(cm) == {
+        (24000.0, *THREE_BANDS[0]): thirds[0],
+        (24000.0, *THREE_BANDS[1]): thirds[1],
+        (12000.0, *THREE_BANDS[2]): thirds[2]}
+    for f in thirds[0] + thirds[2]:
+        cm.close(f)
+    assert groups(cm) == {(24000.0, *THREE_BANDS[1]): thirds[1]}
+    for f in thirds[1]:
+        cm.register_update(f, None)
+    assert cm._macroflows[1].bands == {}
+
+
+def test_band_groups_track_every_rated_member():
     n = 100
     cm = CongestionManager()
     got = []
@@ -477,7 +539,6 @@ def test_band_index_stays_within_twice_the_rated_members():
     for k, f in enumerate(fids):
         cm.register_update(f, lambda *a: got.append(a))
         cm.thresh(f, 1.0 / (1.0 + 0.01 * k), 1.0 + 0.01 * k)
-    mf = cm._macroflows[1]
     rng = random.Random(1)
     cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))
     steps = 0
@@ -488,8 +549,7 @@ def test_band_index_stays_within_twice_the_rated_members():
             cm.update(fids[0], FeedbackReport(MTU, 0, LossMode.TRANSIENT))
         else:
             grow(cm, fids[0], rng.randrange(0, 3 * MTU))
-        assert len(mf.up_edges) <= 2 * n
-        assert len(mf.down_edges) <= 2 * n
+        assert len(groups(cm)) <= n
 
 
 # -- tick -----------------------------------------------------------------

@@ -27,12 +27,13 @@ the scheduler must follow:
     reporting flow's charge and the macroflow's, each clamped at 0, and
     close discharges what the flow still carries.
 
-  * rate callbacks follow the linear walk the band index replaced: after
-    an update, and for each macroflow a tick decays, every member
-    registered for them, in id order, whose last notified rate r0
-    differs from the rate and has r0 == 0, rate <= r0 * down or
-    rate >= r0 * up is notified of (flow, rate, srtt, loss_rate) and r0
-    becomes the rate.
+  * rate callbacks follow a linear walk over the members, which the
+    core's band groups replace: after an update, and for each macroflow a
+    tick decays, every member registered for them, in id order, whose
+    last notified rate r0 differs from the rate and has r0 == 0,
+    rate <= r0 * down or rate >= r0 * up is notified of (flow, rate,
+    srtt, loss_rate) and r0 becomes the rate. The core groups its
+    registered members by (r0, down, up), exactly as the model's are.
     r0 survives a dropped registration. The thresh draws include down
     and up of 1.0 and up of inf, and the RTT samples are powers of two,
     so that a rate often lands exactly on a band edge.
@@ -390,11 +391,18 @@ class CoreScheduler(RuleBasedStateMachine):
         assert self.got == self.want
 
     @invariant()
-    def band_index_stays_bounded(self):
-        for mfid in self.mfs:
-            mf = self.real(mfid)
-            assert len(mf.up_edges) <= 2 * mf.nrated
-            assert len(mf.down_edges) <= 2 * mf.nrated
+    def band_groups_match(self):
+        """Each macroflow groups its rated members by (r0, down, up), the
+        model's own, with no empty group and none left once all close."""
+        for mfid, m in self.mfs.items():
+            want = {}
+            for fid in m.members:
+                fl = self.flows[fid]
+                if fl.rated:
+                    want.setdefault((fl.last, fl.down, fl.up), []).append(fid)
+            got = {band: sorted(f.id for f in group)
+                   for band, group in self.real(mfid).bands.items()}
+            assert got == want
 
     @invariant()
     def outstanding_matches(self):

@@ -66,7 +66,7 @@ def test_flush_after_max_acks():
     loop = EventLoop()
     acks = []
     rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
-                         flow=1, max_acks=3)
+                         flow=1, max_acks=3, max_delay=1.0)
     for seq in (0, 1, 2):
         rcv.on_data(data(seq), loop.now)
     loop.run()
@@ -110,10 +110,14 @@ def test_flush_timer_fires_once_at_its_last_arming():
 @pytest.mark.parametrize("kwargs", [
     {"max_acks": 0}, {"max_acks": 2.9}, {"max_acks": True},
     {"max_delay": -1.0}, {"max_delay": float("nan")},
-], ids=["acks-0", "acks-float", "acks-bool", "delay-neg", "delay-nan"])
+    {"max_acks": 4}, {"max_acks": 4, "max_delay": float("inf")},
+], ids=["acks-0", "acks-float", "acks-bool", "delay-neg", "delay-nan",
+        "batch-without-timer", "batch-with-endless-timer"])
 def test_receiver_rejects_bad_batching(kwargs):
     """Each was once taken silently: 0 became 1, 2.9 became 2, and a
-    negative or NaN delay was kept."""
+    negative or NaN delay was kept. A batch of more than one ack with no
+    finite timer (delay 0 or inf) is never flushed once its sender's
+    window is unacked, which wedges the sender."""
     loop = EventLoop()
     with pytest.raises(ValueError):
         AppAckReceiver(loop, fast_path(loop), flow=1, **kwargs)
@@ -123,7 +127,7 @@ def test_each_batch_reports_only_new_seqs():
     loop = EventLoop()
     acks = []
     rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
-                         flow=1, max_acks=2)
+                         flow=1, max_acks=2, max_delay=1.0)
     for seq in (0, 1, 2, 3):
         rcv.on_data(data(seq), loop.now)
     loop.run()
@@ -134,7 +138,7 @@ def test_ack_lists_seqs_in_arrival_order_with_duplicates():
     loop = EventLoop()
     acks = []
     rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
-                         flow=1, max_acks=4)
+                         flow=1, max_acks=4, max_delay=1.0)
     for seq in (3, 1, 3, 2):
         rcv.on_data(data(seq), loop.now)
     loop.run()
@@ -146,7 +150,7 @@ def test_receiver_counts_marked_packets():
     loop = EventLoop()
     acks = []
     rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
-                         flow=1, max_acks=3)
+                         flow=1, max_acks=3, max_delay=1.0)
     rcv.on_data(data(0), 0.0)
     rcv.on_data(data(1, marked=True), 0.0)
     rcv.on_data(data(2, marked=True), 0.0)
@@ -411,7 +415,7 @@ def test_batching_over_a_real_reverse_path():
                      queue_limit=100)])
     rev = Path([Link(loop, bandwidth_bps=1e6, prop_delay=0.01,
                      queue_limit=100)])
-    rcv = AppAckReceiver(loop, rev, flow=1, max_acks=4)
+    rcv = AppAckReceiver(loop, rev, flow=1, max_acks=4, max_delay=1.0)
     fwd.set_sink(rcv.on_data)
 
     def on_ack(pkt, now):
