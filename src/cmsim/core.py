@@ -40,8 +40,9 @@ The scheduler keeps its state as calls arrive instead of scanning every
 destination or member on every call: a min-heap of macroflows that may be
 ready for a grant (lowest id served first), a per-macroflow sorted list of
 the ids of members with pending requests, per macroflow the members
-registered for rate callbacks grouped by band, and a heap of idle-decay
-deadlines. The clock must never run backwards.
+registered for rate callbacks grouped by band, and the macroflows above
+one MTU, the only ones that can decay. The clock must never run
+backwards.
 
 Rate callbacks. A registered member is notified when its macroflow's
 rate, which every member shares, leaves its band: rate != r0 and
@@ -172,8 +173,7 @@ _by_id = attrgetter("id")
 
 class _Flow:
     __slots__ = ("id", "key", "mf", "pending_requests", "outstanding",
-                 "send_cb", "update_cb", "thresh_down", "thresh_up",
-                 "last_notified_rate", "band")
+                 "send_cb", "update_cb", "band")
 
     def __init__(self, fid: int, key: FlowKey, mf: "_Macroflow") -> None:
         self.id = fid
@@ -183,20 +183,17 @@ class _Flow:
         self.outstanding = 0    # bytes notified, not yet reported by update
         self.send_cb: Optional[SendCallback] = None
         self.update_cb: Optional[UpdateCallback] = None
-        self.thresh_down = 1.0
-        self.thresh_up = 1.0
-        self.last_notified_rate = 0.0
-        # key of the flow's group in mf.bands, (last_notified_rate,
-        # thresh_down, thresh_up); None while it has no update callback
-        self.band: Optional[Band] = None
+        # (r0, down, up): the rate last notified, 0 before the first, and
+        # the thresh; the key of the flow's group in mf.bands while it has
+        # an update callback
+        self.band: Band = (0.0, 1.0, 1.0)
 
 
 class _Macroflow:
     __slots__ = ("id", "dst", "mtu", "cwnd", "ssthresh", "outstanding",
                  "srtt", "rttvar", "loss_rate", "ca_acc", "recovery_left",
                  "last_cut_time", "last_cut_flow", "members", "wanting",
-                 "rr_next", "last_send_time", "bands", "in_ready",
-                 "decay_key")
+                 "rr_next", "last_send_time", "bands", "in_ready")
 
     def __init__(self, mfid: int, dst: str, mtu: int, ssthresh: int,
                  now: float) -> None:
@@ -220,9 +217,6 @@ class _Macroflow:
         # members with an update callback by band (see join); none empty
         self.bands: Dict[Band, List[_Flow]] = {}
         self.in_ready = False      # on the manager's ready heap
-        # key of this macroflow's live entry on the decay heap; None when it
-        # has none, which happens only while cwnd <= mtu
-        self.decay_key: Optional[float] = None
 
     @property
     def phase(self) -> Phase:
@@ -235,13 +229,9 @@ class _Macroflow:
             return INITIAL_RTO
         return min(max(self.srtt + 4.0 * self.rttvar, MIN_RTO), MAX_RTO)
 
-    def idle_deadline(self) -> float:
-        return self.last_send_time + IDLE_RTO_MULTIPLE * self.rto()
-
     def join(self, fl: _Flow) -> None:
-        """Add fl to the group of its band around fl.last_notified_rate."""
-        fl.band = key = (fl.last_notified_rate, fl.thresh_down, fl.thresh_up)
-        self.bands.setdefault(key, []).append(fl)
+        """Add fl to the group of its band."""
+        self.bands.setdefault(fl.band, []).append(fl)
 
     def leave(self, fl: _Flow) -> None:
         """Take fl out of its group, in time linear in the group's size;
@@ -250,7 +240,6 @@ class _Macroflow:
         group.remove(fl)
         if not group:
             del self.bands[fl.band]
-        fl.band = None
 
 
 _UNSET = object()
@@ -328,8 +317,9 @@ class CongestionManager:
         # ids of macroflows that may have a grant to give; every macroflow
         # that has one is here (see _mark_ready)
         self._ready: List[int] = []
-        # (idle deadline lower bound, macroflow id); see _update
-        self._decay: List[Tuple[float, int]] = []
+        # macroflows that may be above one MTU, by id; every one that is
+        # is here (see _update), and tick drops the others
+        self._above: Dict[int, _Macroflow] = {}
         # macroflows whose srtt / 2 < BASE_TICK, for tick_period
         self._fast: Set[_Macroflow] = set()
         self.op_counts: Counter = Counter()
@@ -434,14 +424,20 @@ class CongestionManager:
 
     def thresh(self, flow_id: int, down: float, up: float) -> None:
         """Set the rate-change notification band: callbacks fire when the
-        flow's rate leaves [last_notified * down, last_notified * up]."""
+        flow's rate leaves [last_notified * down, last_notified * up].
+        InvalidThreshold, before any state changes, unless
+        0 < down <= 1 <= up and both convert to float."""
         fl = self._flow(flow_id)
         if not (0.0 < down <= 1.0 <= up):
             raise InvalidThreshold(f"down={down} up={up}")
-        fl.thresh_down = float(down)
-        fl.thresh_up = float(up)
+        try:
+            band = (fl.band[0], float(down), float(up))
+        except OverflowError:
+            raise InvalidThreshold(f"down={down} up={up}") from None
         if fl.update_cb is not None:
             fl.mf.leave(fl)
+        fl.band = band
+        if fl.update_cb is not None:
             fl.mf.join(fl)
     thresh = _api("thresh", thresh)
 
@@ -562,19 +558,13 @@ class CongestionManager:
 
         if mf.cwnd != old_cwnd or mf.ssthresh != old_ssthresh:
             self._trace(flow_id, CWND_CHANGE, mf.cwnd, mf.ssthresh)
+            # the only place cwnd rises above one MTU: by growth, or by
+            # a transient or ECN cut from one MTU to the 2 * MTU floor
+            if mf.cwnd > mf.mtu:
+                self._above[mf.id] = mf
         if mf.bands:
             self._eval_thresholds(mf)
         self._mark_ready(mf)
-        # Keep the decay key at or before the idle deadline. Only this
-        # method shrinks the RTO (with an rtt sample) or lifts cwnd above
-        # the MTU; notify only moves the deadline later, and tick re-keys
-        # what it pops early.
-        if mf.cwnd > mf.mtu and (mf.decay_key is None
-                                 or report.rtt is not None):
-            deadline = mf.idle_deadline()
-            if mf.decay_key is None or deadline < mf.decay_key:
-                mf.decay_key = deadline
-                heappush(self._decay, (deadline, mf.id))
     update = _api("update", _update)
 
     # -- introspection ----------------------------------------------------
@@ -632,31 +622,27 @@ class CongestionManager:
     def tick(self, now: float) -> None:
         """Periodic maintenance: decay idle windows, re-dispatch grants
         that may have been lost to a stuck client. Driven by the host's
-        timer, so it does not count as an API boundary crossing."""
+        timer, so it does not count as an API boundary crossing.
+
+        A macroflow above one MTU that has sent nothing for
+        IDLE_RTO_MULTIPLE * rto() decays to one MTU, those due at one
+        tick in macroflow id order. The scan of _above costs time linear
+        in the macroflows above one MTU; update does no decay work. The
+        floor test is exact (rto() >= MIN_RTO, and the product by 4 is
+        exact) and spares the rto() call of a macroflow that sent within
+        IDLE_RTO_MULTIPLE * MIN_RTO."""
         try:
-            # Decay keys never exceed the idle deadline, so every macroflow
-            # due now has an entry up to now; the slack covers the rounding
-            # between the key's sum and the predicate's difference.
-            limit = now + 1e-9 * (1.0 + abs(now))
-            decay = self._decay
+            above = self._above
+            floor = IDLE_RTO_MULTIPLE * MIN_RTO
             due: List[_Macroflow] = []
-            early: List[_Macroflow] = []
-            while decay and decay[0][0] <= limit:
-                key, mfid = heappop(decay)
-                mf = self._macroflows[mfid]
-                if mf.decay_key != key:             # superseded entry
-                    continue
-                mf.decay_key = None
+            for mf in list(above.values()):     # a copy: entries go
                 if mf.cwnd <= mf.mtu:
+                    del above[mf.id]
                     continue
-                if now - mf.last_send_time >= IDLE_RTO_MULTIPLE * mf.rto():
+                idle = now - mf.last_send_time
+                if idle >= floor and idle >= IDLE_RTO_MULTIPLE * mf.rto():
+                    del above[mf.id]
                     due.append(mf)
-                else:
-                    early.append(mf)
-            # re-keyed after the loop: a key within the slack would pop again
-            for mf in early:
-                mf.decay_key = mf.idle_deadline()
-                heappush(decay, (mf.decay_key, mf.id))
             due.sort(key=_by_id)
             for mf in due:
                 mf.cwnd = mf.mtu
@@ -712,7 +698,6 @@ class CongestionManager:
             group = bands.pop(key)
             new = (rate, key[1], key[2])
             for fl in group:
-                fl.last_notified_rate = rate
                 fl.band = new
             bands.setdefault(new, []).extend(group)
             fired += group

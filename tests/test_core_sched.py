@@ -8,8 +8,9 @@ from math import inf
 import pytest
 
 from cmsim import core
-from cmsim.core import (BASE_TICK, CongestionManager, FeedbackReport, FlowKey,
-                        LossMode, Proto)
+from cmsim.core import (BASE_TICK, MIN_RTO, CongestionManager, FeedbackReport,
+                        FlowKey, LossMode, Proto)
+from cmsim.errors import InvalidThreshold
 from cmsim.trace import TraceKind, Tracer
 
 MTU = 1500
@@ -390,21 +391,33 @@ def test_reregistered_flow_keeps_its_last_notified_rate():
     assert got == [(fid, 12000.0), (fid, 24000.0)]
 
 
+@pytest.mark.parametrize("registered", [True, False])
+def test_thresh_that_float_refuses_changes_nothing(registered):
+    cm = CongestionManager()
+    (fid,), _ = rated_flows(cm, 1, (0.25, 4.0))
+    cm.update(fid, FeedbackReport(0, 0, rtt=0.125))  # notified at 12000
+    if not registered:
+        cm.register_update(fid, None)
+    before = groups(cm)
+    with pytest.raises(InvalidThreshold):
+        cm.thresh(fid, 0.5, 10**400)    # in range, but too large for a float
+    assert cm._flows[fid].band == (12000.0, 0.25, 4.0)
+    assert groups(cm) == before
+
+
 def groups(cm, mfid=1):
     """The rate-callback groups of a macroflow, {band: sorted member ids},
     after checking their structure: no group is empty or holds a member
     twice, and every open member with an update callback sits in the group
-    of its own (r0, down, up), and no other member in any."""
+    of its own band, (r0, down, up), and no other member in any."""
     mf = cm._macroflows[mfid]
     out = {}
     for band, group in mf.bands.items():
         ids = [fl.id for fl in group]
         assert ids and len(set(ids)) == len(ids), band
         out[band] = sorted(ids)
-    rated = {fl.id: (fl.last_notified_rate, fl.thresh_down, fl.thresh_up)
-             for fl in mf.members if fl.update_cb is not None}
+    rated = {fl.id: fl.band for fl in mf.members if fl.update_cb is not None}
     assert {f: b for b, ids in out.items() for f in ids} == rated
-    assert all(cm._flows[f].band == b for f, b in rated.items())
     return out
 
 
@@ -440,24 +453,20 @@ def test_dropped_registration_and_thresh_move_a_member_between_groups():
 
 
 # Cost guards for the band groups, counted rather than timed: an update
-# that crosses no member's band reads no member's band fields, where a
-# walk over the members would read every one.
-
-BAND_FIELDS = ("last_notified_rate", "thresh_down", "thresh_up", "band")
+# that crosses no member's band reads no member's band, where a walk over
+# the members would read every one.
 
 
 def count_touches(monkeypatch):
-    """Count the core's reads of the members' band fields."""
+    """Count the core's reads of the members' band."""
     touches = [0]
-    for name in BAND_FIELDS:
-        slot = core._Flow.__dict__[name]
+    slot = core._Flow.__dict__["band"]
 
-        def get(fl, slot=slot):
-            touches[0] += 1
-            return slot.__get__(fl, core._Flow)
+    def get(fl):
+        touches[0] += 1
+        return slot.__get__(fl, core._Flow)
 
-        monkeypatch.setattr(core._Flow, name,
-                            property(get, slot.__set__))
+    monkeypatch.setattr(core._Flow, "band", property(get, slot.__set__))
     return touches
 
 
@@ -616,18 +625,77 @@ def test_decay_waits_for_the_deadline_a_later_send_set():
 
 
 def test_due_decays_apply_in_macroflow_id_order():
-    now = [0.0]
-    tracer = Tracer()
-    cm = CongestionManager(clock=lambda: now[0], tracer=tracer)
-    fids = [cm.open(FlowKey("c", p, f"s{p}", 9, Proto.UDP)) for p in (1, 2, 3)]
-    for f, sent_at in zip(fids, (2.0, 0.0, 1.0)):  # deadlines 6, 4, 5 s
-        now[0] = sent_at
-        cm.notify(f, 100)
-        cm.update(f, FeedbackReport(100, 100))
-    cm.tick(10.0)
-    cuts = [r.flow for r in tracer.records if r.kind == TraceKind.CWND_CHANGE
-            and r.value1 == MTU]
-    assert cuts == fids
+    # the macroflows rise above one MTU in id order with deadlines 6, 4
+    # and 5 s, then out of id order, reported 3, 1, 2
+    for order, times in (((0, 1, 2), (2.0, 0.0, 1.0)),
+                         ((2, 0, 1), (0.0, 1.0, 2.0))):
+        now = [0.0]
+        tracer = Tracer()
+        cm = CongestionManager(clock=lambda: now[0], tracer=tracer)
+        fids = [cm.open(FlowKey("c", p, f"s{p}", 9, Proto.UDP))
+                for p in (1, 2, 3)]
+        for i, sent_at in zip(order, times):
+            now[0] = sent_at
+            cm.notify(fids[i], 100)
+            cm.update(fids[i], FeedbackReport(100, 100))
+        cm.tick(10.0)
+        cuts = [r.flow for r in tracer.records
+                if r.kind == TraceKind.CWND_CHANGE and r.value1 == MTU]
+        assert cuts == fids, order
+
+
+def test_decay_at_the_least_rto_is_due_exactly_at_four_rtos():
+    cm = CongestionManager()                        # last send at 0.0
+    fid = cm.open(key(1))
+    cm.update(fid, FeedbackReport(MTU, MTU, rtt=0.01))  # cwnd 3000
+    assert cm._macroflows[1].rto() == MIN_RTO
+    cm.tick(0.79)
+    assert cm.macroflow_state(fid).cwnd == 2 * MTU
+    cm.tick(0.8)                                    # 0.8 == 4 * MIN_RTO
+    assert cm.macroflow_state(fid).cwnd == MTU
+
+
+# Cost guards for idle decay, counted rather than timed: update does no
+# decay work, and tick reads no RTO of a macroflow that sent within
+# 4 * MIN_RTO, the least idle time that can be due.
+
+def count_rto(monkeypatch):
+    """Count the core's calls of _Macroflow.rto."""
+    calls = [0]
+    rto = core._Macroflow.rto
+
+    def counted(mf):
+        calls[0] += 1
+        return rto(mf)
+
+    monkeypatch.setattr(core._Macroflow, "rto", counted)
+    return calls
+
+
+def test_an_rtt_sample_above_one_mtu_reads_no_rto(monkeypatch):
+    cm = CongestionManager()
+    fid = cm.open(key(1))
+    cm.update(fid, FeedbackReport(MTU, MTU))        # cwnd 3000
+    calls = count_rto(monkeypatch)
+    for rtt in (0.05, 0.01, 0.2):
+        cm.update(fid, FeedbackReport(MTU, MTU, rtt=rtt))
+    assert calls[0] == 0
+
+
+def test_a_tick_over_recent_senders_reads_no_rto(monkeypatch):
+    k = 100
+    cm = CongestionManager()                        # every last send at 0.0
+    fids = [cm.open(FlowKey("c", p, f"s{p}", 9, Proto.UDP))
+            for p in range(1, k + 1)]
+    for f in fids:
+        cm.update(f, FeedbackReport(MTU, MTU))      # each above one MTU
+    calls = count_rto(monkeypatch)
+    for now in (0.0, 0.4, 0.79):
+        cm.tick(now)
+    assert calls[0] == 0
+    cm.tick(0.8)                    # each reads its RTO of 1 s: none is due
+    assert calls[0] == k
+    assert {cm.macroflow_state(f).cwnd for f in fids} == {2 * MTU}
 
 
 def test_tick_redispatches_stranded_requests():

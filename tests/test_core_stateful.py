@@ -348,8 +348,8 @@ class CoreScheduler(RuleBasedStateMachine):
     @precondition(lambda self: any(self.real(m).cwnd > MTU for m in self.mfs))
     @rule(i=st.integers(0, len(DESTS) - 1))
     def tick_at_deadline(self, i):
-        """Tick at one macroflow's idle deadline, where a decay key that
-        missed a moved deadline shows."""
+        """Tick at one macroflow's idle deadline, where a decay that
+        comes a tick early or late shows."""
         mfids = [m for m in sorted(self.mfs) if self.real(m).cwnd > MTU]
         mfid = mfids[i % len(mfids)]
         self.tick_to(max(self.now, self.mfs[mfid].last_send
