@@ -37,12 +37,13 @@ outstanding + MTU <= cwnd. Grant and rate callbacks are synchronous but
 never nest inside a client API call; _api states that boundary.
 
 The scheduler keeps its state as calls arrive instead of scanning every
-destination or member on every call: a min-heap of macroflows that may be
-ready for a grant (lowest id served first), a per-macroflow sorted list of
-the ids of members with pending requests, per macroflow the members
-registered for rate callbacks grouped by band, and the macroflows above
-one MTU, the only ones that can decay. The clock must never run
-backwards.
+destination or member on every call: a min-heap of (id, macroflow) pairs
+that may be ready for a grant (lowest id served first), a per-macroflow
+sorted list of the ids of members with pending requests, per macroflow
+the members registered for rate callbacks grouped by band, and the
+macroflows above one MTU, the only ones that can decay. tick, every
+BASE_TICK, has two jobs: decay idle windows, and re-dispatch grants that
+a raising callback stranded. The clock must never run backwards.
 
 Rate callbacks. A registered member is notified when its macroflow's
 rate, which every member shares, leaves its band: rate != r0 and
@@ -309,19 +310,17 @@ class CongestionManager:
         self._tracer = tracer
         self._flows: Dict[int, _Flow] = {}
         self._open_keys: Set[FlowKey] = set()
-        self._macroflows: Dict[int, _Macroflow] = {}
         self._mf_by_dst: Dict[str, _Macroflow] = {}
         self._next_flow_id = 1     # ids below this were issued
         self._in_dispatch = False
         self._update_queue: deque = deque()
-        # ids of macroflows that may have a grant to give; every macroflow
-        # that has one is here (see _mark_ready)
-        self._ready: List[int] = []
+        # (id, macroflow) of each macroflow that may have a grant to give,
+        # once each (in_ready), so no two are compared; every one that has
+        # one is here (see _mark_ready)
+        self._ready: List[Tuple[int, _Macroflow]] = []
         # macroflows that may be above one MTU, by id; every one that is
         # is here (see _update), and tick drops the others
         self._above: Dict[int, _Macroflow] = {}
-        # macroflows whose srtt / 2 < BASE_TICK, for tick_period
-        self._fast: Set[_Macroflow] = set()
         self.op_counts: Counter = Counter()
 
     # -- plumbing ---------------------------------------------------------
@@ -352,9 +351,9 @@ class CongestionManager:
         mf = self._mf_by_dst.get(key.dst_addr)
         if mf is None:
             # macroflows are never dropped, so ids run 1, 2, ... in order
-            mf = _Macroflow(len(self._macroflows) + 1, key.dst_addr,
+            mf = _Macroflow(len(self._mf_by_dst) + 1, key.dst_addr,
                             self._mtu, self._initial_ssthresh, self._clock())
-            self._macroflows[mf.id] = self._mf_by_dst[key.dst_addr] = mf
+            self._mf_by_dst[key.dst_addr] = mf
         fid = self._next_flow_id
         self._next_flow_id += 1
         fl = _Flow(fid, key, mf)
@@ -457,7 +456,7 @@ class CongestionManager:
             insort(mf.wanting, flow_id)
         if not mf.in_ready and mf.outstanding + mf.mtu <= mf.cwnd:
             mf.in_ready = True
-            heappush(self._ready, mf.id)
+            heappush(self._ready, (mf.id, mf))
     request = _api("request", _request)
 
     def _notify(self, flow_id: int, nsent: int) -> None:
@@ -518,10 +517,6 @@ class CongestionManager:
                 mf.rttvar = ((1.0 - RTTVAR_GAIN) * mf.rttvar
                              + RTTVAR_GAIN * abs(sample - mf.srtt))
                 mf.srtt = (1.0 - RTT_GAIN) * mf.srtt + RTT_GAIN * sample
-            if mf.srtt / 2.0 < BASE_TICK:
-                self._fast.add(mf)
-            else:
-                self._fast.discard(mf)
 
         if nsent > 0:
             frac = (nsent - nrecd) / nsent
@@ -658,11 +653,11 @@ class CongestionManager:
                 self._dispatch()
 
     def tick_period(self) -> float:
-        """Suggested interval until the next tick()."""
-        period = BASE_TICK
-        for mf in self._fast:
-            period = min(period, mf.srtt / 2.0)
-        return period
+        """BASE_TICK at any srtt: idle decay is never due sooner than
+        IDLE_RTO_MULTIPLE * MIN_RTO = 0.8 s after a send (rto() >= MIN_RTO),
+        so it comes at most one BASE_TICK late, as does a grant that a
+        raising callback stranded if no API call comes sooner."""
+        return BASE_TICK
 
     # -- rate notifications ----------------------------------------------
 
@@ -715,7 +710,7 @@ class CongestionManager:
         if not mf.in_ready and mf.wanting and \
                 mf.outstanding + mf.mtu <= mf.cwnd:
             mf.in_ready = True
-            heappush(self._ready, mf.id)
+            heappush(self._ready, (mf.id, mf))
 
     def _dispatch(self) -> None:
         """Run queued rate callbacks, then grants, until neither is left.
@@ -743,7 +738,7 @@ class CongestionManager:
                     continue
                 if not ready:
                     break
-                mf = self._macroflows[ready[0]]
+                mf = ready[0][1]
                 wanting = mf.wanting
                 if not wanting or mf.outstanding + mf.mtu > mf.cwnd:
                     heappop(ready)

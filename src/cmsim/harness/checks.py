@@ -4,8 +4,8 @@ Each check_* function runs one end-to-end verification and returns a
 CheckResult carrying a pass flag plus the measured numbers, so a failure
 message is diagnosable without rerunning. run_all drives them in order
 and the CLI exposes them behind --check. tests/test_checks.py asserts
-every check except aimd_oracle, whose sweep takes seconds (how many
-depends on the host) and runs only behind --check.
+every check, but only the first 500 of aimd_oracle's sequences: its full
+sweep takes seconds (how many depends on the host).
 
 The checks deliberately re-derive their expectations (via the oracles in
 this package or from first principles) instead of comparing against

@@ -98,6 +98,9 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
         app_buf_limit=4, thresh_down=0.9, thresh_up=1.1),
 }
 SCENARIO_NAMES = tuple(SCENARIOS)
+# Where packet_size must fit in one MTU: the scenarios that send it.
+_SENDS_PACKET_SIZE = ("layered_alf", "layered_rate", "delayed_feedback",
+                      "fairness_ensemble", "udpcc_basic")
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 # Python types a JSON value may take for each field type of _FIELD_TYPES
@@ -219,8 +222,10 @@ def validate(cfg: ExperimentConfig) -> None:
     _require(cfg.transfer_size > 0, "transfer_size", "must be positive")
     _require(cfg.transfer_gap >= 0, "transfer_gap", "must be nonnegative")
     _require(cfg.num_transfers >= 1, "num_transfers", "must be at least 1")
-    _require(0 < cfg.packet_size <= cfg.mtu, "packet_size",
-             f"must be in (0, mtu={cfg.mtu}]")
+    _require(cfg.packet_size > 0, "packet_size", "must be positive")
+    _require(cfg.scenario not in _SENDS_PACKET_SIZE
+             or cfg.packet_size <= cfg.mtu, "packet_size",
+             f"must be at most mtu={cfg.mtu}")
     _require(cfg.max_acks >= 1, "max_acks", "must be at least 1")
     _require(cfg.max_delay >= 0, "max_delay", "must be nonnegative")
     _require(cfg.max_acks == 1 or 0 < cfg.max_delay < inf, "max_delay",
@@ -237,8 +242,9 @@ def validate(cfg: ExperimentConfig) -> None:
     _require(cfg.step_down_t >= 0, "step_down_t", "must be nonnegative")
     _require(cfg.step_up_t > cfg.step_down_t, "step_up_t",
              "must be after step_down_t")
-    _require(0 < cfg.frame_size <= cfg.mtu, "frame_size",
-             f"must be in (0, mtu={cfg.mtu}]")
+    _require(cfg.frame_size > 0, "frame_size", "must be positive")
+    _require(cfg.scenario != "audio_cbr" or cfg.frame_size <= cfg.mtu,
+             "frame_size", f"must be at most mtu={cfg.mtu}")
     _require(cfg.frame_interval > 0, "frame_interval", "must be positive")
     _require(cfg.app_buf_limit >= 1, "app_buf_limit", "must be at least 1")
     _require(cfg.policer_depth_frames >= 1, "policer_depth_frames",

@@ -31,9 +31,7 @@ Update = Tuple[int, int, str, float, Optional[float], int, Optional[float]]
 
 
 def aimd_reference(updates: Sequence[Update],
-                   mtu: int = _DEF_MTU,
-                   init_cwnd: Optional[int] = None,
-                   init_ssthresh: int = _DEF_SSTHRESH) -> List[int]:
+                   mtu: int = _DEF_MTU) -> List[int]:
     """Recompute the cwnd trace for a report sequence, one entry per update.
 
     Each update is (nsent, nrecd, lossmode, now, rtt, member,
@@ -57,8 +55,8 @@ def aimd_reference(updates: Sequence[Update],
         halves;
       - persistent: halve ssthresh (floor 2*mtu), cwnd to one mtu, always.
     """
-    cwnd = mtu if init_cwnd is None else int(init_cwnd)
-    ssthresh = int(init_ssthresh)
+    cwnd = mtu
+    ssthresh = _DEF_SSTHRESH
     acc = 0
     recovery_left = 0
     srtt = 0.0

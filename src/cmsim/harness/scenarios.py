@@ -320,11 +320,11 @@ _ONLY = [bytes(kind.code) + b"\x01" + bytes(255 - kind.code)
          for kind in TraceKind]
 
 
-def _downsample(ts: array, vs: array, cap: int = SERIES_CAP) -> List[List[float]]:
+def _downsample(ts: array, vs: array) -> List[List[float]]:
     """The [t, v] points a summary keeps of a series: all of them up to
-    cap, else every stride-th from the first, plus the last point unless
-    the last one kept equals it."""
-    stride = max(1, math.ceil(len(ts) / cap))
+    SERIES_CAP, else every stride-th from the first, plus the last point
+    unless the last one kept equals it."""
+    stride = max(1, math.ceil(len(ts) / SERIES_CAP))
     kept = list(map(list, zip(ts[::stride], vs[::stride])))
     last = [ts[-1], vs[-1]]
     if kept[-1] != last:

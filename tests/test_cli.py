@@ -128,5 +128,27 @@ def test_make_config_keywords_pass_as_a_config_file_would():
             cfg.loss_prob) == (1, 0, [1, 2], True, 0.001)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "udpcc_basic", "--set", "mtu=100",
+     "--set", "packet_size=100"],
+    ["--scenario", "tcp_compare", "--set", "mtu=1000"],
+    ["--scenario", "sharing", "--set", "mtu=1000"],
+], ids=["frame-size-unread", "packet-size-unread-tcp",
+        "packet-size-unread-sharing"])
+def test_a_size_field_the_scenario_never_sends_may_exceed_mtu(tmp_path,
+                                                              argv):
+    assert main([*argv, "--set", "duration=1",
+                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("scenario,field", [("udpcc_basic", "packet_size"),
+                                            ("audio_cbr", "frame_size")])
+def test_a_size_field_the_scenario_sends_must_fit_in_mtu(tmp_path, capsys,
+                                                         scenario, field):
+    assert main(["--scenario", scenario, "--set", "mtu=100",
+                 "--set", "duration=1", "--out", str(tmp_path)]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
 def test_named_check_passes():
     assert main(["--check", "ack_division"]) == 0

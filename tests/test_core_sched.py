@@ -1,6 +1,6 @@
 """Scheduler behavior: round-robin grant rotation, window gating on
 outstanding bytes, declined grants, rate-threshold callbacks, and the
-periodic tick (idle decay, liveness re-dispatch, suggested period).
+periodic tick (idle decay, liveness re-dispatch, its one period).
 """
 import random
 from math import inf
@@ -11,6 +11,7 @@ from cmsim import core
 from cmsim.core import (BASE_TICK, MIN_RTO, CongestionManager, FeedbackReport,
                         FlowKey, LossMode, Proto)
 from cmsim.errors import InvalidThreshold
+from cmsim.sim import EventLoop
 from cmsim.trace import TraceKind, Tracer
 
 MTU = 1500
@@ -224,7 +225,7 @@ def test_a_grant_reads_no_member_scan():
     cm = CongestionManager()
     granted = []
     fids = make_flows(cm, 10 ** 4, granted.append)
-    mf = cm._macroflows[1]
+    mf = cm._flows[fids[0]].mf
     mf.members = CountingList(mf.members)
     for fid in (fids[5000], fids[-1], fids[0], fids[5000]):
         CountingList.reads = 0
@@ -405,12 +406,13 @@ def test_thresh_that_float_refuses_changes_nothing(registered):
     assert groups(cm) == before
 
 
-def groups(cm, mfid=1):
-    """The rate-callback groups of a macroflow, {band: sorted member ids},
-    after checking their structure: no group is empty or holds a member
-    twice, and every open member with an update callback sits in the group
-    of its own band, (r0, down, up), and no other member in any."""
-    mf = cm._macroflows[mfid]
+def groups(cm):
+    """The rate-callback groups of the lowest open flow's macroflow,
+    {band: sorted member ids}, after checking their structure: no group is
+    empty or holds a member twice, and every open member with an update
+    callback sits in the group of its own band, (r0, down, up), and no
+    other member in any."""
+    mf = cm._flows[min(cm._flows)].mf
     out = {}
     for band, group in mf.bands.items():
         ids = [fl.id for fl in group]
@@ -424,6 +426,7 @@ def groups(cm, mfid=1):
 def test_closing_rated_members_drops_their_band_entries():
     cm = CongestionManager()
     fids, got = rated_flows(cm, 4, (0.5, 2.0))
+    mf = cm._flows[fids[0]].mf
     cm.update(fids[0], FeedbackReport(0, 0, rtt=0.125))
     cm.close(fids[1])
     cm.close(fids[2])
@@ -434,7 +437,7 @@ def test_closing_rated_members_drops_their_band_entries():
     cm.close(fids[0])
     assert groups(cm) == {(24000.0, 0.5, 2.0): [fids[3]]}
     cm.close(fids[3])
-    assert cm._macroflows[1].bands == {}
+    assert mf.bands == {}
 
 
 def test_dropped_registration_and_thresh_move_a_member_between_groups():
@@ -537,7 +540,7 @@ def test_three_bands_over_many_members_fire_by_group(monkeypatch):
     assert groups(cm) == {(24000.0, *THREE_BANDS[1]): thirds[1]}
     for f in thirds[1]:
         cm.register_update(f, None)
-    assert cm._macroflows[1].bands == {}
+    assert cm._flows[fids[1]].mf.bands == {}
 
 
 def test_band_groups_track_every_rated_member():
@@ -625,10 +628,12 @@ def test_decay_waits_for_the_deadline_a_later_send_set():
 
 
 def test_due_decays_apply_in_macroflow_id_order():
-    # the macroflows rise above one MTU in id order with deadlines 6, 4
-    # and 5 s, then out of id order, reported 3, 1, 2
-    for order, times in (((0, 1, 2), (2.0, 0.0, 1.0)),
-                         ((2, 0, 1), (0.0, 1.0, 2.0))):
+    # the clock only moves forward. The macroflows rise above one MTU in
+    # id order, at 0.0, 0.5 and 1.0 s, and the first sends again at 2.0 s:
+    # deadlines 6, 4.5 and 5 s. Then they rise out of id order, reported
+    # 3, 1, 2
+    for order, times, again in (((0, 1, 2), (0.0, 0.5, 1.0), 2.0),
+                                ((2, 0, 1), (0.0, 1.0, 2.0), None)):
         now = [0.0]
         tracer = Tracer()
         cm = CongestionManager(clock=lambda: now[0], tracer=tracer)
@@ -638,6 +643,9 @@ def test_due_decays_apply_in_macroflow_id_order():
             now[0] = sent_at
             cm.notify(fids[i], 100)
             cm.update(fids[i], FeedbackReport(100, 100))
+        if again is not None:
+            now[0] = again
+            cm.notify(fids[0], 100)
         cm.tick(10.0)
         cuts = [r.flow for r in tracer.records
                 if r.kind == TraceKind.CWND_CHANGE and r.value1 == MTU]
@@ -648,7 +656,7 @@ def test_decay_at_the_least_rto_is_due_exactly_at_four_rtos():
     cm = CongestionManager()                        # last send at 0.0
     fid = cm.open(key(1))
     cm.update(fid, FeedbackReport(MTU, MTU, rtt=0.01))  # cwnd 3000
-    assert cm._macroflows[1].rto() == MIN_RTO
+    assert cm._flows[fid].mf.rto() == MIN_RTO
     cm.tick(0.79)
     assert cm.macroflow_state(fid).cwnd == 2 * MTU
     cm.tick(0.8)                                    # 0.8 == 4 * MIN_RTO
@@ -780,9 +788,9 @@ def stranded(cm):
 def test_a_grant_callback_that_raises_leaves_its_macroflow_ready():
     cm = CongestionManager()
     a, _ = stranded(cm)
-    mfid = cm.macroflow_state(a).id
-    assert cm._ready == [mfid]
-    assert cm._macroflows[mfid].in_ready
+    mf = cm._flows[a].mf
+    assert cm._ready == [(mf.id, mf)]
+    assert mf.in_ready
 
 
 @pytest.mark.parametrize("call", ["notify", "query", "mtu"])
@@ -809,18 +817,43 @@ def test_a_rate_callback_made_due_by_update_runs_before_update_returns():
     assert rates == [2 * MTU / 0.1, 3 * MTU / 0.1]
 
 
-def test_tick_period_tracks_half_srtt():
+def test_tick_period_is_base_tick_at_any_srtt():
     cm = CongestionManager()
     assert cm.tick_period() == BASE_TICK
-    fid = cm.open(key(1))
+    fast = cm.open(key(1))
+    cm.update(fast, FeedbackReport(0, 0, rtt=0.002))
+    assert cm.rtt_estimate(fast)[0] == 0.002
     assert cm.tick_period() == BASE_TICK
-    cm.update(fid, FeedbackReport(0, 0, rtt=0.004))
-    assert cm.tick_period() == pytest.approx(0.002)
-    other = cm.open(FlowKey("c", 9, "elsewhere", 9, Proto.UDP))
-    cm.update(other, FeedbackReport(0, 0, rtt=1.0))
-    assert cm.tick_period() == pytest.approx(0.002)
-    cm.update(fid, FeedbackReport(0, 0, rtt=1.0))  # srtt 0.1285
+    slow = cm.open(FlowKey("c", 9, "elsewhere", 9, Proto.UDP))
+    cm.update(slow, FeedbackReport(0, 0, rtt=0.2))
+    assert cm.rtt_estimate(slow)[0] == 0.2
     assert cm.tick_period() == BASE_TICK
+
+
+def test_a_host_timer_decays_a_2ms_srtt_at_its_first_tick_from_0_8_s():
+    """At srtt 2 ms, decay is due 4 * MIN_RTO = 0.8 s after the last
+    send; a host timer rescheduled by tick_period decays the window at its
+    first tick at or after 0.8 s, and not before."""
+    loop = EventLoop()
+    cm = CongestionManager(clock=lambda: loop.now)
+    fid = cm.open(key(1))                           # last send at 0.0
+    cm.update(fid, FeedbackReport(MTU, MTU, rtt=0.002))  # cwnd 3000
+    ticks = []                                      # (time, cwnd after)
+
+    def tick():
+        cm.tick(loop.now)
+        ticks.append((loop.now, cm.macroflow_state(fid).cwnd))
+        loop.schedule_after(cm.tick_period(), tick)
+
+    loop.schedule_after(cm.tick_period(), tick)
+    loop.run_until(1.0)
+    times = [t for t, _ in ticks]
+    assert times[0] == BASE_TICK
+    assert all(b - a == pytest.approx(BASE_TICK)
+               for a, b in zip(times, times[1:]))
+    first = next(i for i, t in enumerate(times) if t >= 0.8)
+    assert [c for _, c in ticks[:first]] == [2 * MTU] * first
+    assert ticks[first][1] == MTU
 
 
 def test_tick_does_not_count_as_boundary_crossing():

@@ -21,7 +21,7 @@ the scheduler must follow:
   * tick(now) decays exactly the macroflows with cwnd > mtu that have been
     idle for IDLE_RTO_MULTIPLE * rto, in macroflow id order;
   * a flow's rate is cwnd / srtt split over the members with pending
-    requests, and tick_period is BASE_TICK or the least srtt / 2.
+    requests, and tick_period is BASE_TICK whatever the srtts.
 
   * each flow carries the bytes it notified; update discharges the
     reporting flow's charge and the macroflow's, each clamped at 0, and
@@ -105,7 +105,13 @@ class CoreScheduler(RuleBasedStateMachine):
     # -- the model --------------------------------------------------------
 
     def real(self, mfid):
-        return self.cm._macroflows[mfid]
+        """The core's macroflow for model macroflow mfid, found by its
+        destination: one whose members all closed has no flow to reach it
+        through."""
+        dst = next(d for d, m in self.mf_of_dst.items() if m == mfid)
+        mf = self.cm._mf_by_dst[dst]
+        assert mf.id == mfid
+        return mf
 
     def next_grant(self):
         """(macroflow id, member index) the rules say is granted next."""
@@ -420,9 +426,7 @@ class CoreScheduler(RuleBasedStateMachine):
 
     @invariant()
     def rates_and_tick_period(self):
-        srtts = [self.real(mfid).srtt for mfid in self.mfs]
-        assert self.cm.tick_period() == min(
-            [BASE_TICK] + [s / 2.0 for s in srtts if s > 0.0])
+        assert self.cm.tick_period() == BASE_TICK
         for fid, fl in self.flows.items():
             mf = self.real(fl.mfid)
             demand = sum(self.flows[g].pending > 0
