@@ -28,7 +28,7 @@ from collections import deque
 from typing import Deque, Tuple
 
 from ..core import CongestionManager, FlowKey
-from ..sim import EventLoop, Path
+from ..sim import EventLoop, Link
 from ..trace import BUF_DROP, POLICER_DROP, Tracer
 from ..transport.feedback import DatagramSender
 
@@ -66,7 +66,7 @@ class CbrAudioSource(DatagramSender):
     tracer gets a row per frame sent or dropped. ValueError, before the
     flow opens, for a setting that would crash or starve the source."""
 
-    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
+    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
                  loop: EventLoop, frame_size: int = 160,
                  frame_interval: float = 0.02, app_buf_limit: int = 4,
                  policer_depth_frames: int = 2,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core import CongestionManager, FlowKey
-from ..sim import EventLoop, Path
+from ..sim import EventLoop, Link
 from ..trace import LAYER_CHANGE, Tracer
 from ..transport.feedback import DatagramSender
 
@@ -61,15 +61,12 @@ class LayerConfig:
                 best = i
         return best
 
-    def rate_of(self, layer: int) -> int:
-        return self.rates[layer]
-
 
 class AlfLayeredSource(DatagramSender):
     """Grant-clocked source: one packet per grant, layer re-picked each time.
     tracer gets a Send row per packet, a LayerChange row per layer taken."""
 
-    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
+    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
                  loop: EventLoop, layers: Optional[LayerConfig] = None,
                  packet_size: Optional[int] = None, *,
                  tracer: Tracer) -> None:
@@ -111,7 +108,7 @@ class PacedLayeredSource(DatagramSender):
     """Self-clocked source: sends at the layer rate, adapts on rate callbacks.
     tracer gets a Send row per packet, a LayerChange row per layer taken."""
 
-    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
+    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
                  loop: EventLoop, layers: Optional[LayerConfig] = None,
                  packet_size: int = 1500,
                  thresh: Tuple[float, float] = (0.7, 1.4), *,
@@ -126,7 +123,7 @@ class PacedLayeredSource(DatagramSender):
 
     @property
     def interval(self) -> float:
-        return self.packet_size / self.layers.rate_of(self.layer)
+        return self.packet_size / self.layers.rates[self.layer]
 
     def start(self) -> None:
         self.tracer.emit(self.loop.now, self.flow, LAYER_CHANGE,

@@ -1,7 +1,7 @@
 from .checks import CHECKS, CheckResult, run_all
 from .config import (ExperimentConfig, SCENARIO_NAMES, SCENARIOS,
                      apply_overrides, from_dict, load_json, make_config,
-                     save_json, to_dict, validate)
+                     save_json, validate)
 from .oracles import RenoSender, aimd_reference
 from .scenarios import (BUILDERS, RunOutput, run_experiment, run_stats,
                         summarize_trace, write_outputs)
@@ -25,7 +25,6 @@ __all__ = [
     "run_stats",
     "save_json",
     "summarize_trace",
-    "to_dict",
     "validate",
     "write_outputs",
 ]

@@ -158,10 +158,6 @@ def apply_overrides(cfg: ExperimentConfig, assignments: List[str]) -> None:
         setattr(cfg, key, _coerce(key, raw))
 
 
-def to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
-    return asdict(cfg)
-
-
 def _typed(key: str, typ: str, value: Any) -> Any:
     """A config value for field key of type typ, from JSON or a keyword
     override, or ConfigError if its type is wrong. An int passes for a
@@ -191,7 +187,7 @@ def from_dict(data: Dict[str, Any]) -> ExperimentConfig:
 
 def save_json(cfg: ExperimentConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..sim import Deadline, EventLoop, Packet, PacketKind, Path
+from ..sim import Deadline, EventLoop, Link, Packet, PacketKind
 from ..trace import TraceKind, Tracer
 from ..transport.tcp import AckInfo
 
@@ -110,7 +110,7 @@ class RenoSender:
     mss. Intentionally not built on the congestion core. Each segment
     sent gets a Send row in tracer."""
 
-    def __init__(self, loop: EventLoop, flow_id: int, data_path: Path,
+    def __init__(self, loop: EventLoop, flow_id: int, data_path: Link,
                  mss: int = _DEF_MTU, *, tracer: Tracer) -> None:
         self.loop = loop
         self.flow_id = flow_id

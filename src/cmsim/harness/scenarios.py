@@ -8,7 +8,7 @@ configured duration and derives two kinds of output:
   * run_stats: controller operation counts, which exist only in the live
     run (they measure API boundary crossings, not traffic).
 
-Reverse (acknowledgment) paths are fast and lossless so that the
+Reverse (acknowledgment) links are fast and lossless so that the
 dynamics under study stay on the forward bottleneck.
 """
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 from ..apps import (AlfLayeredSource, CbrAudioSource, LayerConfig,
                     PacedLayeredSource)
 from ..core import CongestionManager, FlowKey, Proto
-from ..sim import Dispatcher, EventLoop, Link, Path
+from ..sim import Dispatcher, EventLoop, Link
 from ..trace import TraceKind, TraceRecord, Tracer, columns, write_csv
 from ..transport.feedback import AppAckReceiver, DatagramSender
 from ..transport.tcp import TcpReceiver, TcpSender
@@ -61,25 +61,25 @@ def _cm(cfg: ExperimentConfig, loop: EventLoop,
 
 
 def _duplex(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
-            name: str) -> tuple:
+            name: str) -> Tuple[Link, Link]:
     fwd = Link(loop, cfg.bandwidth_bps, cfg.delay,
                queue_limit=cfg.queue_limit, loss_prob=cfg.loss_prob,
                ecn_mode=cfg.ecn, mtu=cfg.mtu, seed=cfg.seed,
                name=f"{name}-fwd", tracer=tracer)
     rev = Link(loop, cfg.ack_bandwidth_bps, cfg.delay, queue_limit=REV_QUEUE,
                mtu=cfg.mtu, seed=cfg.seed, name=f"{name}-rev")
-    return Path([fwd]), Path([rev]), fwd
+    return fwd, rev
 
 
-def _app_acks(cfg: ExperimentConfig, loop: EventLoop, fwd: Path, rev: Path,
+def _app_acks(cfg: ExperimentConfig, loop: EventLoop, fwd: Link, rev: Link,
               senders: List[DatagramSender]) -> Tuple[Dispatcher, Dispatcher]:
     """Route each datagram sender's packets to its own AppAckReceiver and
     the acks back to its on_feedback; returns the forward and reverse
-    dispatchers so other flows can share the paths."""
+    dispatchers so other flows can share the links."""
     route_fwd = Dispatcher()
     route_rev = Dispatcher()
-    fwd.set_sink(route_fwd)
-    rev.set_sink(route_rev)
+    fwd.sink = route_fwd
+    rev.sink = route_rev
     for s in senders:
         ackr = AppAckReceiver(loop, rev, s.flow, max_acks=cfg.max_acks,
                               max_delay=cfg.max_delay)
@@ -96,22 +96,22 @@ def build_tcp_compare(cfg: ExperimentConfig, loop: EventLoop,
     """One controller-managed stream and one independent Reno stream on
     separate but identically configured lossy links."""
     cm = _cm(cfg, loop, tracer)
-    fwd_c, rev_c, _ = _duplex(cfg, loop, tracer, "cm")
+    fwd_c, rev_c = _duplex(cfg, loop, tracer, "cm")
     key = FlowKey("client", 4001, "server", 80, Proto.TCP)
     sender = TcpSender(cm, key, fwd_c, loop, tracer=tracer)
     receiver = TcpReceiver(loop, rev_c, sender.flow)
-    fwd_c.set_sink(receiver.on_data)
-    rev_c.set_sink(sender.on_ack)
+    fwd_c.sink = receiver.on_data
+    rev_c.sink = sender.on_ack
     # enough backlog that the source can never run dry
     sender.write(int(cfg.duration * cfg.bandwidth_bps / 8) + cfg.mtu)
     sender.start()
 
-    fwd_r, rev_r, _ = _duplex(cfg, loop, tracer, "ref")
+    fwd_r, rev_r = _duplex(cfg, loop, tracer, "ref")
     reno = RenoSender(loop, RENO_FLOW_BASE, fwd_r, mss=cfg.mtu,
                       tracer=tracer)
     reno_rcv = TcpReceiver(loop, rev_r, RENO_FLOW_BASE)
-    fwd_r.set_sink(reno_rcv.on_data)
-    rev_r.set_sink(reno.on_ack)
+    fwd_r.sink = reno_rcv.on_data
+    rev_r.sink = reno.on_ack
     reno.start()
 
     return {"cm": cm, "cm_flows": [sender.flow],
@@ -123,11 +123,11 @@ def build_sharing(cfg: ExperimentConfig, loop: EventLoop,
     """Back-to-back transfers to one destination; each is a fresh
     connection but they all inherit the destination's shared state."""
     cm = _cm(cfg, loop, tracer)
-    fwd, rev, _ = _duplex(cfg, loop, tracer, "shr")
+    fwd, rev = _duplex(cfg, loop, tracer, "shr")
     route_fwd = Dispatcher()
     route_rev = Dispatcher()
-    fwd.set_sink(route_fwd)
-    rev.set_sink(route_rev)
+    fwd.sink = route_fwd
+    rev.sink = route_rev
     cm_flows: List[int] = []
 
     def start_transfer(i: int) -> None:
@@ -155,7 +155,7 @@ def build_sharing(cfg: ExperimentConfig, loop: EventLoop,
 def _build_layered(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
                    paced: bool) -> Dict[str, Any]:
     cm = _cm(cfg, loop, tracer)
-    fwd, rev, fwd_link = _duplex(cfg, loop, tracer, "lay")
+    fwd, rev = _duplex(cfg, loop, tracer, "lay")
     layers = LayerConfig(rates=tuple(cfg.layer_rates), safety=cfg.safety)
     key = FlowKey("app", 5001, "sink", 443)
     if paced:
@@ -166,9 +166,8 @@ def _build_layered(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
         app = AlfLayeredSource(cm, key, fwd, loop, layers=layers,
                                packet_size=cfg.packet_size, tracer=tracer)
     _app_acks(cfg, loop, fwd, rev, [app])
-    loop.schedule(cfg.step_down_t, fwd_link.set_bandwidth,
-                  cfg.low_bandwidth_bps)
-    loop.schedule(cfg.step_up_t, fwd_link.set_bandwidth, cfg.bandwidth_bps)
+    loop.schedule(cfg.step_down_t, fwd.set_bandwidth, cfg.low_bandwidth_bps)
+    loop.schedule(cfg.step_up_t, fwd.set_bandwidth, cfg.bandwidth_bps)
     app.start()
     return {"cm": cm, "cm_flows": [app.flow], "ref_flows": []}
 
@@ -177,7 +176,7 @@ def build_delayed_feedback(cfg: ExperimentConfig, loop: EventLoop,
                            tracer: Tracer) -> Dict[str, Any]:
     """A greedy datagram flow whose receiver batches acknowledgments."""
     cm = _cm(cfg, loop, tracer)
-    fwd, rev, _ = _duplex(cfg, loop, tracer, "dly")
+    fwd, rev = _duplex(cfg, loop, tracer, "dly")
     key = FlowKey("app", 6001, "collector", 9)
     sock = UdpCcSocket(cm, key, fwd, loop, tracer=tracer)
     sock.on_sent = lambda seq, size: sock.send(cfg.packet_size)
@@ -194,7 +193,7 @@ def build_udpcc_basic(cfg: ExperimentConfig, loop: EventLoop,
     """num_flows greedy datagram flows to one destination, round-robin
     scheduled inside a single macroflow."""
     cm = _cm(cfg, loop, tracer)
-    fwd, rev, _ = _duplex(cfg, loop, tracer, "rr")
+    fwd, rev = _duplex(cfg, loop, tracer, "rr")
     socks: List[UdpCcSocket] = []
     for i in range(cfg.num_flows):
         key = FlowKey("host", 7000 + i, "peer", 9)
@@ -216,7 +215,7 @@ def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
     run through bulk calls when cfg.bulk is set, per-flow calls
     otherwise; the traffic pattern is identical either way."""
     cm = _cm(cfg, loop, tracer)
-    fwd, rev, _ = _duplex(cfg, loop, tracer, "ens")
+    fwd, rev = _duplex(cfg, loop, tracer, "ens")
     batch: List[int] = []
     socks = [UdpCcSocket(cm, FlowKey("host", 7100 + i, "server", 9), fwd,
                          loop, tracer=tracer, request_batch=batch)
@@ -260,7 +259,7 @@ def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
 def build_audio_cbr(cfg: ExperimentConfig, loop: EventLoop,
                     tracer: Tracer) -> Dict[str, Any]:
     cm = _cm(cfg, loop, tracer)
-    fwd, rev, _ = _duplex(cfg, loop, tracer, "aud")
+    fwd, rev = _duplex(cfg, loop, tracer, "aud")
     key = FlowKey("vat", 5004, "peer", 5004)
     app = CbrAudioSource(cm, key, fwd, loop, frame_size=cfg.frame_size,
                          frame_interval=cfg.frame_interval,

@@ -248,7 +248,8 @@ class Link:
     for each packet still being serialized or waiting, in FIFO order; the
     head is the one being serialized, and it counts toward
     ``queue_limit``. See the module docstring for when a packet whose
-    finish is exactly ``now`` has left.
+    finish is exactly ``now`` has left. Each packet that arrives goes to
+    ``sink``, which may be reassigned at any time; with none, it is lost.
 
     Random loss draws come from this link's own RNG stream, seeded from the
     master seed and the link name, so adding traffic elsewhere never
@@ -357,25 +358,16 @@ class Link:
             self.sink(pkt, self.loop.now)
 
 
-class Path:
-    """A unidirectional path of exactly one link.
-
-    The path's sink is kept as the link's sink, so the link hands each
-    packet it delivers straight to it; ``set_sink`` replaces it there.
-    Without a sink, the link drops what it delivers silently. ``send`` is
-    the link's own bound ``send``, so a packet sent on the path costs no
-    frame of the path's."""
-
-    def __init__(self, links: List[Link],
-                 sink: Optional[Callable[[Packet, float], None]] = None) -> None:
-        if len(links) != 1:
-            raise ValueError("a path is exactly one link")
-        self.links = links
-        links[0].sink = sink
-        self.send: Callable[[Packet], LinkOutcome] = links[0].send
-
-    def set_sink(self, sink: Callable[[Packet, float], None]) -> None:
-        self.links[0].sink = sink
+def Path(links: List[Link],
+         sink: Optional[Callable[[Packet, float], None]] = None) -> Link:
+    """The one link in ``links``, with ``sink`` set as its sink. Clients
+    and builders hold their ``Link`` itself; only perfbench's
+    ``workloads.py`` still builds through here, and ROADMAP item 17
+    deletes this function with that call."""
+    if len(links) != 1:
+        raise ValueError("a path is exactly one link")
+    links[0].sink = sink
+    return links[0]
 
 
 class Dispatcher:

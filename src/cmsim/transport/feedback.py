@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core import (ECN, NO_LOSS, TRANSIENT, CongestionManager,
                     FeedbackReport, FlowKey)
-from ..sim import APP_ACK, DATA, Deadline, EventLoop, Packet, Path
+from ..sim import APP_ACK, DATA, Deadline, EventLoop, Link, Packet
 from ..trace import SEND, Tracer
 
 REORDER_PACKETS = 3
@@ -58,7 +58,7 @@ class AppAck(NamedTuple):
 class AppAckReceiver:
     """Receiver side: collects data packet seqs and flushes AppAcks."""
 
-    def __init__(self, loop: EventLoop, ack_path: Path, flow: int,
+    def __init__(self, loop: EventLoop, ack_path: Link, flow: int,
                  max_acks: int = 1, max_delay: float = 0.0) -> None:
         # a bool is no int here; a NaN delay, which compares false, fails
         if type(max_acks) is not int or max_acks < 1 or not max_delay >= 0:
@@ -153,7 +153,7 @@ class DatagramSender:
     Subclasses register their callbacks on self.flow and call _transmit
     for each datagram they send, which gives it a Send row in tracer."""
 
-    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
+    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
                  loop: EventLoop, tracer: Tracer) -> None:
         self.cm = cm
         self.loop = loop
@@ -163,12 +163,12 @@ class DatagramSender:
         self.tracker = FeedbackTracker()
 
     @staticmethod
-    def _datagram_size(path: Path, size: int) -> int:
-        """int(size); ValueError unless 1 <= size <= the MTU of the path's
-        first link. Checked before any datagram of that size is queued or
-        traced, and by the sources' constructors before the flow opens."""
+    def _datagram_size(link: Link, size: int) -> int:
+        """int(size); ValueError unless 1 <= size <= link.mtu. Checked
+        before any datagram of that size is queued or traced, and by the
+        sources' constructors before the flow opens."""
         size = int(size)
-        mtu = path.links[0].mtu
+        mtu = link.mtu
         if not 1 <= size <= mtu:
             raise ValueError(f"datagram size {size} must be in [1, {mtu}]")
         return size

@@ -33,7 +33,7 @@ from typing import Callable, Deque, List, NamedTuple, Optional, Tuple
 from ..core import (ECN, MAX_RTO, NO_LOSS, PERSISTENT, TRANSIENT,
                     CongestionManager, FeedbackReport, FlowKey)
 from ..errors import ConnectionClosed
-from ..sim import ACK, DATA, Deadline, EventLoop, Packet, Path
+from ..sim import ACK, DATA, Deadline, EventLoop, Link, Packet
 from ..trace import SEND, Tracer
 
 ACK_SIZE = 40
@@ -56,7 +56,7 @@ class TcpReceiver:
     packet sets the ECN echo on the next ACK.
     """
 
-    def __init__(self, loop: EventLoop, ack_path: Path, flow: int) -> None:
+    def __init__(self, loop: EventLoop, ack_path: Link, flow: int) -> None:
         self.loop = loop
         self.ack_path = ack_path
         self.flow = flow
@@ -102,7 +102,7 @@ class TcpSender:
     """Sender half of the reliable stream; windowing lives in the manager.
     tracer gets a Send row per data segment, retransmissions included."""
 
-    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
+    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
                  loop: EventLoop, tracer: Tracer,
                  on_complete: Optional[Callable[[float], None]] = None) -> None:
         self.cm = cm
@@ -113,13 +113,12 @@ class TcpSender:
         self.flow = cm.open(key)
         cm.register_send(self.flow, self._on_grant)
         self.mss = cm.mtu(self.flow)
-        link_mtu = data_path.links[0].mtu
-        if self.mss > link_mtu:
+        if self.mss > data_path.mtu:
             # every full segment would fail in Link.send, inside the grant
             # callback and after its grant was spent
             cm.close(self.flow)
-            raise ValueError(f"segment size {self.mss} exceeds the first "
-                             f"link's mtu {link_mtu}")
+            raise ValueError(f"segment size {self.mss} exceeds the link's "
+                             f"mtu {data_path.mtu}")
         self.closed = False
         self.total = 0          # bytes written by the app so far
         self.snd_una = 0

@@ -4,7 +4,7 @@ Each send() queues one datagram and asks the controller for a grant;
 datagrams leave in FIFO order, one per grant. Reliability is not
 provided. Loss and RTT information comes back through application-level
 ACK packets, which DatagramSender folds into feedback reports for the
-controller. A datagram must fit the MTU of the path's first link; send()
+controller. A datagram must fit the MTU of the link it is sent on; send()
 rejects one that does not before it is queued, since a grant spent on a
 datagram the link refuses would never be notified. Each datagram sent
 gets a Send row in the socket's tracer.
@@ -22,13 +22,13 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from ..core import CongestionManager, FlowKey
 from ..errors import SocketClosed
-from ..sim import EventLoop, Path
+from ..sim import EventLoop, Link
 from ..trace import Tracer
 from .feedback import DatagramSender
 
 
 class UdpCcSocket(DatagramSender):
-    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Path,
+    def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
                  loop: EventLoop, tracer: Tracer,
                  request_batch: Optional[List[int]] = None) -> None:
         super().__init__(cm, key, data_path, loop, tracer)

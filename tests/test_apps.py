@@ -18,13 +18,13 @@ from cmsim.sim import DEFAULT_MTU, EventLoop
 from cmsim.trace import TraceKind, Tracer
 
 
-class CollectPath:
-    """Stands in for a network path; just records what was sent. Its one
-    link has the default MTU, which datagram senders check sizes against."""
+class CollectLink:
+    """Stands in for a network link; just records what was sent. It has
+    the default MTU, which datagram senders check sizes against."""
 
     def __init__(self):
         self.packets = []
-        self.links = [SimpleNamespace(mtu=DEFAULT_MTU)]
+        self.mtu = DEFAULT_MTU
 
     def send(self, pkt):
         self.packets.append(pkt)
@@ -65,7 +65,7 @@ def test_layer_config_pick_boundaries():
     assert cfg.pick(32768 / 0.9 + 3) == 1
     assert cfg.pick(131072 / 0.9 + 3) == 3
     assert cfg.pick(1e9) == 3
-    assert cfg.rate_of(2) == 65536
+    assert cfg.rates[2] == 65536
 
 
 def test_layer_config_rejects_bad_tables():
@@ -92,28 +92,28 @@ def test_layer_config_rejects_bad_tables():
 def test_alf_start_traces_base_layer_and_sends_on_grant():
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
+    link = CollectLink()
     tracer = Tracer()
-    src = AlfLayeredSource(cm, key(), path, loop, tracer=tracer)
+    src = AlfLayeredSource(cm, key(), link, loop, tracer=tracer)
     src.start()
     first = tracer.records[0]
     assert first.kind is TraceKind.LAYER_CHANGE
     assert (first.value1, first.value2) == (0.0, 0.0)
     # no rate estimate yet, so the base layer goes out; the initial
     # window admits exactly one packet
-    assert len(path.packets) == 1
+    assert len(link.packets) == 1
     assert layers_sent(tracer.records) == [0.0]
 
 
 def test_alf_repicks_layer_from_rate_at_each_grant():
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
+    link = CollectLink()
     tracer = Tracer()
-    src = AlfLayeredSource(cm, key(), path, loop, tracer=tracer)
+    src = AlfLayeredSource(cm, key(), link, loop, tracer=tracer)
     grow(cm, src.flow, 3)            # cwnd 6000, srtt 0.1 -> 60 kB/s
     src.start()
-    assert len(path.packets) == 4    # window admits four packets
+    assert len(link.packets) == 4    # window admits four packets
     assert layers_sent(tracer.records) == [1.0] * 4
     layers = [r.value1 for r in tracer.records
               if r.kind is TraceKind.LAYER_CHANGE]
@@ -125,10 +125,10 @@ def test_alf_requests_no_grant_before_start():
     no grant reaches it before it starts."""
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
-    AlfLayeredSource(cm, key(), path, loop, tracer=Tracer())
+    link = CollectLink()
+    AlfLayeredSource(cm, key(), link, loop, tracer=Tracer())
     assert cm.op_counts.get("request", 0) == 0
-    assert path.packets == []
+    assert link.packets == []
 
 
 # -- self-paced layered source --------------------------------------------
@@ -136,9 +136,9 @@ def test_alf_requests_no_grant_before_start():
 def test_paced_sends_at_layer_rate():
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
+    link = CollectLink()
     tracer = Tracer()
-    src = PacedLayeredSource(cm, key(), path, loop, tracer=tracer)
+    src = PacedLayeredSource(cm, key(), link, loop, tracer=tracer)
     assert src.interval == pytest.approx(1500 / 16384)
     src.start()
     loop.run_until(0.3)
@@ -147,15 +147,15 @@ def test_paced_sends_at_layer_rate():
     gaps = [b - a for a, b in zip(times, times[1:])]
     assert all(g == pytest.approx(1500 / 16384) for g in gaps)
     loop.run_until(0.6)
-    assert len(path.packets) == 7    # the cadence holds, with no grants
+    assert len(link.packets) == 7    # the cadence holds, with no grants
 
 
 def test_paced_repicks_layer_only_on_rate_callback():
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
+    link = CollectLink()
     tracer = Tracer()
-    src = PacedLayeredSource(cm, key(), path, loop, tracer=tracer)
+    src = PacedLayeredSource(cm, key(), link, loop, tracer=tracer)
     grow(cm, src.flow, 1)            # rate 30 kB/s: first callback, layer 0
     assert src.layer == 0
     grow(cm, src.flow, 1)            # rate 45 kB/s: above 1.4x, layer 1
@@ -170,8 +170,8 @@ def test_paced_repicks_layer_only_on_rate_callback():
 def test_paced_direct_rate_hint_switches_layers():
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
-    src = PacedLayeredSource(cm, key(), path, loop, tracer=Tracer())
+    link = CollectLink()
+    src = PacedLayeredSource(cm, key(), link, loop, tracer=Tracer())
     src._on_rate(src.flow, 150000.0, 0.1, 0.0)
     assert src.layer == 3
     assert src.interval == pytest.approx(1500 / 131072)
@@ -233,13 +233,13 @@ def test_token_bucket_take_matches_a_separate_refill_then_take():
 def test_audio_overflow_drops_oldest_frame_first():
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
+    link = CollectLink()
     tracer = Tracer()
-    src = CbrAudioSource(cm, key(), path, loop, tracer=tracer)
+    src = CbrAudioSource(cm, key(), link, loop, tracer=tracer)
     src.start()
     loop.run_until(0.21)             # frames 0..10; only frame 0 fit the window
     assert src.generated == 11
-    assert len(path.packets) == 1
+    assert len(link.packets) == 1
     drops = [int(r.value1) for r in tracer.records
              if r.kind is TraceKind.BUF_DROP]
     assert drops == [1, 2, 3, 4, 5, 6]
@@ -260,14 +260,14 @@ def test_audio_overflow_drops_oldest_frame_first():
 def test_audio_evicts_stale_frames_without_overflow():
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
+    link = CollectLink()
     tracer = Tracer()
-    src = CbrAudioSource(cm, key(), path, loop, tracer=tracer)
+    src = CbrAudioSource(cm, key(), link, loop, tracer=tracer)
     cm.notify(src.flow, 1500)        # wedge the window shut
     src.start()                      # frame 0 buffered, then the policer
     src._on_rate(src.flow, 0.0, 0.0, 0.0)    # stops admitting new ones
     loop.run_until(0.13)
-    assert path.packets == []
+    assert link.packets == []
     policed = [int(r.value1) for r in tracer.records
                if r.kind is TraceKind.POLICER_DROP]
     assert policed == [2, 3, 4, 5, 6]   # never reached the buffer
@@ -288,7 +288,7 @@ def test_audio_tick_stale_test_at_the_boundary(past):
     loop = EventLoop()
     cm = CongestionManager()
     tracer = Tracer()
-    src = CbrAudioSource(cm, key(), CollectPath(), loop, tracer=tracer)
+    src = CbrAudioSource(cm, key(), CollectLink(), loop, tracer=tracer)
     cm.notify(src.flow, 1500)        # wedge the window shut
     src.start()                      # frame 0, generated at t = 0.0
     src._on_rate(src.flow, 0.0, 0.0, 0.0)   # the policer admits frame 1 only
@@ -306,18 +306,18 @@ def test_audio_tick_stale_test_at_the_boundary(past):
 def test_audio_grant_on_empty_buffer_declines():
     loop = EventLoop()
     cm = CongestionManager()
-    path = CollectPath()
-    src = CbrAudioSource(cm, key(), path, loop, tracer=Tracer())
+    link = CollectLink()
+    src = CbrAudioSource(cm, key(), link, loop, tracer=Tracer())
     before = cm.op_counts.get("notify", 0)
     src._on_grant(src.flow)
     assert cm.op_counts["notify"] == before + 1
-    assert path.packets == []
+    assert link.packets == []
 
 
 def test_audio_rate_callback_retunes_policer():
     loop = EventLoop()
     cm = CongestionManager()
-    src = CbrAudioSource(cm, key(), CollectPath(), loop, tracer=Tracer())
+    src = CbrAudioSource(cm, key(), CollectLink(), loop, tracer=Tracer())
     assert src.policer.rate == pytest.approx(8000.0)
     src._on_rate(src.flow, 4000.0, 0.02, 0.0)
     assert src.policer.rate == pytest.approx(4000.0)
@@ -327,11 +327,11 @@ def test_audio_rate_callback_retunes_policer():
 
 SOURCES = {
     "paced": lambda cm, loop, n: PacedLayeredSource(
-        cm, key(), CollectPath(), loop, packet_size=n, tracer=Tracer()),
+        cm, key(), CollectLink(), loop, packet_size=n, tracer=Tracer()),
     "alf": lambda cm, loop, n: AlfLayeredSource(
-        cm, key(), CollectPath(), loop, packet_size=n, tracer=Tracer()),
+        cm, key(), CollectLink(), loop, packet_size=n, tracer=Tracer()),
     "audio": lambda cm, loop, n: CbrAudioSource(
-        cm, key(), CollectPath(), loop, frame_size=n, tracer=Tracer()),
+        cm, key(), CollectLink(), loop, frame_size=n, tracer=Tracer()),
 }
 
 
@@ -352,7 +352,7 @@ def test_sizes_at_the_bounds_are_accepted(source):
         SOURCES[source](CongestionManager(), EventLoop(), size)
 
 
-# The core's MTU is above the first link's, so ALF's default size, which
+# The core's MTU is above the link's, so ALF's default size, which
 # it takes from cm.mtu after the flow opens, is rejected too.
 REJECTED = [
     (PacedLayeredSource, {"thresh": (1.5, 2.0)}, InvalidThreshold),
@@ -385,10 +385,10 @@ def test_rejected_construction_leaves_no_flow_open(cls, kwargs, error):
     cm, loop = CongestionManager(mtu=DEFAULT_MTU + 1), EventLoop()
     sibling = cm.open(key(7001))
     with pytest.raises(error):
-        cls(cm, key(), CollectPath(), loop, tracer=Tracer(), **kwargs)
+        cls(cm, key(), CollectLink(), loop, tracer=Tracer(), **kwargs)
     assert cm.macroflow_state(sibling).members == (sibling,)
     cm.update(sibling, FeedbackReport(1500, 1500, LossMode.NO_LOSS, rtt=0.1))
     ok = {"packet_size": DEFAULT_MTU} if cls is AlfLayeredSource else {}
     # the key opens again
-    src = cls(cm, key(), CollectPath(), loop, tracer=Tracer(), **ok)
+    src = cls(cm, key(), CollectLink(), loop, tracer=Tracer(), **ok)
     assert cm.macroflow_state(sibling).members == (sibling, src.flow)

@@ -1,6 +1,6 @@
 """Every client of the network traces what it puts on the wire: the
 tracer is a required argument of each sender and source, and each data
-packet a client hands to its path has exactly one Send row, with the
+packet a client hands to its link has exactly one Send row, with the
 packet's flow, seq and size, at the instant it was handed over."""
 import inspect
 
@@ -10,7 +10,7 @@ from cmsim.apps.audio import CbrAudioSource
 from cmsim.apps.layered import AlfLayeredSource, PacedLayeredSource
 from cmsim.core import CongestionManager, FlowKey, Proto
 from cmsim.harness.oracles import RenoSender
-from cmsim.sim import EventLoop, Link, PacketKind, Path
+from cmsim.sim import EventLoop, Link, PacketKind
 from cmsim.trace import TraceKind, Tracer
 from cmsim.transport.feedback import AppAckReceiver, DatagramSender
 from cmsim.transport.tcp import TcpReceiver, TcpSender
@@ -27,41 +27,41 @@ def test_tracer_is_a_required_argument(cls):
 
 
 class Recorder:
-    """Wraps a path and records (t, flow, seq, size) of each data packet
+    """Wraps a link and records (t, flow, seq, size) of each data packet
     handed to it before passing the packet on."""
 
-    def __init__(self, path, loop):
-        self.path = path
-        self.links = path.links
+    def __init__(self, link, loop):
+        self.link = link
+        self.mtu = link.mtu
         self.loop = loop
         self.data = []
 
     def send(self, pkt):
         if pkt.kind is PacketKind.DATA:
             self.data.append((self.loop.now, pkt.flow, pkt.seq, pkt.size))
-        return self.path.send(pkt)
+        return self.link.send(pkt)
 
 
 def _tcp(cm, key, fwd, rev, loop, tracer):
     s = TcpSender(cm, key, fwd, loop, tracer)
-    rev.set_sink(s.on_ack)
-    fwd.path.set_sink(TcpReceiver(loop, rev, s.flow).on_data)
+    rev.sink = s.on_ack
+    fwd.link.sink = TcpReceiver(loop, rev, s.flow).on_data
     s.write(10**6)
     s.start()
 
 
 def _reno(cm, key, fwd, rev, loop, tracer):
     s = RenoSender(loop, 900, fwd, tracer=tracer)
-    rev.set_sink(s.on_ack)
-    fwd.path.set_sink(TcpReceiver(loop, rev, 900).on_data)
+    rev.sink = s.on_ack
+    fwd.link.sink = TcpReceiver(loop, rev, 900).on_data
     s.start()
 
 
 def _datagram(make):
     def build(cm, key, fwd, rev, loop, tracer):
         app = make(cm, key, fwd, loop, tracer)
-        rev.set_sink(app.on_feedback)
-        fwd.path.set_sink(AppAckReceiver(loop, rev, app.flow).on_data)
+        rev.sink = app.on_feedback
+        fwd.link.sink = AppAckReceiver(loop, rev, app.flow).on_data
         app.start()
     return build
 
@@ -94,9 +94,9 @@ def test_each_data_packet_sent_has_one_send_row(client):
     """On a lossy link, so that the TCP senders retransmit too."""
     loop, tracer = EventLoop(), Tracer()
     cm = CongestionManager(clock=lambda: loop.now, tracer=tracer)
-    fwd = Recorder(Path([Link(loop, 1_000_000, 0.02, queue_limit=20,
-                              loss_prob=0.02, seed=3)]), loop)
-    rev = Path([Link(loop, 10_000_000, 0.02, queue_limit=1000)])
+    fwd = Recorder(Link(loop, 1_000_000, 0.02, queue_limit=20,
+                        loss_prob=0.02, seed=3), loop)
+    rev = Link(loop, 10_000_000, 0.02, queue_limit=1000)
     key = FlowKey("client", 4000, "server", 80, Proto.TCP)
     BUILDERS[client](cm, key, fwd, rev, loop, tracer)
     loop.run_until(3.0)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmsim.core import FeedbackReport, LossMode
-from cmsim.sim import EventLoop, Link, Packet, PacketKind, Path
+from cmsim.sim import EventLoop, Link, Packet, PacketKind
 from cmsim.transport.feedback import (REORDER_PACKETS, AppAck, AppAckReceiver,
                                       FeedbackTracker)
 
@@ -21,9 +21,9 @@ def data(seq, size=150, marked=False):
     return Packet(flow=1, seq=seq, size=size, ecn_marked=marked)
 
 
-def fast_path(loop, sink=None):
-    return Path([Link(loop, bandwidth_bps=1e9, prop_delay=0.0,
-                      queue_limit=10**6)], sink=sink)
+def fast_link(loop, sink=None):
+    return Link(loop, bandwidth_bps=1e9, prop_delay=0.0, queue_limit=10**6,
+                sink=sink)
 
 
 # -- the reference range codec --------------------------------------------
@@ -65,7 +65,7 @@ def test_compress_empty():
 def test_flush_after_max_acks():
     loop = EventLoop()
     acks = []
-    rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
+    rcv = AppAckReceiver(loop, fast_link(loop, lambda p, t: acks.append(p)),
                          flow=1, max_acks=3, max_delay=1.0)
     for seq in (0, 1, 2):
         rcv.on_data(data(seq), loop.now)
@@ -81,7 +81,7 @@ def test_flush_after_max_acks():
 def test_flush_on_timer_before_count_reached():
     loop = EventLoop()
     acks = []
-    rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
+    rcv = AppAckReceiver(loop, fast_link(loop, lambda p, t: acks.append(p)),
                          flow=1, max_acks=500, max_delay=0.25)
     rcv.on_data(data(0), 0.0)
     rcv.on_data(data(1), 0.0)
@@ -120,13 +120,13 @@ def test_receiver_rejects_bad_batching(kwargs):
     window is unacked, which wedges the sender."""
     loop = EventLoop()
     with pytest.raises(ValueError):
-        AppAckReceiver(loop, fast_path(loop), flow=1, **kwargs)
+        AppAckReceiver(loop, fast_link(loop), flow=1, **kwargs)
 
 
 def test_each_batch_reports_only_new_seqs():
     loop = EventLoop()
     acks = []
-    rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
+    rcv = AppAckReceiver(loop, fast_link(loop, lambda p, t: acks.append(p)),
                          flow=1, max_acks=2, max_delay=1.0)
     for seq in (0, 1, 2, 3):
         rcv.on_data(data(seq), loop.now)
@@ -137,7 +137,7 @@ def test_each_batch_reports_only_new_seqs():
 def test_ack_lists_seqs_in_arrival_order_with_duplicates():
     loop = EventLoop()
     acks = []
-    rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
+    rcv = AppAckReceiver(loop, fast_link(loop, lambda p, t: acks.append(p)),
                          flow=1, max_acks=4, max_delay=1.0)
     for seq in (3, 1, 3, 2):
         rcv.on_data(data(seq), loop.now)
@@ -149,7 +149,7 @@ def test_ack_lists_seqs_in_arrival_order_with_duplicates():
 def test_receiver_counts_marked_packets():
     loop = EventLoop()
     acks = []
-    rcv = AppAckReceiver(loop, fast_path(loop, lambda p, t: acks.append(p)),
+    rcv = AppAckReceiver(loop, fast_link(loop, lambda p, t: acks.append(p)),
                          flow=1, max_acks=3, max_delay=1.0)
     rcv.on_data(data(0), 0.0)
     rcv.on_data(data(1, marked=True), 0.0)
@@ -411,19 +411,17 @@ def test_batching_over_a_real_reverse_path():
     loop = EventLoop()
     reports = []
     tr = FeedbackTracker()
-    fwd = Path([Link(loop, bandwidth_bps=1e6, prop_delay=0.01,
-                     queue_limit=100)])
-    rev = Path([Link(loop, bandwidth_bps=1e6, prop_delay=0.01,
-                     queue_limit=100)])
+    fwd = Link(loop, bandwidth_bps=1e6, prop_delay=0.01, queue_limit=100)
+    rev = Link(loop, bandwidth_bps=1e6, prop_delay=0.01, queue_limit=100)
     rcv = AppAckReceiver(loop, rev, flow=1, max_acks=4, max_delay=1.0)
-    fwd.set_sink(rcv.on_data)
+    fwd.sink = rcv.on_data
 
     def on_ack(pkt, now):
         rep = tr.on_app_ack(pkt.meta, now)
         if rep is not None:
             reports.append(rep)
 
-    rev.set_sink(on_ack)
+    rev.sink = on_ack
     for s in range(8):
         tr.on_sent(s, 500, now=loop.now)
         fwd.send(Packet(flow=1, seq=s, size=500))

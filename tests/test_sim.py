@@ -540,26 +540,36 @@ def test_constructor_validation():
 # -- paths, dispatch, tracing ---------------------------------------------
 
 
-def test_path_is_one_link_with_a_replaceable_sink():
+def test_path_returns_its_one_link_with_the_sink_set():
     loop = EventLoop()
-    got = []
     a = Link(loop, bandwidth_bps=1e8, prop_delay=0.01, name="a")
-    path = Path([a], sink=lambda p, t: got.append(t))
-    path.send(pkt(size=1000))
-    loop.run()
-    # one serialization of 80 us plus the propagation delay
-    assert got == [pytest.approx(0.01008)]
-    # set_sink replaces the sink; without one, deliveries drop
-    replaced = []
-    path.set_sink(lambda p, t: replaced.append(p.seq))
-    path.send(pkt(seq=1, size=1000))
-    bare = Path([Link(loop, bandwidth_bps=1e8, prop_delay=0.01, name="c")])
-    bare.send(pkt(seq=2, size=1000))
-    loop.run()
-    assert (got, replaced) == ([pytest.approx(0.01008)], [1])
+    sink = lambda p, t: None
+    assert Path([a], sink) is a
+    assert a.sink is sink
     for links in ([], [a, Link(loop, bandwidth_bps=1e8, prop_delay=0.0)]):
         with pytest.raises(ValueError):
             Path(links)
+    assert a.sink is sink
+
+
+def test_a_link_delivers_to_its_current_sink_or_drops():
+    loop = EventLoop()
+    got = []
+    a = Link(loop, bandwidth_bps=1e8, prop_delay=0.01, name="a",
+             sink=lambda p, t: got.append(t))
+    a.send(pkt(size=1000))
+    loop.run()
+    # one serialization of 80 us plus the propagation delay
+    assert got == [pytest.approx(0.01008)]
+    # a reassigned sink gets what arrives from then on; without one,
+    # deliveries drop
+    replaced = []
+    a.sink = lambda p, t: replaced.append(p.seq)
+    a.send(pkt(seq=1, size=1000))
+    bare = Link(loop, bandwidth_bps=1e8, prop_delay=0.01, name="c")
+    bare.send(pkt(seq=2, size=1000))
+    loop.run()
+    assert (got, replaced) == ([pytest.approx(0.01008)], [1])
 
 
 def test_dispatcher_routes_by_flow_and_ignores_unknown():

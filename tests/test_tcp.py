@@ -4,7 +4,7 @@ duplicate ACKs, timeout recovery with backoff, the retransmission
 deadline after a long ACK run (also for the Reno reference sender),
 Karn's rule for RTT samples, the receiver window bound, ECN echo,
 immediate ACKs, timers that stop without cancelling heap entries, and
-the segment size checked against the first link's MTU.
+the segment size checked against the link's MTU.
 """
 from types import SimpleNamespace
 
@@ -13,8 +13,7 @@ import pytest
 from cmsim.core import CongestionManager, FlowKey, LossMode, Proto
 from cmsim.errors import ConnectionClosed, UnknownFlow
 from cmsim.harness.oracles import RenoSender
-from cmsim.sim import (EventLoop, Link, Packet, PacketKind, Path,
-                       ScheduledEvent)
+from cmsim.sim import EventLoop, Link, Packet, PacketKind, ScheduledEvent
 from cmsim.trace import Tracer
 from cmsim.transport import tcp
 from cmsim.transport.tcp import MAX_RTO, TcpReceiver, TcpSender
@@ -23,15 +22,15 @@ MSS = 1500
 
 
 class DropFilter:
-    """Wraps a path, silently swallowing packets a predicate selects.
+    """Wraps a link, silently swallowing packets a predicate selects.
 
     Lets tests script exact loss patterns instead of relying on a
     seeded random stream.
     """
 
-    def __init__(self, path, loop, should_drop):
-        self.path = path
-        self.links = path.links
+    def __init__(self, link, loop, should_drop):
+        self.link = link
+        self.mtu = link.mtu
         self.loop = loop
         self.should_drop = should_drop
         self.offered = []    # (seq, t) of every data packet handed to us
@@ -43,7 +42,7 @@ class DropFilter:
         if self.should_drop(pkt, self.loop.now):
             self.dropped.append((pkt.seq, self.loop.now))
             return None
-        return self.path.send(pkt)
+        return self.link.send(pkt)
 
 
 def build(loop, total=None, loss=0.0, ecn=False, seed=1, handshake=False,
@@ -59,17 +58,17 @@ def build(loop, total=None, loss=0.0, ecn=False, seed=1, handshake=False,
         real_update(fid, rep)
 
     cm.update = spying_update
-    fwd = Path([Link(loop, bw, delay, queue_limit=queue, loss_prob=loss,
-                     ecn_mode=ecn, seed=seed, name="fwd")])
-    rev = Path([Link(loop, bw, delay, queue_limit=queue, name="rev")])
+    fwd = Link(loop, bw, delay, queue_limit=queue, loss_prob=loss,
+               ecn_mode=ecn, seed=seed, name="fwd")
+    rev = Link(loop, bw, delay, queue_limit=queue, name="rev")
     sender_path = DropFilter(fwd, loop, drop) if drop else fwd
     done = []
     s = TcpSender(cm, FlowKey("c", 1, "srv", 80, Proto.TCP), sender_path,
                   loop, Tracer(), on_complete=done.append)
     s.established = not handshake
     r = TcpReceiver(loop, rev, s.flow)
-    fwd.set_sink(r.on_data)
-    rev.set_sink(s.on_ack)
+    fwd.sink = r.on_data
+    rev.sink = s.on_ack
     if total is not None:
         s.write(total)
     s.start()
@@ -214,7 +213,7 @@ def _ack_run_then_silence(loop, sender, filt, rev, rto_now):
         real(pkt, now)
         if sender.snd_una > una:
             last[:] = [now, rto_now()]
-    rev.set_sink(on_ack)
+    rev.sink = on_ack
     loop.run_until(20.0)
     assert len(filt.offered) > 500          # a long run: hundreds of re-arms
     return last
@@ -234,12 +233,12 @@ def test_timeout_follows_the_last_ack_of_a_long_run():
 
 def test_reno_timeout_follows_the_last_ack_of_a_long_run():
     loop = EventLoop()
-    fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="fwd")])
-    rev = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="rev")])
+    fwd = Link(loop, 10_000_000, 0.01, queue_limit=100, name="fwd")
+    rev = Link(loop, 10_000_000, 0.01, queue_limit=100, name="rev")
     filt = DropFilter(fwd, loop, lambda pkt, now: now >= 1.0)
     s = RenoSender(loop, 900, filt, tracer=Tracer())
     r = TcpReceiver(loop, rev, 900)
-    fwd.set_sink(r.on_data)
+    fwd.sink = r.on_data
     s.start()
     t_last, rto = _ack_run_then_silence(
         loop, s, filt, rev,
@@ -294,7 +293,7 @@ def test_ecn_marks_cut_window_without_retransmission():
 def test_receiver_acks_out_of_order_data_immediately():
     loop = EventLoop()
     acks = []
-    rev = Path([Link(loop, 1e9, 0.0, queue_limit=100)],
+    rev = Link(loop, 1e9, 0.0, queue_limit=100,
                sink=lambda p, t: acks.append(p.meta.ack))
     r = TcpReceiver(loop, rev, flow=1)
     r.on_data(Packet(flow=1, seq=1500, size=1500), 0.0)
@@ -339,12 +338,12 @@ def test_write_of_zero_bytes_is_accepted():
 
 
 def test_segment_larger_than_first_link_mtu_is_rejected_at_construction():
-    """A core MTU above the first link's would fail every full segment in
+    """A core MTU above the link's would fail every full segment in
     Link.send, inside the grant callback and after its grant was spent.
     The sender refuses it up front and leaves its key free."""
     loop = EventLoop()
     cm = CongestionManager(mtu=1500)
-    fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, mtu=1000)])
+    fwd = Link(loop, 10_000_000, 0.01, queue_limit=100, mtu=1000)
     key = FlowKey("c", 1, "srv", 80, Proto.TCP)
     with pytest.raises(ValueError):
         TcpSender(cm, key, fwd, loop, Tracer())

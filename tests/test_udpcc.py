@@ -8,7 +8,7 @@ import pytest
 from cmsim.core import CongestionManager, FlowKey, LossMode, Proto
 from cmsim.core import FeedbackReport
 from cmsim.errors import SocketClosed, UnknownFlow
-from cmsim.sim import DEFAULT_MTU, EventLoop, Link, Path
+from cmsim.sim import DEFAULT_MTU, EventLoop, Link
 from cmsim.transport.feedback import AppAckReceiver
 from cmsim.trace import TraceKind, Tracer
 from cmsim.transport.udpcc import UdpCcSocket
@@ -25,14 +25,14 @@ def sends(tracer):
 
 
 def wire(loop, cm, max_acks=1, on_sent=None, **sock_kwargs):
-    fwd = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="fwd")])
-    rev = Path([Link(loop, 10_000_000, 0.01, queue_limit=100, name="rev")])
+    fwd = Link(loop, 10_000_000, 0.01, queue_limit=100, name="fwd")
+    rev = Link(loop, 10_000_000, 0.01, queue_limit=100, name="rev")
     sock_kwargs.setdefault("tracer", Tracer())
     sock = UdpCcSocket(cm, key(), fwd, loop, **sock_kwargs)
     sock.on_sent = on_sent
     recv = AppAckReceiver(loop, rev, sock.flow, max_acks=max_acks)
-    fwd.set_sink(recv.on_data)
-    rev.set_sink(sock.on_feedback)
+    fwd.sink = recv.on_data
+    rev.sink = sock.on_feedback
     return sock, fwd, recv
 
 
@@ -137,7 +137,7 @@ def test_clean_link_delivers_everything_in_order():
     cm = CongestionManager()
     sock, fwd, recv = wire(loop, cm, tracer=tracer)
     delivered = []
-    fwd.set_sink(
+    fwd.sink = (
         lambda p, t: (delivered.append((p.seq, p.size)), recv.on_data(p, t)))
     for _ in range(40):
         sock.send(1000)
