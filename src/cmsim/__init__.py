@@ -2,16 +2,15 @@
 network simulation, transports, and adaptive applications that exercise it."""
 
 from .core import (CongestionManager, FeedbackReport, FlowKey, LossMode,
-                   MacroflowState, Phase, Proto, QueryResult)
-from .sim import (Dispatcher, EventLoop, Link, LinkOutcome, Packet,
-                  PacketKind, Path)
+                   MacroflowState, Proto, QueryResult)
+from .sim import Dispatcher, EventLoop, Link, Packet, PacketKind, Path
 from .trace import TraceKind, TraceRecord, Tracer
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CongestionManager", "FeedbackReport", "FlowKey", "LossMode",
-    "MacroflowState", "Phase", "Proto", "QueryResult",
-    "Dispatcher", "EventLoop", "Link", "LinkOutcome", "Packet", "PacketKind",
-    "Path", "TraceKind", "TraceRecord", "Tracer",
+    "MacroflowState", "Proto", "QueryResult",
+    "Dispatcher", "EventLoop", "Link", "Packet", "PacketKind", "Path",
+    "TraceKind", "TraceRecord", "Tracer",
 ]

@@ -93,10 +93,6 @@ class CbrAudioSource(DatagramSender):
         self._pending_request = False
         self.generated = 0
 
-    @property
-    def buffered(self) -> int:
-        return len(self._buf)
-
     def start(self) -> None:
         self._tick()
 

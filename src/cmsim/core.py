@@ -92,11 +92,6 @@ class Proto(enum.Enum):
     UDP = "udp"
 
 
-class Phase(enum.Enum):
-    SLOW_START = "slow_start"
-    CONGESTION_AVOIDANCE = "congestion_avoidance"
-
-
 class LossMode(enum.Enum):
     NO_LOSS = "no_loss"
     TRANSIENT = "transient"
@@ -151,7 +146,8 @@ class QueryResult(NamedTuple):
 
 @dataclass(frozen=True)
 class MacroflowState:
-    """Read-only snapshot for tests and instrumentation."""
+    """Read-only snapshot of one macroflow, for tests and instrumentation;
+    the window is in slow start while ``cwnd < ssthresh``."""
     id: int
     dst_addr: str
     cwnd: int
@@ -161,7 +157,6 @@ class MacroflowState:
     srtt: float
     rttvar: float
     loss_rate: float
-    phase: Phase
     members: Tuple[int, ...]
 
 
@@ -218,12 +213,6 @@ class _Macroflow:
         # members with an update callback by band (see join); none empty
         self.bands: Dict[Band, List[_Flow]] = {}
         self.in_ready = False      # on the manager's ready heap
-
-    @property
-    def phase(self) -> Phase:
-        if self.cwnd < self.ssthresh:
-            return Phase.SLOW_START
-        return Phase.CONGESTION_AVOIDANCE
 
     def rto(self) -> float:
         if self.srtt <= 0.0:
@@ -586,7 +575,7 @@ class CongestionManager:
         return MacroflowState(id=mf.id, dst_addr=mf.dst, cwnd=mf.cwnd,
                               ssthresh=mf.ssthresh, outstanding=mf.outstanding,
                               mtu=mf.mtu, srtt=mf.srtt, rttvar=mf.rttvar,
-                              loss_rate=mf.loss_rate, phase=mf.phase,
+                              loss_rate=mf.loss_rate,
                               members=tuple(fl.id for fl in mf.members))
 
     # -- batched variants (one boundary crossing each) --------------------

@@ -56,8 +56,7 @@ def _traffic(out: RunOutput) -> List[Tuple[float, int, str, float, float]]:
 # -- controller checks ----------------------------------------------------
 
 
-def check_aimd_oracle(sequences: int = 10_000, max_len: int = 200,
-                      seed: int = 1009) -> CheckResult:
+def check_aimd_oracle(sequences: int = 10_000) -> CheckResult:
     """Random feedback sequences through a bare controller must reproduce
     the reference cwnd trace exactly, and do so inside the time budget.
 
@@ -65,7 +64,7 @@ def check_aimd_oracle(sequences: int = 10_000, max_len: int = 200,
     loss report's lost_sent_at of -0.5 predates every cut, 0.0 none, and
     None opts out: each sequence mixes siblings' stale losses with the
     cutting member's own and with reports under the plain epoch rule."""
-    rng = random.Random(seed)
+    rng = random.Random(1009)
     rnd = rng.random
     mtu = 1500
     t0 = time.perf_counter()
@@ -73,7 +72,7 @@ def check_aimd_oracle(sequences: int = 10_000, max_len: int = 200,
     for i in range(sequences):
         updates: List[Update] = []
         reports: List[Tuple[int, FeedbackReport]] = []
-        for _ in range(rng.randint(1, max_len)):
+        for _ in range(rng.randint(1, 200)):
             nsent = int(rnd() * (3 * mtu + 1))
             nrecd = int(rnd() * (nsent + 1))
             m = rnd()
@@ -113,12 +112,12 @@ def check_aimd_oracle(sequences: int = 10_000, max_len: int = 200,
         + ("" if ok else " (budget 10s exceeded)"))
 
 
-def check_ack_division(partitions: int = 1000, total: int = 64 * 1024,
-                       seed: int = 1013) -> CheckResult:
+def check_ack_division() -> CheckResult:
     """Splitting one acked-byte total across many small reports must land
     on the same final cwnd as a single report, in both growth phases."""
-    rng = random.Random(seed)
+    rng = random.Random(1013)
     mtu = 1500
+    total = 64 * 1024
 
     def final_cwnd(parts: Sequence[int], ssthresh: int) -> int:
         cm = CongestionManager(mtu=mtu, initial_ssthresh=ssthresh)
@@ -141,7 +140,7 @@ def check_ack_division(partitions: int = 1000, total: int = 64 * 1024,
     for phase, ssthresh in (("slow_start", 1 << 30),
                             ("congestion_avoidance", mtu)):
         ref = final_cwnd([total], ssthresh)
-        for i in range(partitions):
+        for i in range(1000):
             parts = random_partition()
             got = final_cwnd(parts, ssthresh)
             if got != ref:
@@ -151,7 +150,7 @@ def check_ack_division(partitions: int = 1000, total: int = 64 * 1024,
                     f"cwnd {got} != {ref}")
     return CheckResult(
         "ack_division", True,
-        f"{partitions} partitions of {total} B exact in each phase")
+        f"1000 partitions of {total} B exact in each phase")
 
 
 # -- scenario checks ------------------------------------------------------

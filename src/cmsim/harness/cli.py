@@ -78,10 +78,15 @@ def _run_checks(names: List[str]) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.scenario is None and args.config is None and args.check is None:
+    no_run = args.scenario is None and args.config is None
+    if no_run and args.check is None:
         parser.error("nothing to do: pass --scenario, --config, or --check")
+    if no_run and (args.overrides or args.out is not None):
+        # the checks run configs of their own and write no files
+        print("--set and --out need --scenario or --config", file=sys.stderr)
+        return 2
     try:
-        if args.scenario is not None or args.config is not None:
+        if not no_run:
             _run_scenario(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -73,8 +73,8 @@ for a module global. So each enum that the per-packet path reads is
 unpacked into module-level names right below its class, in definition
 order (``DATA, ACK, APP_ACK = PacketKind``), and the hot path imports and
 reads those names, comparing members with ``is``. This holds for
-``PacketKind`` and ``LinkOutcome`` here, ``TraceKind`` in ``cmsim.trace``
-and ``LossMode`` in ``cmsim.core``.
+``PacketKind`` here, ``TraceKind`` in ``cmsim.trace`` and ``LossMode`` in
+``cmsim.core``.
 """
 from __future__ import annotations
 
@@ -163,14 +163,6 @@ class EventLoop:
         """Run every event due by ``t_end``; ``now`` is then ``t_end``."""
         if not t_end >= self.now:
             raise PastTime(f"run_until {t_end}: not at or after now {self.now}")
-        self._drain(t_end)
-        self.now = t_end
-
-    def run(self) -> None:
-        """Drain every pending event; ``now`` is left at the last one run."""
-        self._drain(INF)
-
-    def _drain(self, t_end: float) -> None:
         heap = self._heap
         pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
@@ -181,6 +173,7 @@ class EventLoop:
             self.inserted = ev.inserted
             ev.fn(*ev.args)
         self.inserted = INF
+        self.now = t_end
 
 
 class Deadline:
@@ -229,15 +222,6 @@ class Deadline:
         self.fn()
 
 
-class LinkOutcome(enum.Enum):
-    QUEUED = "queued"
-    DROPPED = "dropped"
-    MARKED = "marked"   # accepted and queued, ECN-marked
-
-
-QUEUED, DROPPED, MARKED = LinkOutcome
-
-
 class Link:
     """One directional link: serialization + propagation + drop-tail queue.
 
@@ -249,7 +233,9 @@ class Link:
     head is the one being serialized, and it counts toward
     ``queue_limit``. See the module docstring for when a packet whose
     finish is exactly ``now`` has left. Each packet that arrives goes to
-    ``sink``, which may be reassigned at any time; with none, it is lost.
+    ``sink``, which starts as None and may be assigned at any time; with
+    none, the packet is lost. ``send`` returns nothing: a drop or an ECN
+    mark of a data packet is recorded as a Drop or Mark row in the trace.
 
     Random loss draws come from this link's own RNG stream, seeded from the
     master seed and the link name, so adding traffic elsewhere never
@@ -260,7 +246,6 @@ class Link:
                  queue_limit: int = DEFAULT_QUEUE_LIMIT, loss_prob: float = 0.0,
                  ecn_mode: bool = False, mtu: int = DEFAULT_MTU,
                  seed: int = 0, name: str = "link",
-                 sink: Optional[Callable[[Packet, float], None]] = None,
                  tracer: Optional[Tracer] = None) -> None:
         # the negated tests refuse NaN too, which compares false
         if not bandwidth_bps > 0:
@@ -279,7 +264,7 @@ class Link:
         self.ecn_mode = bool(ecn_mode)
         self.mtu = int(mtu)
         self.name = name
-        self.sink = sink
+        self.sink: Optional[Callable[[Packet, float], None]] = None
         self.tracer = tracer
         self._rng = random.Random(f"{seed}:{name}")
         self._backlog: Deque[Tuple[float, float, Packet,
@@ -327,28 +312,26 @@ class Link:
 
     # -- datapath ---------------------------------------------------------
 
-    def send(self, pkt: Packet) -> LinkOutcome:
+    def send(self, pkt: Packet) -> None:
         if pkt.size > self.mtu and pkt.kind is DATA:
             raise ValueError(f"packet size {pkt.size} exceeds link mtu {self.mtu}")
         backlog = self._backlog
         if backlog and backlog[0][0] <= self.loop.now:
             self._leave()
         if len(backlog) >= self.queue_limit:
-            outcome = DROPPED
+            marked = False
         elif self.loss_prob > 0.0 and self._rng.random() < self.loss_prob:
-            outcome = MARKED if self.ecn_mode else DROPPED
+            marked = self.ecn_mode
         else:
             self._enqueue(pkt)
-            return QUEUED
+            return
         # Ack-type packets stay out of the trace to keep it data-plane only.
         if self.tracer is not None and pkt.kind is DATA:
             self.tracer.emit(self.loop.now, pkt.flow,
-                             DROP if outcome is DROPPED else MARK,
-                             pkt.seq, pkt.size)
-        if outcome is MARKED:
+                             MARK if marked else DROP, pkt.seq, pkt.size)
+        if marked:
             pkt.ecn_marked = True
             self._enqueue(pkt)
-        return outcome
 
     def _arrive(self, pkt: Packet) -> None:
         if self.tracer is not None and pkt.kind is DATA:

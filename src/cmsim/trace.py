@@ -137,9 +137,6 @@ class Tracer:
         self._flow.append(flow)
         self._kind.append(kind.code)
 
-    def __len__(self) -> int:
-        return len(self._kind)
-
 
 def columns(records: Iterable[TraceRecord]) -> Columns:
     """The (t, flow, kind code, value1, value2) columns of a trace: a

@@ -109,9 +109,6 @@ class FeedbackTracker:
     def on_sent(self, seq: int, size: int, now: float) -> None:
         self._unresolved[seq] = (size, now)
 
-    def in_flight_pkts(self) -> int:
-        return len(self._unresolved)
-
     def on_app_ack(self, ack: AppAck, now: float) -> Optional[FeedbackReport]:
         unresolved = self._unresolved
         nrecd = 0

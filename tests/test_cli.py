@@ -47,12 +47,18 @@ def test_written_config_reruns_to_the_same_trace(tmp_path):
      "--set", "duration=1"],
     ["--scenario", "delayed_feedback", "--set", "max_delay=0"],
     ["--scenario", "delayed_feedback", "--set", "max_delay=inf"],
+    # --check runs the checks' own configs; --set and --out, which it
+    # would ignore, are refused before any check runs
+    ["--check", "ack_division", "--set", "seed=3"],
+    ["--check", "ack_division", "--out", "never-written"],
 ], ids=["unknown-field", "loss-prob-out-of-range", "unknown-check",
         "zero-layer-rate", "negative-layer-rate", "batch-without-timer",
-        "batch-with-endless-timer"])
-def test_bad_input_exits_2(argv, capsys):
+        "batch-with-endless-timer", "check-with-set", "check-with-out"])
+def test_bad_input_exits_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("source", ["set", "config"])

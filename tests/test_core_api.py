@@ -6,7 +6,7 @@ from math import inf, nan
 import pytest
 
 from cmsim.core import (CongestionManager, FeedbackReport, FlowKey, LossMode,
-                        Phase, Proto)
+                        Proto)
 from cmsim.errors import (DuplicateFlow, InvalidReport, InvalidThreshold,
                           NoCallbackRegistered, UnknownFlow)
 
@@ -135,7 +135,7 @@ def test_initial_state_snapshot():
     assert st.ssthresh == 32000
     assert st.outstanding == 0
     assert st.srtt == 0.0
-    assert st.phase == Phase.SLOW_START
+    assert st.cwnd < st.ssthresh        # slow start
 
 
 # -- registration and validation ------------------------------------------

@@ -4,8 +4,8 @@ model it replaces.
 ``TwoEventLink`` below is that model: one event when a packet finishes
 serialization, which schedules a second one for its arrival. It is a
 test-only reference. Both links are fed the same drawn sends, and every
-send outcome, every (seq, time) at the sink and every trace row must
-match. Rates, sizes and instants are powers of two, so sends and
+(seq, time) at the sink and every trace row, each drop and mark among
+them, must match. Rates, sizes and instants are powers of two, so sends and
 bandwidth changes land exactly on finish instants, where the order of
 same-instant events decides whether a packet has left the queue.
 """
@@ -15,7 +15,7 @@ from collections import deque
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmsim.sim import EventLoop, Link, LinkOutcome, Packet, PacketKind
+from cmsim.sim import EventLoop, Link, Packet, PacketKind
 from cmsim.trace import TraceKind, Tracer
 
 
@@ -24,7 +24,7 @@ class TwoEventLink:
 
     def __init__(self, loop, bandwidth_bps, prop_delay, queue_limit=50,
                  loss_prob=0.0, ecn_mode=False, mtu=1500, seed=0,
-                 name="link", sink=None, tracer=None):
+                 name="link", tracer=None):
         self.loop = loop
         self.bandwidth_bps = float(bandwidth_bps)
         self.prop_delay = float(prop_delay)
@@ -33,7 +33,7 @@ class TwoEventLink:
         self.ecn_mode = bool(ecn_mode)
         self.mtu = int(mtu)
         self.name = name
-        self.sink = sink
+        self.sink = None
         self.tracer = tracer
         self._rng = random.Random(f"{seed}:{name}")
         self._queue = deque()
@@ -51,20 +51,17 @@ class TwoEventLink:
             raise ValueError("oversize")
         if len(self._queue) >= self.queue_limit:
             self._trace(pkt, TraceKind.DROP)
-            return LinkOutcome.DROPPED
-        outcome = LinkOutcome.QUEUED
+            return
         if self.loss_prob > 0.0 and self._rng.random() < self.loss_prob:
             if self.ecn_mode:
                 pkt.ecn_marked = True
                 self._trace(pkt, TraceKind.MARK)
-                outcome = LinkOutcome.MARKED
             else:
                 self._trace(pkt, TraceKind.DROP)
-                return LinkOutcome.DROPPED
+                return
         self._queue.append(pkt)
         if not self._busy:
             self._start_service()
-        return outcome
 
     def _start_service(self):
         pkt = self._queue[0]
@@ -88,6 +85,9 @@ class TwoEventLink:
 
 GRID = 1 / 64       # seconds; every drawn instant is a multiple of it
 SIZES = (64, 128, 256, 512, 1024)
+# past every arrival: at most 17 packets, each on the wire at most 2 s
+# (1024 B at 4096 bit/s), the last sent by 1 s, with 0.5 s of delay
+END = 64.0
 
 
 @st.composite
@@ -109,7 +109,7 @@ def link_runs(draw):
         # (instant in GRID steps, new rate exponent), or none
         "bandwidth_change": draw(st.none() | st.tuples(
             st.integers(0, 48), st.integers(12, 18))),
-        # run_until(mid), one send from outside the loop, then run()
+        # run_until(mid), one send from outside the loop, then to the end
         "mid": draw(st.integers(0, 64)),
         "mid_size": draw(st.sampled_from(SIZES)),
     }
@@ -118,12 +118,13 @@ def link_runs(draw):
 def simulate(link_cls, run):
     loop = EventLoop()
     tracer = Tracer()
-    outcomes, delivered = [], []
+    sent, delivered = [], []
     echoes = [run["echoes"]]
 
     def send(label, size):
-        pkt = Packet(flow=1, seq=len(outcomes), size=size)
-        outcomes.append((label, pkt.seq, link.send(pkt).value))
+        pkt = Packet(flow=1, seq=len(sent), size=size)
+        sent.append((label, pkt.seq))
+        link.send(pkt)
 
     def sink(pkt, now):
         delivered.append((pkt.seq, now))
@@ -134,7 +135,8 @@ def simulate(link_cls, run):
     link = link_cls(loop, run["bandwidth_bps"], run["prop_delay"],
                     queue_limit=run["queue_limit"],
                     loss_prob=run["loss_prob"], ecn_mode=run["ecn_mode"],
-                    seed=run["seed"], name="l", sink=sink, tracer=tracer)
+                    seed=run["seed"], name="l", tracer=tracer)
+    link.sink = sink
     for i, (at, size) in enumerate(run["sends"]):
         loop.schedule(at * GRID, send, f"send {i}", size)
     if run["bandwidth_change"] is not None:
@@ -142,9 +144,16 @@ def simulate(link_cls, run):
         loop.schedule(at * GRID, link.set_bandwidth, float(2 ** exp))
     loop.run_until(run["mid"] * GRID)
     send("between runs", run["mid_size"])
-    loop.run()
+    loop.run_until(END)
+    assert all(ev.cancelled for _, _, ev in loop._heap)
     rows = [(r.t, r.flow, r.kind, r.value1, r.value2) for r in tracer.records]
-    return outcomes, delivered, rows
+    return sent, delivered, rows
+
+
+def fates(rows):
+    """The seqs delivered and the seqs dropped, from a run's trace rows."""
+    return tuple([int(seq) for _, _, kind, seq, _ in rows if kind is k]
+                 for k in (TraceKind.DELIVER, TraceKind.DROP))
 
 
 # each naive "has it left?" rule fails one of these
@@ -167,33 +176,33 @@ def test_one_event_link_matches_two_event_model(run):
 def test_naive_examples_hit_exact_finish_instants():
     # 512 B at 16384 bit/s finish at 0.25 s: the second send and the send
     # between runs land exactly on that instant
-    outcomes, _, _ = simulate(Link, NAIVE_NON_STRICT)
-    assert [o for _, _, o in outcomes] == ["queued", "dropped", "queued"]
-    outcomes, _, _ = simulate(Link, NAIVE_STRICT)
-    assert [o for _, _, o in outcomes] == ["queued", "queued"]
+    assert fates(simulate(Link, NAIVE_NON_STRICT)[2]) == ([0, 2], [1])
+    assert fates(simulate(Link, NAIVE_STRICT)[2]) == ([0, 1], [])
 
 
 # -- the divergences left ---------------------------------------------------
 # The one-event link knows the instant at which the two-event model
 # scheduled each of its events, but not the order of two schedulings made
-# at one instant. Each case below is built to hit that gap; the two models'
-# outcomes are pinned so that a change to either shows.
+# at one instant. Each case below is built to hit that gap; what the two
+# models do is pinned so that a change to either shows.
 
 
 def tie_at_service_start(link_cls):
     """Two 8192 bit/s links in series, the second with queue limit 1. The
     second link starts serializing packet 0 at 0.125 s, the instant at
     which the first link's arrival of packet 1 was scheduled, and that
-    arrival comes exactly at packet 0's finish."""
+    arrival comes exactly at packet 0's finish. Returns the seqs that the
+    second link delivers and those it drops."""
     loop = EventLoop()
+    tracer = Tracer()
     a = link_cls(loop, 8192, 0.0625, name="a")
-    b = link_cls(loop, 8192, 0.0, queue_limit=1, name="b")
-    out = []
-    a.sink = lambda p, t: out.append(b.send(p).value)
+    b = link_cls(loop, 8192, 0.0, queue_limit=1, name="b", tracer=tracer)
+    a.sink = lambda p, t: b.send(p)
     for seq in range(2):
         a.send(Packet(flow=1, seq=seq, size=64))
-    loop.run()
-    return out
+    loop.run_until(1.0)
+    rows = [(r.t, r.flow, r.kind, r.value1, r.value2) for r in tracer.records]
+    return fates(rows)
 
 
 def event_scheduled_in_flight_at_the_arrival_instant(link_cls):
@@ -201,16 +210,17 @@ def event_scheduled_in_flight_at_the_arrival_instant(link_cls):
     instant the packet arrives."""
     loop = EventLoop()
     order = []
-    link = link_cls(loop, 8192, 0.0625, sink=lambda p, t: order.append("arrival"))
+    link = link_cls(loop, 8192, 0.0625)
+    link.sink = lambda p, t: order.append("arrival")
     link.send(Packet(flow=1, seq=0, size=64))      # finish 0.0625, arrive 0.125
     loop.schedule(0.03125, loop.schedule, 0.125, order.append, "event")
-    loop.run()
+    loop.run_until(1.0)
     return order
 
 
 def test_same_instant_service_start_counts_the_packet_still_there():
-    assert tie_at_service_start(TwoEventLink) == ["queued", "queued"]
-    assert tie_at_service_start(Link) == ["queued", "dropped"]
+    assert tie_at_service_start(TwoEventLink) == ([0, 1], [])
+    assert tie_at_service_start(Link) == ([0], [1])
 
 
 def test_arrival_runs_before_events_scheduled_later_for_its_instant():

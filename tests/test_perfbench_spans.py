@@ -56,11 +56,11 @@ def test_each_link_arrival_runs_as_an_event_span():
     try:
         loop = EventLoop()
         got = []
-        link = Link(loop, bandwidth_bps=1e6, prop_delay=0.01,
-                    sink=lambda p, t: got.append(p.seq))
+        link = Link(loop, bandwidth_bps=1e6, prop_delay=0.01)
+        link.sink = lambda p, t: got.append(p.seq)
         for seq in range(2):
             link.send(Packet(flow=1, seq=seq, size=1000))
-        loop.run()
+        loop.run_until(1.0)
     finally:
         log.uninstall()
     assert got == [0, 1]

@@ -293,12 +293,12 @@ def test_ecn_marks_cut_window_without_retransmission():
 def test_receiver_acks_out_of_order_data_immediately():
     loop = EventLoop()
     acks = []
-    rev = Link(loop, 1e9, 0.0, queue_limit=100,
-               sink=lambda p, t: acks.append(p.meta.ack))
+    rev = Link(loop, 1e9, 0.0, queue_limit=100)
+    rev.sink = lambda p, t: acks.append(p.meta.ack)
     r = TcpReceiver(loop, rev, flow=1)
     r.on_data(Packet(flow=1, seq=1500, size=1500), 0.0)
     r.on_data(Packet(flow=1, seq=0, size=1500), 0.0)
-    loop.run()
+    loop.run_until(1.0)
     assert acks == [0, 3000]
 
 

@@ -65,7 +65,7 @@ def test_tracer_view_matches_a_list_of_records(rows):
            for t, flow, kind, v1, v2 in rows]
     view = tracer.records
 
-    assert len(tracer) == len(view) == len(ref)
+    assert len(view) == len(ref)
     assert exact(view) == exact(ref)
     assert exact(view[i] for i in range(len(ref))) == exact(ref)
     assert exact(view[-i - 1] for i in range(len(ref))) == exact(ref[::-1])
@@ -102,7 +102,7 @@ def test_emit_of_a_value_that_is_no_float_appends_no_part_of_its_row(bad):
         with pytest.raises((TypeError, OverflowError)):
             tracer.emit(t, 2, TraceKind.DROP, v1, v2)
     tracer.emit(1.0, 3, TraceKind.DELIVER, 0, 1500)
-    assert len(tracer) == 2
+    assert len(tracer.records) == 2
     assert csv_bytes(tracer.records) == csv_bytes(list(tracer.records))
     assert [r.flow for r in tracer.records] == [1, 3]
 
@@ -115,7 +115,7 @@ def test_emit_of_a_kind_that_is_no_trace_kind_appends_nothing(bad):
     tracer.emit(0.0, 1, TraceKind.SEND, 0, 1500)
     with pytest.raises(TypeError):
         tracer.emit(0.5, 2, bad, 1, 2)
-    assert len(tracer) == 1
+    assert len(tracer.records) == 1
     assert [len(col) for col in tracer.records._columns] == [1] * 5
     assert csv_bytes(tracer.records) == csv_bytes(list(tracer.records))
 
@@ -135,7 +135,7 @@ def test_a_row_costs_at_most_36_bytes():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(tracer) == n
+    assert len(tracer.records) == n
     assert held / n <= 36
 
 

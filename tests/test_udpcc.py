@@ -9,7 +9,7 @@ from cmsim.core import CongestionManager, FlowKey, LossMode, Proto
 from cmsim.core import FeedbackReport
 from cmsim.errors import SocketClosed, UnknownFlow
 from cmsim.sim import DEFAULT_MTU, EventLoop, Link
-from cmsim.transport.feedback import AppAckReceiver
+from cmsim.transport.feedback import AppAck, AppAckReceiver
 from cmsim.trace import TraceKind, Tracer
 from cmsim.transport.udpcc import UdpCcSocket
 
@@ -95,12 +95,13 @@ def _assert_rejected_before_queueing(size):
     cm = CongestionManager(tracer=tracer)
     sock, _, _ = wire(loop, cm, tracer=tracer)
     ops = dict(cm.op_counts)
-    rows = len(tracer)
+    rows = len(tracer.records)
     with pytest.raises(ValueError):
         sock.send(size)
     assert sock.queue_len == 0
-    assert sock.tracker.in_flight_pkts() == 0
-    assert len(tracer) == rows
+    # the tracker recorded no send: an ack of seq 0 finds nothing pending
+    assert sock.tracker.on_app_ack(AppAck((0,), 0, 0), loop.now) is None
+    assert len(tracer.records) == rows
     assert cm.op_counts == ops
     loop.run_until(1.0)
     assert sends(tracer) == []
