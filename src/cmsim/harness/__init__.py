@@ -1,7 +1,6 @@
 from .checks import CHECKS, CheckResult, run_all
 from .config import (ExperimentConfig, SCENARIO_NAMES, SCENARIOS,
-                     apply_overrides, from_dict, load_json, make_config,
-                     save_json, validate)
+                     load_json, make_config, save_json, validate)
 from .oracles import RenoSender, aimd_reference
 from .scenarios import (BUILDERS, RunOutput, run_experiment, run_stats,
                         summarize_trace, write_outputs)
@@ -16,8 +15,6 @@ __all__ = [
     "SCENARIOS",
     "SCENARIO_NAMES",
     "aimd_reference",
-    "apply_overrides",
-    "from_dict",
     "load_json",
     "make_config",
     "run_all",

@@ -18,6 +18,7 @@ import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import mean
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -380,16 +381,12 @@ def check_determinism() -> CheckResult:
     byte-identical trace.csv (and identical summary/config files)."""
     for name in SCENARIO_NAMES:
         cfg = make_config(name, duration=_DETERMINISM_DURATION[name])
-        blobs = []
+        blobs, files = [], ("trace.csv", "summary.json", "config.json")
         for _ in range(2):
             with tempfile.TemporaryDirectory() as d:
                 write_outputs(run_experiment(cfg), d)
-                files = {}
-                for fn in ("trace.csv", "summary.json", "config.json"):
-                    with open(f"{d}/{fn}", "rb") as fh:
-                        files[fn] = fh.read()
-                blobs.append(files)
-        for fn in ("trace.csv", "summary.json", "config.json"):
+                blobs.append({fn: Path(d, fn).read_bytes() for fn in files})
+        for fn in files:
             if blobs[0][fn] != blobs[1][fn]:
                 return CheckResult(
                     "determinism", False,

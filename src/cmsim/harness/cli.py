@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from ..errors import ConfigError
 from .checks import CHECKS, run_all
-from .config import SCENARIO_NAMES, apply_overrides, load_json, make_config
+from .config import SCENARIO_NAMES, load_json, make_config, parse_overrides
 from .scenarios import run_experiment, write_outputs
 
 
@@ -26,7 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario to run with its default parameters")
     src.add_argument("--config", metavar="FILE",
                      help="JSON config file to run, in the format written "
-                          "to <out>/config.json")
+                          "to <out>/config.json; omitted fields take the "
+                          "scenario's defaults")
     p.add_argument("--out", metavar="DIR",
                    help="directory for trace.csv, summary.json, config.json")
     p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -39,18 +40,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run_scenario(args: argparse.Namespace) -> None:
-    if args.config:
-        cfg = load_json(args.config)
-    else:
-        cfg = make_config(args.scenario)
-    apply_overrides(cfg, args.overrides)
+def _run_scenario(args: argparse.Namespace) -> int:
+    try:
+        fields = (load_json(args.config) if args.config
+                  else {"scenario": args.scenario})
+        fields.update(parse_overrides(args.overrides))
+        cfg = make_config(**fields)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"bad config file: {exc}", file=sys.stderr)
+        return 2
     out = run_experiment(cfg)
     if args.out:
-        write_outputs(out, args.out)
+        try:
+            write_outputs(out, args.out)
+        except OSError as exc:
+            print(f"cannot write outputs: {exc}", file=sys.stderr)
+            return 2
         print(f"{cfg.scenario}: wrote trace.csv, summary.json, "
               f"config.json to {args.out}")
-        return
+        return 0
     # Without --out, print the headline numbers and discard the trace.
     for fid, e in out.summary["trace_stats"]["per_flow"].items():
         print(f"flow {fid}: {int(e['delivered_bytes'])} B delivered "
@@ -58,6 +72,7 @@ def _run_scenario(args: argparse.Namespace) -> None:
     rs = out.summary["run_stats"]
     print(f"boundary crossings: {rs['boundary_crossings']} "
           f"({rs['crossings_per_mb']:.1f} per MB)")
+    return 0
 
 
 def _run_checks(names: List[str]) -> int:
@@ -85,17 +100,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the checks run configs of their own and write no files
         print("--set and --out need --scenario or --config", file=sys.stderr)
         return 2
-    try:
-        if not no_run:
-            _run_scenario(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"bad config file: {exc}", file=sys.stderr)
+    if not no_run and _run_scenario(args):
         return 2
     if args.check is not None:
         return _run_checks(args.check)

@@ -1,15 +1,17 @@
 """Experiment configuration.
 
 One flat record drives every scenario; unused fields are simply ignored
-by scenarios that do not need them. The record round-trips losslessly
-through JSON, and every field can be overridden from the command line
-with --set key=value, so a recorded config.json reproduces its run
+by scenarios that do not need them. ``make_config`` builds every config
+in layers: the scenario's defaults (``SCENARIOS``), then a config file's
+fields (``load_json``), then --set key=value (``parse_overrides``), so a
+file or --set names only the fields it changes. The record round-trips
+losslessly through JSON, so a recorded config.json reproduces its run
 exactly.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from math import inf
 from typing import Any, Dict, List
 
@@ -107,26 +109,23 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
-def make_config(scenario: str, **overrides: Any) -> ExperimentConfig:
-    """Scenario defaults plus keyword overrides, type-checked as a JSON
-    config's values are (see _typed)."""
-    if scenario not in SCENARIOS:
-        raise ConfigError(
-            f"field 'scenario': unknown scenario {scenario!r}; "
-            f"choices: {', '.join(SCENARIO_NAMES)}")
-    base: Dict[str, Any] = dict(SCENARIOS[scenario])
-    base["scenario"] = scenario
-    for key, value in overrides.items():
+def make_config(scenario: str = ExperimentConfig.scenario,
+                **fields: Any) -> ExperimentConfig:
+    """The scenario's defaults with ``fields`` over them, each type-checked
+    as a config file's values are (see _typed), then validated."""
+    fields["scenario"] = scenario
+    for key, value in fields.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"field '{key}': unknown config field")
-        base[key] = _typed(key, _FIELD_TYPES[key], value)
-    cfg = ExperimentConfig(**base)
+        fields[key] = _typed(key, _FIELD_TYPES[key], value)
+    cfg = ExperimentConfig(**{**SCENARIOS.get(fields["scenario"], {}),
+                              **fields})
     validate(cfg)
     return cfg
 
 
 def _coerce(name: str, raw: str) -> Any:
-    typ = _FIELD_TYPES[name]
+    typ = _FIELD_TYPES.get(name)  # make_config refuses an unknown name
     try:
         if typ == "int":
             return int(raw)
@@ -146,22 +145,22 @@ def _coerce(name: str, raw: str) -> Any:
         raise ConfigError(f"field '{name}': {exc}") from None
 
 
-def apply_overrides(cfg: ExperimentConfig, assignments: List[str]) -> None:
-    """Apply --set key=value pairs in place."""
+def parse_overrides(assignments: List[str]) -> Dict[str, Any]:
+    """The fields of --set key=value pairs; a later pair for a key wins."""
+    out: Dict[str, Any] = {}
     for item in assignments:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"field '{item}': expected key=value")
         key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"field '{key}': unknown config field")
-        setattr(cfg, key, _coerce(key, raw))
+        out[key] = _coerce(key, raw)
+    return out
 
 
 def _typed(key: str, typ: str, value: Any) -> Any:
     """A config value for field key of type typ, from JSON or a keyword
     override, or ConfigError if its type is wrong. An int passes for a
-    float; a bool only for a bool."""
+    float and is stored as one; a bool passes only for a bool."""
     if typ == "List[int]":
         if not isinstance(value, list):
             raise ConfigError(f"field '{key}': expected a list")
@@ -172,28 +171,28 @@ def _typed(key: str, typ: str, value: Any) -> Any:
     if not isinstance(value, want) or \
             (isinstance(value, bool) and want is not bool):
         raise ConfigError(f"field '{key}': expected {typ}, got {value!r}")
-    return value
+    try:
+        return float(value) if typ == "float" else value
+    except OverflowError:
+        raise ConfigError(f"field '{key}': int too large for a float") from None
 
 
-def from_dict(data: Dict[str, Any]) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"expected a JSON object, got {data!r}")
-    unknown = sorted(set(data) - set(_FIELD_TYPES))
-    if unknown:
-        raise ConfigError(f"field '{unknown[0]}': unknown config field")
-    return ExperimentConfig(**{key: _typed(key, _FIELD_TYPES[key], value)
-                               for key, value in data.items()})
-
-
-def save_json(cfg: ExperimentConfig, path: str) -> None:
+def save_json(data: Any, path: str) -> None:
+    """data as indented, key-sorted JSON: config.json (from ``asdict``)
+    and summary.json."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_json(path: str) -> ExperimentConfig:
+def load_json(path: str) -> Dict[str, Any]:
+    """The fields of a JSON config file, for make_config; ConfigError if
+    the file holds anything but a JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected a JSON object, got {data!r}")
+    return data
 
 
 def _require(cond: bool, name: str, message: str) -> None:
@@ -203,7 +202,8 @@ def _require(cond: bool, name: str, message: str) -> None:
 
 def validate(cfg: ExperimentConfig) -> None:
     _require(cfg.scenario in SCENARIO_NAMES, "scenario",
-             f"unknown scenario {cfg.scenario!r}")
+             f"unknown scenario {cfg.scenario!r}; "
+             f"choices: {', '.join(SCENARIO_NAMES)}")
     _require(0 < cfg.duration < inf, "duration", "must be positive and finite")
     _require(cfg.bandwidth_bps > 0, "bandwidth_bps", "must be positive")
     _require(cfg.ack_bandwidth_bps > 0, "ack_bandwidth_bps",

@@ -13,12 +13,11 @@ dynamics under study stay on the forward bottleneck.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import mul, sub
@@ -301,12 +300,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
 
 def write_outputs(out: RunOutput, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    save_json(out.config, os.path.join(outdir, "config.json"))
+    save_json(asdict(out.config), os.path.join(outdir, "config.json"))
     write_csv(os.path.join(outdir, "trace.csv"), out.records)
-    with open(os.path.join(outdir, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(out.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(out.summary, os.path.join(outdir, "summary.json"))
 
 
 # -- summaries ------------------------------------------------------------

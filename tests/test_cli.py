@@ -1,8 +1,11 @@
 """The command-line front end: running a scenario into --out, re-running
 the config.json it wrote, overriding fields with --set (the one way to
 set seed and duration), running a named check, and exit status 2 for bad
-input, including a config file value of the wrong type. make_config's
-keyword overrides get the same type check as a config file."""
+input, including a config file value of the wrong type, and for outputs
+it cannot write. A config file and --set fields, --set scenario= among
+them, lie over the scenario's defaults. make_config's keyword overrides
+get the same type check as a config file, and a float field holds a
+float."""
 import json
 
 import pytest
@@ -85,6 +88,46 @@ def test_endless_duration_exits_2_before_any_run(tmp_path, monkeypatch,
 def test_unreadable_config_file_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_2_as_a_write_failure(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert run_short(taken) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
+def outputs(out, *argv):
+    assert main([*argv, "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in OUTPUTS}
+
+
+def test_partial_config_file_takes_the_scenarios_defaults(tmp_path):
+    """A file naming only some fields runs the experiment --scenario runs
+    with the same fields set: the file's int duration is stored as 1.0."""
+    path = tmp_path / "partial.json"
+    path.write_text('{"scenario": "audio_cbr", "duration": 1}')
+    got = outputs(tmp_path / "file", "--config", str(path))
+    want = outputs(tmp_path / "set", "--scenario", "audio_cbr",
+                   "--set", "duration=1")
+    assert got["config.json"] == want["config.json"]
+    assert got["trace.csv"] == want["trace.csv"]
+
+
+def test_set_scenario_takes_that_scenarios_defaults(tmp_path):
+    got = outputs(tmp_path / "a", "--scenario", "audio_cbr",
+                  "--set", "scenario=udpcc_basic", "--set", "duration=1")
+    want = outputs(tmp_path / "b", "--scenario", "udpcc_basic",
+                   "--set", "duration=1")
+    assert got["config.json"] == want["config.json"]
+
+
+def test_a_float_field_holds_a_float():
+    cfg = make_config("udpcc_basic", duration=2, delay=0)
+    assert (type(cfg.duration), type(cfg.delay)) == (float, float)
+    with pytest.raises(ConfigError, match="field 'duration'"):
+        make_config("udpcc_basic", duration=10 ** 400)
 
 
 WRONG_TYPES = [

@@ -351,8 +351,8 @@ def write_csv_peak(n):
 
 
 def test_write_csv_peak_is_bounded_and_does_not_grow_with_the_trace():
-    # one chunk's memos and strings peak near 350 kB; a memo over a whole
-    # column of 100k distinct values would hold several MB
+    # one chunk's row strings and their join peak near 140 kB; strings
+    # for a whole trace of 100k rows would hold several MB
     small, large = write_csv_peak(50_000), write_csv_peak(100_000)
     assert large <= 512 * 1024
     assert large <= small * 1.05

@@ -1,5 +1,6 @@
 """Trace CSV round trip: write_csv gives exactly the bytes csv.writer
-writes for the same rows, and read_csv gives the rows back."""
+writes for the same rows, and read_csv gives the rows back and refuses a
+foreign header or a row without five fields."""
 import csv
 import math
 import os
@@ -87,10 +88,25 @@ def test_read_csv_refuses_a_wrong_header_under_python_O():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("row", ["0.0,1,Send,0.0", "0.0,1,Send,0.0,1.0,2.0"],
+                         ids=["four-fields", "six-fields"])
+def test_read_csv_refuses_a_row_without_five_fields(row):
+    """A row with fewer or more than five fields is refused, naming the
+    file and the line, rather than read in part."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "bad.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(f"t,flow,kind,value1,value2\r\n"
+                     f"0.0,1,Send,0.0,1500.0\r\n{row}\r\n")
+        with pytest.raises(ValueError, match=r"bad\.csv, line 3"):
+            read_csv(path)
+
+
 def chunk_rows():
     """About 2.5 of write_csv's chunks. Both zeros share the first chunk,
-    one of them right at its end, and each value whose repr a memo could
-    get wrong appears in value1 and value2 of every chunk."""
+    one of them right at its end, and each value whose repr is easiest to
+    get wrong (NaN, the infinities, a subnormal, 1e16, 1e22 and both
+    zeros) appears in value1 and value2 of every chunk."""
     n = 2 * trace.CSV_CHUNK + trace.CSV_CHUNK // 2
     special = [float("nan"), float("inf"), -float("inf"), 5e-324, 1e16,
                1e22, 0.0, -0.0]
