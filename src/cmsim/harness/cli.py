@@ -7,6 +7,7 @@ Exit status is 0 on success, 1 on a failed check, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -55,6 +56,13 @@ def _run_scenario(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad config file: {exc}", file=sys.stderr)
         return 2
+    if args.out:
+        try:
+            # made before the run, so an --out that cannot be made costs no run
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot write outputs: {exc}", file=sys.stderr)
+            return 2
     out = run_experiment(cfg)
     if args.out:
         try:

@@ -124,11 +124,19 @@ def make_config(scenario: str = ExperimentConfig.scenario,
     return cfg
 
 
+def _int(name: str, raw: str) -> int:
+    """An int literal, or an integral float one, as _typed takes 2.0."""
+    try:
+        return int(raw)
+    except ValueError:
+        return _typed(name, "int", float(raw))
+
+
 def _coerce(name: str, raw: str) -> Any:
     typ = _FIELD_TYPES.get(name)  # make_config refuses an unknown name
     try:
         if typ == "int":
-            return int(raw)
+            return _int(name, raw)
         if typ == "float":
             return float(raw)
         if typ == "bool":
@@ -139,7 +147,7 @@ def _coerce(name: str, raw: str) -> Any:
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if typ == "List[int]":
-            return [int(x) for x in raw.split(",") if x.strip()]
+            return [_int(name, x) for x in raw.split(",") if x.strip()]
         return raw
     except ValueError as exc:
         raise ConfigError(f"field '{name}': {exc}") from None

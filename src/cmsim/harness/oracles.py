@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..sim import Deadline, EventLoop, Link, Packet, PacketKind
-from ..trace import TraceKind, Tracer
-from ..transport.tcp import AckInfo
+from ..sim import DATA, Deadline, EventLoop, Link, Packet
+from ..trace import SEND, Tracer
 
 # Mirrors of the controller constants; restated here on purpose so a drift
 # in either implementation shows up as a test failure, not silent agreement.
@@ -107,8 +106,9 @@ class RenoSender:
     mss*mss/cwnd per ACK, fast retransmit on the third dupack halves the
     window, timeouts collapse to one mss and retransmit the head segment
     with a doubling RTO. An unbounded source: every new segment is a full
-    mss. Intentionally not built on the congestion core. Each segment
-    sent gets a Send row in tracer."""
+    mss. It reads the ACK number from an ACK packet's ``seq`` and ignores
+    the ECN echo. Intentionally not built on the congestion core. Each
+    segment sent gets a Send row in tracer."""
 
     def __init__(self, loop: EventLoop, flow_id: int, data_path: Link,
                  mss: int = _DEF_MTU, *, tracer: Tracer) -> None:
@@ -134,66 +134,62 @@ class RenoSender:
 
     # -- sending ----------------------------------------------------------
 
-    def _flight(self) -> int:
-        return self.snd_nxt - self.snd_una
-
     def _fill_window(self) -> None:
-        while self._flight() + self.mss <= self.cwnd:
-            self._emit(self.snd_nxt, self.mss, rtx=False)
-            self.snd_nxt += self.mss
-        self._arm_rto()
-
-    def _emit(self, seq: int, size: int, rtx: bool) -> None:
-        self.tracer.emit(self.loop.now, self.flow_id, TraceKind.SEND, seq, size)
-        if rtx:
-            if self._timed is not None and seq < self._timed[0]:
-                self._timed_rtx = True
-        elif self._timed is None:
-            self._timed = (seq + size, self.loop.now)
-            self._timed_rtx = False
-        self.path.send(Packet(flow=self.flow_id, seq=seq, size=size,
-                              kind=PacketKind.DATA))
-
-    # -- timers ------------------------------------------------------------
-
-    def _rto_value(self) -> float:
-        base = 1.0 if self.srtt <= 0.0 else self.srtt + 4.0 * self.rttvar
-        return min(max(base, 0.2), 60.0) * self.backoff
-
-    def _arm_rto(self) -> None:
-        if self._flight() > 0:
-            self._rto.arm(self._rto_value())
+        """Send new segments while a full one fits the window, then arm the
+        RTO while data is in flight, or stop it."""
+        now = self.loop.now
+        mss = self.mss
+        while self.snd_nxt - self.snd_una + mss <= self.cwnd:
+            seq = self.snd_nxt
+            self.tracer.emit(now, self.flow_id, SEND, seq, mss)
+            if self._timed is None:
+                self._timed = (seq + mss, now)
+                self._timed_rtx = False
+            self.path.send(Packet(self.flow_id, seq, mss, DATA))
+            self.snd_nxt = seq + mss
+        if self.snd_nxt > self.snd_una:
+            base = 1.0 if self.srtt <= 0.0 else self.srtt + 4.0 * self.rttvar
+            self._rto.arm(min(max(base, 0.2), 60.0) * self.backoff)
         else:
             self._rto.stop()
 
+    def _retransmit(self, size: int) -> None:
+        """Resend ``size`` bytes from the head of the window."""
+        seq = self.snd_una
+        self.tracer.emit(self.loop.now, self.flow_id, SEND, seq, size)
+        if self._timed is not None and seq < self._timed[0]:
+            self._timed_rtx = True
+        self.path.send(Packet(self.flow_id, seq, size, DATA))
+
+    # -- timers ------------------------------------------------------------
+
     def _on_rto(self) -> None:
-        if self._flight() <= 0:
+        flight = self.snd_nxt - self.snd_una
+        if flight <= 0:
             return
-        self.ssthresh = max(self._flight() / 2.0, 2.0 * self.mss)
+        self.ssthresh = max(flight / 2.0, 2.0 * self.mss)
         self.cwnd = float(self.mss)
         self.dup_acks = 0
         self.backoff = min(self.backoff * 2, 64)
-        size = min(self.mss, self._flight())
-        self._emit(self.snd_una, size, rtx=True)
-        self._arm_rto()
+        self._retransmit(min(self.mss, flight))
+        # a one-mss window has no room while data is in flight, so this
+        # sends nothing and re-arms the RTO
+        self._fill_window()
 
     # -- receiving ---------------------------------------------------------
 
     def on_ack(self, pkt: Packet, now: float) -> None:
-        info: AckInfo = pkt.meta
-        if not isinstance(info, AckInfo):
-            return
-        ack = info.ack
+        ack = pkt.seq
         if ack < self.snd_una:
             return
         if ack == self.snd_una:
-            if self._flight() > 0:
+            flight = self.snd_nxt - self.snd_una
+            if flight > 0:
                 self.dup_acks += 1
                 if self.dup_acks == 3:
-                    self.ssthresh = max(self._flight() / 2.0, 2.0 * self.mss)
+                    self.ssthresh = max(flight / 2.0, 2.0 * self.mss)
                     self.cwnd = self.ssthresh + 3.0 * self.mss
-                    size = min(self.mss, self._flight())
-                    self._emit(self.snd_una, size, rtx=True)
+                    self._retransmit(min(self.mss, flight))
                 elif self.dup_acks > 3:
                     self.cwnd += self.mss
                     self._fill_window()
@@ -219,4 +215,3 @@ class RenoSender:
         self.backoff = 1
         self.snd_una = ack
         self._fill_window()
-

@@ -25,13 +25,14 @@ delay, a drop-tail queue bounded in packets (the in-service packet counts),
 i.i.d. Bernoulli loss from a per-link RNG stream, and an optional ECN mode
 where would-be random losses are delivered marked instead.
 
-A link hop costs one heap event per packet, its arrival. ``Link.send``
-computes the instant the packet finishes serialization, ``max(now, last
-finish) + size·8/bandwidth``, and schedules the arrival at ``finish +
-prop_delay``. These are the same floats as in a model that runs a
-separate event when serialization finishes and schedules the arrival
-from it, and the outputs are the same as that model's, but for the two
-cases named at the end.
+A link hop is ``Link.send`` plus one heap event, the arrival
+(``Link._arrive``). ``send``, in its one frame, pops the packets that
+have left, computes the instant the packet finishes serialization,
+``max(now, last finish) + size·8/bandwidth``, and schedules the arrival
+at ``finish + prop_delay``. These are the same floats as in a model that
+runs a separate event when serialization finishes and schedules the
+arrival from it, and the outputs are the same as that model's, but for
+the two cases named at the end.
 
 Whether a packet is still on the link when another is sent decides the
 drop-tail test, and is in doubt only when the send falls exactly on the
@@ -45,8 +46,10 @@ that of the running event (``EventLoop.inserted``). The rule: a packet
 finishing exactly now has left iff its service began before the running
 event's insertion instant. Between runs that instant counts as +inf,
 since every event at or before ``now`` has run, and before the first
-run as -inf. A bandwidth change re-times the packets queued behind the
-one in service, so it still applies from the next service start.
+run as -inf. The rule is the loop at the top of ``Link.send``, and
+``set_bandwidth`` repeats it. A bandwidth change re-times the packets
+queued behind the one in service, so it still applies from the next
+service start.
 
 The link knows the instant of each scheduling but not the order of two
 schedulings made at one instant, so two cases still differ from the
@@ -225,17 +228,19 @@ class Deadline:
 class Link:
     """One directional link: serialization + propagation + drop-tail queue.
 
-    A packet costs one heap event per hop, its arrival. ``send`` works out
-    when the packet finishes serialization, ``max(now, last finish) +
-    size·8/bandwidth``, and schedules the arrival at ``finish +
-    prop_delay``. The backlog holds ``(finish, start, packet, arrival)``
-    for each packet still being serialized or waiting, in FIFO order; the
-    head is the one being serialized, and it counts toward
-    ``queue_limit``. See the module docstring for when a packet whose
-    finish is exactly ``now`` has left. Each packet that arrives goes to
-    ``sink``, which starts as None and may be assigned at any time; with
-    none, the packet is lost. ``send`` returns nothing: a drop or an ECN
-    mark of a data packet is recorded as a Drop or Mark row in the trace.
+    A hop is ``send`` plus one heap event, the arrival (``_arrive``).
+    ``send`` pops the packets that have left, works out when the new one
+    finishes serialization, ``max(now, last finish) + size·8/bandwidth``,
+    and schedules its arrival at ``finish + prop_delay``. The backlog
+    holds ``(finish, start, packet, arrival)`` for each packet still being
+    serialized or waiting, in FIFO order; the head is the one being
+    serialized, and it counts toward ``queue_limit``. The tie rule, for
+    when a packet whose finish is exactly ``now`` has left, is the loop
+    at the top of ``send`` (see the module docstring). Each packet that
+    arrives goes to ``sink``, which starts as None and may be assigned at
+    any time; with none, the packet is lost. ``send`` returns nothing: a
+    drop or an ECN mark of a data packet is recorded as a Drop or Mark
+    row in the trace.
 
     Random loss draws come from this link's own RNG stream, seeded from the
     master seed and the link name, so adding traffic elsewhere never
@@ -270,19 +275,6 @@ class Link:
         self._backlog: Deque[Tuple[float, float, Packet,
                                    ScheduledEvent]] = deque()
 
-    def _leave(self) -> None:
-        """Drop the packets that have finished serialization. One that
-        finishes exactly now has finished iff its service began before
-        the running event was scheduled (see the module docstring)."""
-        backlog = self._backlog
-        loop = self.loop
-        while backlog:
-            finish, start = backlog[0][:2]
-            if finish > loop.now or (finish == loop.now
-                                     and start >= loop.inserted):
-                return
-            backlog.popleft()
-
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Applies from the next service start; the packet currently being
         serialized finishes at its old pace, and the packets queued behind
@@ -290,48 +282,54 @@ class Link:
         if not bandwidth_bps > 0:
             raise ValueError("bandwidth must be positive")
         self.bandwidth_bps = float(bandwidth_bps)
-        self._leave()
+        loop = self.loop
         backlog = self._backlog
-        if len(backlog) < 2:
-            return
-        head, *queued = backlog
-        backlog.clear()
-        backlog.append(head)
-        for _, _, pkt, ev in queued:
-            ev.cancel()
-            self._enqueue(pkt)
-
-    def _enqueue(self, pkt: Packet) -> None:
-        """Queue ``pkt`` at the tail and schedule its arrival."""
-        backlog = self._backlog
-        start = backlog[-1][0] if backlog else self.loop.now
-        finish = start + pkt.size * 8.0 / self.bandwidth_bps
-        ev = self.loop.schedule(finish + self.prop_delay, self._arrive, pkt)
-        ev.inserted = finish    # when the two-event model scheduled it
-        backlog.append((finish, start, pkt, ev))
+        while backlog:      # send's tie rule
+            head = backlog[0]
+            if head[0] > loop.now or (head[0] == loop.now
+                                      and head[1] >= loop.inserted):
+                break
+            backlog.popleft()
+        for i in range(1, len(backlog)):    # the packets behind the head
+            _, _, pkt, old = backlog[i]
+            old.cancel()
+            start = backlog[i - 1][0]
+            finish = start + pkt.size * 8.0 / self.bandwidth_bps
+            ev = loop.schedule(finish + self.prop_delay, self._arrive, pkt)
+            ev.inserted = finish    # as in send
+            backlog[i] = (finish, start, pkt, ev)
 
     # -- datapath ---------------------------------------------------------
 
     def send(self, pkt: Packet) -> None:
         if pkt.size > self.mtu and pkt.kind is DATA:
             raise ValueError(f"packet size {pkt.size} exceeds link mtu {self.mtu}")
+        loop = self.loop
+        now = loop.now
         backlog = self._backlog
-        if backlog and backlog[0][0] <= self.loop.now:
-            self._leave()
-        if len(backlog) >= self.queue_limit:
-            marked = False
-        elif self.loss_prob > 0.0 and self._rng.random() < self.loss_prob:
-            marked = self.ecn_mode
-        else:
-            self._enqueue(pkt)
-            return
-        # Ack-type packets stay out of the trace to keep it data-plane only.
-        if self.tracer is not None and pkt.kind is DATA:
-            self.tracer.emit(self.loop.now, pkt.flow,
-                             MARK if marked else DROP, pkt.seq, pkt.size)
-        if marked:
+        # the tie rule: a packet finishing exactly now has left iff its
+        # service began before the running event was scheduled
+        while backlog:
+            head = backlog[0]
+            if head[0] > now or (head[0] == now and head[1] >= loop.inserted):
+                break
+            backlog.popleft()
+        full = len(backlog) >= self.queue_limit
+        if full or (self.loss_prob > 0.0
+                    and self._rng.random() < self.loss_prob):
+            marked = not full and self.ecn_mode
+            # Ack-type packets stay out of the trace to keep it data-plane only.
+            if self.tracer is not None and pkt.kind is DATA:
+                self.tracer.emit(now, pkt.flow, MARK if marked else DROP,
+                                 pkt.seq, pkt.size)
+            if not marked:
+                return
             pkt.ecn_marked = True
-            self._enqueue(pkt)
+        start = backlog[-1][0] if backlog else now
+        finish = start + pkt.size * 8.0 / self.bandwidth_bps
+        ev = loop.schedule(finish + self.prop_delay, self._arrive, pkt)
+        ev.inserted = finish    # when the two-event model scheduled it
+        backlog.append((finish, start, pkt, ev))
 
     def _arrive(self, pkt: Packet) -> None:
         if self.tracer is not None and pkt.kind is DATA:

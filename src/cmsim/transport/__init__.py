@@ -3,8 +3,8 @@ congestion-controlled datagram socket, plus the app-level ack machinery
 they share."""
 
 from .feedback import AppAck, AppAckReceiver, FeedbackTracker
-from .tcp import AckInfo, TcpReceiver, TcpSender
+from .tcp import TcpReceiver, TcpSender
 from .udpcc import UdpCcSocket
 
-__all__ = ["AppAck", "AppAckReceiver", "FeedbackTracker", "AckInfo",
-           "TcpReceiver", "TcpSender", "UdpCcSocket"]
+__all__ = ["AppAck", "AppAckReceiver", "FeedbackTracker", "TcpReceiver",
+           "TcpSender", "UdpCcSocket"]

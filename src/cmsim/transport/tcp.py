@@ -22,13 +22,17 @@ Retransmissions take priority over new data when a grant arrives.
 Connection setup is a single SYN/SYNACK exchange carrying no data; it is
 never charged to the controller, and grant requests wait for it.
 
-The receiver ACKs every data segment at once. The SYN retry and RTO
-timers are sim.Deadlines, so stopping one never cancels a heap entry.
+The receiver ACKs every data segment at once. An ACK is a 40-byte ACK
+packet whose ``seq`` is the ACK number, the receiver's ``rcv_nxt``, and
+whose ``meta`` is the ECN echo, True iff the segment it answers was
+marked. The SYN and SYN-ACK are ACK packets with ``seq`` 0 and ``meta``
+"syn" and "synack". The SYN retry and RTO timers are sim.Deadlines, so
+stopping one never cancels a heap entry.
 """
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, NamedTuple, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..core import (ECN, MAX_RTO, NO_LOSS, PERSISTENT, TRANSIENT,
                     CongestionManager, FeedbackReport, FlowKey)
@@ -43,17 +47,12 @@ SYN_RETRY = 1.0
 MAX_WINDOW = 65535
 
 
-class AckInfo(NamedTuple):
-    ack: int
-    ece: bool = False
-
-
 class TcpReceiver:
     """Cumulative-ACK receiver with out-of-order buffering.
 
     Every data segment, in order, out of order or filling a hole, is
-    acked at once with the cumulative ACK point rcv_nxt. A marked data
-    packet sets the ECN echo on the next ACK.
+    acked at once with the cumulative ACK point rcv_nxt. The ACK to a
+    marked data packet carries the ECN echo.
     """
 
     def __init__(self, loop: EventLoop, ack_path: Link, flow: int) -> None:
@@ -62,14 +61,11 @@ class TcpReceiver:
         self.flow = flow
         self.rcv_nxt = 0
         self._ooo: List[Tuple[int, int]] = []   # disjoint [s, e), sorted
-        self._ece_pending = False
 
     def on_data(self, pkt: Packet, now: float) -> None:
         if pkt.meta == "syn":
             self.ack_path.send(Packet(self.flow, 0, ACK_SIZE, ACK, "synack"))
             return
-        if pkt.ecn_marked:
-            self._ece_pending = True
         s, e = pkt.seq, pkt.seq + pkt.size
         if s <= self.rcv_nxt:
             if e > self.rcv_nxt:
@@ -78,7 +74,8 @@ class TcpReceiver:
                     self.rcv_nxt = max(self.rcv_nxt, self._ooo.pop(0)[1])
         else:
             self._insert_ooo(s, e)  # the ACK below is a duplicate for the hole
-        self._ack_now()
+        self.ack_path.send(Packet(self.flow, self.rcv_nxt, ACK_SIZE, ACK,
+                                  pkt.ecn_marked))
 
     def _insert_ooo(self, s: int, e: int) -> None:
         self._ooo.append((s, e))
@@ -90,12 +87,6 @@ class TcpReceiver:
             else:
                 out.append((a, b))
         self._ooo = out
-
-    def _ack_now(self) -> None:
-        info = AckInfo(self.rcv_nxt, self._ece_pending)
-        self._ece_pending = False
-        self.ack_path.send(Packet(self.flow, self.rcv_nxt, ACK_SIZE, ACK,
-                                  info))
 
 
 class TcpSender:
@@ -193,29 +184,26 @@ class TcpSender:
         now = self.loop.now
         # on_ack prunes rtx as snd_una advances, so every entry ends past it
         if self.rtx:
-            s, e = self.rtx.popleft()
-            s = max(s, self.snd_una)
-            size = e - s
-            if self._timed is not None and s < self._timed[0]:
+            seq, end = self.rtx.popleft()
+            seq = max(seq, self.snd_una)
+            size = end - seq
+            if self._timed is not None and seq < self._timed[0]:
                 self._timed_rtx = True
-            self._emit(s, size, now)
-            return
-        in_window = self.snd_nxt - self.snd_una < MAX_WINDOW
-        if self.snd_nxt < self.total and in_window:
-            size = min(self.mss, self.total - self.snd_nxt)
+        elif self.snd_nxt < self.total and \
+                self.snd_nxt - self.snd_una < MAX_WINDOW:
+            seq = self.snd_nxt
+            size = min(self.mss, self.total - seq)
             if self._timed is None:
-                self._timed = (self.snd_nxt + size, now)
+                self._timed = (seq + size, now)
                 self._timed_rtx = False
-            self._emit(self.snd_nxt, size, now)
-            self.snd_nxt += size
+            self.snd_nxt = seq + size
+        else:
+            if self.snd_nxt < self.total:
+                # Window-blocked: hand the request back so _top_up can
+                # reissue it once the window slides.
+                self._requested = max(self.snd_nxt, self._requested - self.mss)
+            self.cm.notify(self.flow, 0)
             return
-        if self.snd_nxt < self.total:
-            # Window-blocked: hand the request back so _top_up can reissue
-            # it once the window slides.
-            self._requested = max(self.snd_nxt, self._requested - self.mss)
-        self.cm.notify(self.flow, 0)
-
-    def _emit(self, seq: int, size: int, now: float) -> None:
         self.tracer.emit(now, self.flow, SEND, seq, size)
         self.path.send(Packet(self.flow, seq, size, DATA))
         self._charged += size
@@ -249,13 +237,12 @@ class TcpSender:
     def on_ack(self, pkt: Packet, now: float) -> None:
         if self.closed:
             return
-        info = pkt.meta
-        if not isinstance(info, AckInfo):
-            # typed first, so an ACK costs no AckInfo.__eq__
-            if info == "synack":
+        ece = pkt.meta      # the ECN echo, on every ACK but the SYN-ACK
+        if ece is not True and ece is not False:
+            if ece == "synack":
                 self._on_established()
             return
-        ack = info.ack
+        ack = pkt.seq
         if ack < self.snd_una:
             return
         if ack == self.snd_una:
@@ -298,7 +285,7 @@ class TcpSender:
         credit = max(0, self._charged - (self.snd_nxt - self.snd_una))
         self._charged -= credit
         self.cm.update(self.flow, FeedbackReport(
-            credit, credit, ECN if info.ece else NO_LOSS, sample))
+            credit, credit, ECN if ece else NO_LOSS, sample))
         self._top_up()
         if self.snd_nxt > self.snd_una:
             self._rto.arm(min(self.cm.rto_estimate(self.flow) * self.backoff,

@@ -2,16 +2,18 @@
 the config.json it wrote, overriding fields with --set (the one way to
 set seed and duration), running a named check, and exit status 2 for bad
 input, including a config file value of the wrong type, and for outputs
-it cannot write. A config file and --set fields, --set scenario= among
-them, lie over the scenario's defaults. make_config's keyword overrides
-get the same type check as a config file, and a float field holds a
-float."""
+it cannot write, found before the run. A config file and --set fields,
+--set scenario= among them, lie over the scenario's defaults.
+make_config's keyword overrides get the same type check as a config
+file, an integral float is an int field's value by either route, and a
+float field holds a float."""
 import json
 
 import pytest
 
 from cmsim.errors import ConfigError
 from cmsim.harness import make_config, scenarios
+from cmsim.harness import cli
 from cmsim.harness.cli import main
 
 OUTPUTS = ("trace.csv", "summary.json", "config.json")
@@ -98,6 +100,19 @@ def test_out_naming_a_file_exits_2_as_a_write_failure(tmp_path, capsys):
     assert taken.read_text() == "kept"
 
 
+def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys,
+                                                  monkeypatch):
+    def run_experiment(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert run_short(taken) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
 def outputs(out, *argv):
     assert main([*argv, "--out", str(out)]) == 0
     return {name: (out / name).read_bytes() for name in OUTPUTS}
@@ -145,6 +160,24 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, field,
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_integral_float_for_an_int_field_is_one_rule(tmp_path, capsys):
+    """A config file's 2.0 for an int field is that int; so is --set's, and
+    2.5 is refused by both."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "udpcc_basic", "duration": 1,
+                                "num_flows": 2.0,
+                                "layer_rates": [100000.0, 200000]}))
+    got = outputs(tmp_path / "file", "--config", str(path))
+    want = outputs(tmp_path / "set", "--scenario", "udpcc_basic",
+                   "--set", "duration=1", "--set", "num_flows=2.0",
+                   "--set", "layer_rates=100000.0,200000")
+    assert got["config.json"] == want["config.json"]
+    assert json.loads(got["config.json"])["num_flows"] == 2
+    for value in ("num_flows=2.5", "layer_rates=1,2.5"):
+        assert main(["--scenario", "udpcc_basic", "--set", value]) == 2
+        assert f"field '{value.split('=')[0]}'" in capsys.readouterr().err
 
 
 def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""tools/count_calls.py: its counting function gives the same counts on
-two runs of one scenario, so two commits can be compared by count, and
-adds up the calls of distinct functions that share a name."""
+"""tools/count_calls.py: its counting functions give the same counts on
+two runs of one scenario, so two commits can be compared by count; the
+call counter adds up the calls of distinct functions that share a name,
+and a tree compared with itself reads a ratio of one."""
 import importlib.util
 from functools import partial
 from pathlib import Path
@@ -44,3 +45,27 @@ def test_functions_that_share_a_name_add_up():
         fns.append(ns["f"])
     python, _, _ = count_calls(lambda: [fn() for fn in fns])
     assert python["<string>:1 f"] == 2
+
+
+def test_opcode_count_repeats_exactly():
+    count_opcodes = load_tool().count_opcodes
+    cfg = make_config("tcp_compare", duration=1.0)
+    run_experiment(cfg)
+    first = count_opcodes(partial(run_experiment, cfg))
+    second = count_opcodes(partial(run_experiment, cfg))
+    assert first[0] == second[0] > 0
+    assert first[1].summary == second[1].summary
+
+
+def test_a_tree_compared_with_itself_reads_one(capsys):
+    """--compare counts each tree in a fresh interpreter; a 1 s bulk_tcp
+    input set (tcp_compare) against the same tree reads 1.000 for the
+    calls and the instructions alike, and one trace digest twice."""
+    tool = load_tool()
+    assert tool.main(["--compare", str(TOOL.parents[1]), "--workload",
+                      "bulk_tcp", "--duration", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(", ratio 1.000\n") == 3
+    old, new = [line.split()[-1] for line in out.splitlines()
+                if "trace sha256" in line]
+    assert old == new

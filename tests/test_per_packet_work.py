@@ -3,12 +3,17 @@ wall time: API crossings (client calls plus grant and rate callbacks,
 from the core's op_counts) per delivered packet of the CM flows, and
 trace rows per delivered packet, and events scheduled per delivered
 packet (every event goes through EventLoop.schedule, which the test
-wraps to count them). The counts are deterministic, so each
-bound is exact: the value these scenarios read when the guard was added,
-at 5 simulated seconds. A client style that adds a crossing or a row per
-packet fails here; a change that adds one on purpose moves the bound and
-says why in CHANGES.md."""
+wraps to count them), and Python-level calls (frames) per delivered
+packet of tcp_compare, counted by tools/count_calls.py. The counts are
+deterministic, so each bound is exact: the value these scenarios read
+when the guard was added, at 5 simulated seconds. A client style that
+adds a crossing or a row per packet fails here, and so does a change
+that adds a frame per packet; a change that adds one on purpose moves
+the bound and says why in CHANGES.md."""
+import importlib.util
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +69,22 @@ def test_events_scheduled_per_delivered_packet(scenario, monkeypatch):
     delivered = sum(1 for r in out.records if r.kind is TraceKind.DELIVER)
     assert delivered > 0
     assert Fraction(scheduled, delivered) <= EVENT_BOUNDS[scenario]
+
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "count_calls.py"
+# tcp_compare: Python-level calls / packets delivered
+FRAME_BOUND = Fraction(40191, 1973)
+
+
+def test_python_calls_per_delivered_packet_of_tcp_compare():
+    spec = importlib.util.spec_from_file_location("count_calls", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cfg = make_config("tcp_compare", duration=DURATION)
+    # the first run in a process also fills the ABC subclass caches, so
+    # the counted run follows one
+    run_experiment(cfg)
+    python, _, out = tool.count_calls(partial(run_experiment, cfg))
+    delivered = sum(1 for r in out.records if r.kind is TraceKind.DELIVER)
+    assert delivered > 0
+    assert Fraction(sum(python.values()), delivered) <= FRAME_BOUND

@@ -132,17 +132,22 @@ def test_handshake_connection_cancels_no_event(monkeypatch):
     assert cancelled == []
 
 
-def test_acks_after_the_handshake_compare_no_ack_info(monkeypatch):
-    """on_ack types an ACK before it looks for the SYN-ACK, so no ACK
-    costs an AckInfo.__eq__."""
-    compared = []
-    monkeypatch.setattr(tcp.AckInfo, "__eq__",
-                        lambda a, b: compared.append(b) or a is b)
+def test_an_ack_carries_rcv_nxt_in_seq_and_the_ecn_echo_in_meta():
+    """An ACK's seq is the receiver's rcv_nxt and its meta the ECN echo,
+    a bool: a CE-marked segment sets it on the ACK that answers that
+    segment only."""
     loop = EventLoop()
-    b = build(loop, total=16 * MSS, handshake=True)
-    loop.run_until(10.0)
-    assert len(b.done) == 1
-    assert compared == []
+    acks = []
+    rev = Link(loop, 1e9, 0.0, queue_limit=100)
+    rev.sink = lambda p, t: acks.append((p.seq, p.meta))
+    r = TcpReceiver(loop, rev, flow=1)
+    r.on_data(Packet(flow=1, seq=0, size=1500), 0.0)
+    r.on_data(Packet(flow=1, seq=1500, size=1500, ecn_marked=True), 0.0)
+    r.on_data(Packet(flow=1, seq=3000, size=1500), 0.0)
+    loop.run_until(1.0)
+    assert acks == [(1500, False), (3000, True), (4500, False)]
+    assert r.rcv_nxt == 4500
+    assert all(type(meta) is bool for _, meta in acks)
 
 
 def test_transfer_survives_random_loss():
@@ -294,7 +299,7 @@ def test_receiver_acks_out_of_order_data_immediately():
     loop = EventLoop()
     acks = []
     rev = Link(loop, 1e9, 0.0, queue_limit=100)
-    rev.sink = lambda p, t: acks.append(p.meta.ack)
+    rev.sink = lambda p, t: acks.append(p.seq)
     r = TcpReceiver(loop, rev, flow=1)
     r.on_data(Packet(flow=1, seq=1500, size=1500), 0.0)
     r.on_data(Packet(flow=1, seq=0, size=1500), 0.0)

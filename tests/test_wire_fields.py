@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 WIRE_CLASSES = {
     "Packet": "sim.py",
     "AppAck": "transport/feedback.py",
-    "AckInfo": "transport/tcp.py",
     "FeedbackReport": "core.py",
 }
 
