@@ -1,10 +1,9 @@
-from .layered import AlfLayeredSource, LayerConfig, PacedLayeredSource
+from .layered import AlfLayeredSource, PacedLayeredSource
 from .audio import CbrAudioSource, TokenBucket
 
 __all__ = [
     "AlfLayeredSource",
     "CbrAudioSource",
-    "LayerConfig",
     "PacedLayeredSource",
     "TokenBucket",
 ]

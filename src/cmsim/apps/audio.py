@@ -1,26 +1,26 @@
 """Interactive constant-bit-rate audio source with adaptive thinning.
 
-Frames are produced at a fixed rate regardless of network state. Two
-mechanisms reconcile that with the available bandwidth:
+Frames are produced every FRAME_INTERVAL seconds regardless of network
+state. Two mechanisms reconcile that with the available bandwidth:
 
-  * a token-bucket policer whose rate follows the controller's rate
-    callbacks drops excess frames before they are buffered (long-term
-    adaptation);
-  * a small drop-from-head application buffer absorbs short-term grant
-    jitter while guaranteeing freshness: when the buffer overflows or a
-    queued frame outlives app_buf_limit frame intervals, the oldest
-    frame is discarded, never a newer one.
+  * a token-bucket policer, POLICER_DEPTH_FRAMES frames deep, whose rate
+    follows the controller's rate callbacks (band THRESH) drops excess
+    frames before they are buffered (long-term adaptation);
+  * a drop-from-head application buffer of APP_BUF_LIMIT frames absorbs
+    short-term grant jitter while guaranteeing freshness: when the buffer
+    overflows or a queued frame outlives APP_BUF_LIMIT frame intervals,
+    the oldest frame is discarded, never a newer one.
 
 At most one grant request is outstanding at a time; each grant sends the
 current head frame. Frames are generated from start() until the run
 ends.
 
 The frame tick is the most frequent event of a run with audio sources
-(one per frame_interval per source, grant or no grant), so it runs in
+(one per FRAME_INTERVAL per source, grant or no grant), so it runs in
 one frame: it tests the buffer's head for staleness inline, entering
 the eviction loop only when the head is stale, drops on overflow
 inline, makes one policer call, and re-arms through loop.schedule at
-now + frame_interval.
+now + FRAME_INTERVAL.
 """
 from __future__ import annotations
 
@@ -32,7 +32,13 @@ from ..sim import EventLoop, Link
 from ..trace import BUF_DROP, POLICER_DROP, Tracer
 from ..transport.feedback import DatagramSender
 
+FRAME_INTERVAL = 0.02
+APP_BUF_LIMIT = 4
+POLICER_DEPTH_FRAMES = 2
+THRESH = (0.9, 1.1)     # the (down, up) rate-callback band
 STALE_EPS = 1e-9
+# a buffered frame older than this is stale
+_MAX_AGE = APP_BUF_LIMIT * FRAME_INTERVAL + STALE_EPS
 
 
 class TokenBucket:
@@ -64,30 +70,18 @@ class TokenBucket:
 class CbrAudioSource(DatagramSender):
     """Fixed-rate frame source feeding a policed, freshness-bounded buffer.
     tracer gets a row per frame sent or dropped. ValueError, before the
-    flow opens, for a setting that would crash or starve the source."""
+    flow opens, for a frame_size outside [1, data_path.mtu]."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
-                 loop: EventLoop, frame_size: int = 160,
-                 frame_interval: float = 0.02, app_buf_limit: int = 4,
-                 policer_depth_frames: int = 2,
-                 thresh: Tuple[float, float] = (0.9, 1.1), *,
+                 loop: EventLoop, frame_size: int = 160, *,
                  tracer: Tracer) -> None:
         self.frame_size = self._datagram_size(data_path, frame_size)
-        # written so that NaN, which compares false, is refused
-        if not (frame_interval > 0 and app_buf_limit >= 1
-                and policer_depth_frames >= 1):
-            raise ValueError("frame_interval must be > 0, app_buf_limit and "
-                             "policer_depth_frames >= 1")
         super().__init__(cm, key, data_path, loop, tracer)
-        self.frame_interval = frame_interval
-        self.app_buf_limit = app_buf_limit
-        # a buffered frame older than this is stale
-        self._max_age = app_buf_limit * frame_interval + STALE_EPS
         cm.register_send(self.flow, self._on_grant)
         cm.register_update(self.flow, self._on_rate)
-        self._or_close(lambda: cm.thresh(self.flow, thresh[0], thresh[1]))
-        self.policer = TokenBucket(frame_size / frame_interval,
-                                   policer_depth_frames * frame_size,
+        cm.thresh(self.flow, *THRESH)
+        self.policer = TokenBucket(frame_size / FRAME_INTERVAL,
+                                   POLICER_DEPTH_FRAMES * frame_size,
                                    now=loop.now)
         self._buf: Deque[Tuple[int, float]] = deque()   # (frame seq, t generated)
         self._pending_request = False
@@ -101,10 +95,10 @@ class CbrAudioSource(DatagramSender):
         seq = self.generated
         self.generated += 1
         buf = self._buf
-        if buf and now - buf[0][1] > self._max_age:
+        if buf and now - buf[0][1] > _MAX_AGE:
             self._evict_stale(now)
         if self.policer.take(self.frame_size, now):
-            if len(buf) >= self.app_buf_limit:
+            if len(buf) >= APP_BUF_LIMIT:
                 self.tracer.emit(now, self.flow, BUF_DROP,
                                  buf.popleft()[0], self.frame_size)
             buf.append((seq, now))
@@ -116,18 +110,18 @@ class CbrAudioSource(DatagramSender):
                              seq, self.frame_size)
         # not a sim.Deadline: perfbench's spans would then count each
         # _tick, the apps layer's largest self time, under sim's _fire
-        self.loop.schedule(now + self.frame_interval, self._tick)
+        self.loop.schedule(now + FRAME_INTERVAL, self._tick)
 
     def _evict_stale(self, now: float) -> None:
         buf = self._buf
-        while buf and now - buf[0][1] > self._max_age:
+        while buf and now - buf[0][1] > _MAX_AGE:
             self.tracer.emit(now, self.flow, BUF_DROP,
                              buf.popleft()[0], self.frame_size)
 
     def _on_grant(self, fid: int) -> None:
         now = self.loop.now
         buf = self._buf
-        if buf and now - buf[0][1] > self._max_age:
+        if buf and now - buf[0][1] > _MAX_AGE:
             self._evict_stale(now)
         if not buf:
             self._pending_request = False

@@ -12,54 +12,39 @@ they learn that estimate:
 
   * PacedLayeredSource never requests grants. It sends on its own timer
     at the chosen layer's rate and re-picks the layer only when a rate
-    callback fires, i.e. when the estimate crosses the configured
-    thresholds. Between callbacks it keeps its clock unchanged.
+    callback fires, i.e. when the estimate leaves the THRESH band.
+    Between callbacks it keeps its clock unchanged.
 
-Each source sends from start() until the run ends. The datagrams do not
-carry the layer; a LayerChange trace row records each change of it.
+Both climb one layer ladder, LAYER_RATES, through pick(rate): the highest
+layer that fits under SAFETY times the rate. Each source sends from
+start() until the run ends. The datagrams do not carry the layer; a
+LayerChange trace row records each change of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core import CongestionManager, FlowKey
 from ..sim import EventLoop, Link
 from ..trace import LAYER_CHANGE, Tracer
 from ..transport.feedback import DatagramSender
 
-DEFAULT_LAYER_RATES = (16384, 32768, 65536, 131072)
-DEFAULT_SAFETY = 0.9
+# cumulative layer rates in bytes/second, lowest first
+LAYER_RATES = (16384, 32768, 65536, 131072)
+SAFETY = 0.9
+THRESH = (0.7, 1.4)     # PacedLayeredSource's (down, up) rate-callback band
 
 
-@dataclass(frozen=True)
-class LayerConfig:
-    """Cumulative layer rates in bytes/second, lowest first, all > 0."""
+def pick(rate: float) -> int:
+    """Highest index whose rate fits under rate*SAFETY; floor is 0.
 
-    rates: Tuple[int, ...] = DEFAULT_LAYER_RATES
-    safety: float = DEFAULT_SAFETY
-
-    def __post_init__(self) -> None:
-        if not self.rates:
-            raise ValueError("at least one layer required")
-        # written so that a NaN lowest rate, which compares false, is refused
-        if not self.rates[0] > 0 or \
-                any(b <= a for a, b in zip(self.rates, self.rates[1:])):
-            raise ValueError("layer rates must be positive, strictly increasing")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must be in (0, 1]")
-
-    def pick(self, rate: float) -> int:
-        """Highest index whose rate fits under rate*safety; floor is 0.
-
-        The bound is inclusive: a layer whose rate equals rate*safety
-        fits."""
-        budget = rate * self.safety
-        best = 0
-        for i, r in enumerate(self.rates):
-            if r <= budget:
-                best = i
-        return best
+    The bound is inclusive: a layer whose rate equals rate*SAFETY fits."""
+    budget = rate * SAFETY
+    best = 0
+    for i, r in enumerate(LAYER_RATES):
+        if r <= budget:
+            best = i
+    return best
 
 
 class AlfLayeredSource(DatagramSender):
@@ -67,13 +52,11 @@ class AlfLayeredSource(DatagramSender):
     tracer gets a Send row per packet, a LayerChange row per layer taken."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
-                 loop: EventLoop, layers: Optional[LayerConfig] = None,
-                 packet_size: Optional[int] = None, *,
+                 loop: EventLoop, packet_size: Optional[int] = None, *,
                  tracer: Tracer) -> None:
         if packet_size is not None:
             packet_size = self._datagram_size(data_path, packet_size)
         super().__init__(cm, key, data_path, loop, tracer)
-        self.layers = layers if layers is not None else LayerConfig()
         cm.register_send(self.flow, self._on_grant)
         if packet_size is None:
             packet_size = self._or_close(lambda: self._datagram_size(
@@ -90,7 +73,7 @@ class AlfLayeredSource(DatagramSender):
     def _on_grant(self, fid: int) -> None:
         now = self.loop.now
         q = self.cm.query(self.flow)
-        layer = self.layers.pick(q.rate)
+        layer = pick(q.rate)
         if layer != self.layer:
             self.layer = layer
             self.tracer.emit(now, self.flow, LAYER_CHANGE,
@@ -109,21 +92,18 @@ class PacedLayeredSource(DatagramSender):
     tracer gets a Send row per packet, a LayerChange row per layer taken."""
 
     def __init__(self, cm: CongestionManager, key: FlowKey, data_path: Link,
-                 loop: EventLoop, layers: Optional[LayerConfig] = None,
-                 packet_size: int = 1500,
-                 thresh: Tuple[float, float] = (0.7, 1.4), *,
+                 loop: EventLoop, packet_size: int = 1500, *,
                  tracer: Tracer) -> None:
         self.packet_size = self._datagram_size(data_path, packet_size)
         super().__init__(cm, key, data_path, loop, tracer)
-        self.layers = layers if layers is not None else LayerConfig()
         cm.register_update(self.flow, self._on_rate)
-        self._or_close(lambda: cm.thresh(self.flow, thresh[0], thresh[1]))
+        cm.thresh(self.flow, *THRESH)
         self.layer = 0
         self._seq = 0
 
     @property
     def interval(self) -> float:
-        return self.packet_size / self.layers.rates[self.layer]
+        return self.packet_size / LAYER_RATES[self.layer]
 
     def start(self) -> None:
         self.tracer.emit(self.loop.now, self.flow, LAYER_CHANGE,
@@ -143,7 +123,7 @@ class PacedLayeredSource(DatagramSender):
     def _on_rate(self, fid: int, rate: float, srtt: float,
                  loss_rate: float) -> None:
         now = self.loop.now
-        layer = self.layers.pick(rate)
+        layer = pick(rate)
         if layer != self.layer:
             self.layer = layer
             self.tracer.emit(now, self.flow, LAYER_CHANGE,

@@ -22,11 +22,13 @@ from pathlib import Path
 from statistics import mean
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..apps.audio import APP_BUF_LIMIT, FRAME_INTERVAL
 from ..core import CongestionManager, FeedbackReport, FlowKey, LossMode, Proto
 from ..trace import TraceKind, TraceRecord
 from .config import SCENARIO_NAMES, make_config
 from .oracles import Update, aimd_reference
-from .scenarios import RunOutput, run_experiment, write_outputs
+from .scenarios import (LOW_BANDWIDTH_BPS, NUM_TRANSFERS, STEP_DOWN_T,
+                        STEP_UP_T, RunOutput, run_experiment, write_outputs)
 
 _EPS = 1e-9
 
@@ -186,15 +188,17 @@ def check_shared_state_reuse() -> CheckResult:
     out = run_experiment(make_config("sharing"))
     transfers = sorted(out.summary["trace_stats"]["transfers"],
                        key=lambda tr: tr["index"])
-    if len(transfers) != 9:
+    if len(transfers) != NUM_TRANSFERS:
         return CheckResult("shared_state_reuse", False,
-                           f"only {len(transfers)}/9 transfers completed")
+                           f"only {len(transfers)}/{NUM_TRANSFERS} "
+                           "transfers completed")
     first = transfers[0]["elapsed"]
     rest = mean(tr["elapsed"] for tr in transfers[1:])
     gain = 1.0 - rest / first
     return CheckResult(
         "shared_state_reuse", gain >= 0.25,
-        f"first {first:.3f}s, mean of 2-9 {rest:.3f}s, gain {gain:.1%}")
+        f"first {first:.3f}s, mean of 2-{NUM_TRANSFERS} {rest:.3f}s, "
+        f"gain {gain:.1%}")
 
 
 def check_round_robin_fairness() -> CheckResult:
@@ -248,9 +252,8 @@ def _band_latency(records: Sequence[TraceRecord], step_t: float,
 
 
 def _step_latencies(out: RunOutput) -> Tuple[Optional[float], Optional[float]]:
-    cfg = out.config
-    down = _band_latency(out.records, cfg.step_down_t, lambda l: l <= 1)
-    up = _band_latency(out.records, cfg.step_up_t, lambda l: l >= 2)
+    down = _band_latency(out.records, STEP_DOWN_T, lambda l: l <= 1)
+    up = _band_latency(out.records, STEP_UP_T, lambda l: l >= 2)
     return down, up
 
 
@@ -272,7 +275,7 @@ def check_layered_adaptation() -> CheckResult:
     # Reaction window: one feedback round trip on the slow side of the
     # step (propagation both ways plus a full queue ahead of the probe),
     # doubled. The paced app answers its rate callback within 1 s flat.
-    bw_low = cfg_alf.low_bandwidth_bps / 8.0
+    bw_low = LOW_BANDWIDTH_BPS / 8.0
     rtt = 2 * cfg_alf.delay + (cfg_alf.queue_limit + 1) * cfg_alf.mtu / bw_low
     window = 2 * rtt
 
@@ -320,8 +323,7 @@ def check_audio_pipeline() -> CheckResult:
     cfg = make_config("audio_cbr")
     out = run_experiment(cfg)
     fid = out.ctx["cm_flows"][0]
-    interval = cfg.frame_interval
-    total_frames = int(cfg.duration / interval) + 1
+    total_frames = int(cfg.duration / FRAME_INTERVAL) + 1
     policer_dropped = {int(r.value1) for r in out.records
                        if r.kind is TraceKind.POLICER_DROP and r.flow == fid}
 
@@ -331,7 +333,8 @@ def check_audio_pipeline() -> CheckResult:
 
     def admit_until(t: float) -> None:
         nonlocal next_gen
-        while next_gen < total_frames and next_gen * interval <= t + _EPS:
+        while (next_gen < total_frames
+               and next_gen * FRAME_INTERVAL <= t + _EPS):
             if next_gen not in policer_dropped:
                 buffer.append(next_gen)
             next_gen += 1
@@ -350,9 +353,9 @@ def check_audio_pipeline() -> CheckResult:
                 f"head is {head}: not dropping/sending from the head")
         buffer.popleft()
         if r.kind is TraceKind.SEND:
-            max_delay = max(max_delay, r.t - seq * interval)
+            max_delay = max(max_delay, r.t - seq * FRAME_INTERVAL)
 
-    delay_limit = cfg.app_buf_limit * interval
+    delay_limit = APP_BUF_LIMIT * FRAME_INTERVAL
     frac = out.summary["trace_stats"]["audio"]["policer_drop_fraction"]
     ok = max_delay <= delay_limit + _EPS and abs(frac - 0.5) <= 0.05
     return CheckResult(

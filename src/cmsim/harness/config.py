@@ -1,17 +1,24 @@
 """Experiment configuration.
 
-One flat record drives every scenario; unused fields are simply ignored
-by scenarios that do not need them. ``make_config`` builds every config
-in layers: the scenario's defaults (``SCENARIOS``), then a config file's
-fields (``load_json``), then --set key=value (``parse_overrides``), so a
-file or --set names only the fields it changes. The record round-trips
-losslessly through JSON, so a recorded config.json reproduces its run
-exactly.
+One flat record drives every scenario; a scenario ignores the fields it
+does not read. A value earns a field only when some caller varies it: a
+scenario's defaults (``SCENARIOS``), a check, or perfbench. A value that
+every run shares is a constant beside the code that uses it: the
+scenario wiring's (the ACK link, the transfer schedule, the bandwidth
+steps and the ensemble's timers) in ``scenarios.py``, and each client's
+in its own module (the layer ladder in ``apps/layered.py``, the frame
+clock and buffer in ``apps/audio.py``).
+
+``make_config`` builds every config in layers: the scenario's defaults,
+then a config file's fields (``load_json``), then --set key=value
+(``parse_overrides``), so a file or --set names only the fields it
+changes. The record round-trips losslessly through JSON, so a recorded
+config.json reproduces its run exactly.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from math import inf
 from typing import Any, Dict, List
 
@@ -30,48 +37,26 @@ class ExperimentConfig:
     loss_prob: float = 0.0
     ecn: bool = False
     mtu: int = 1500
-    ack_bandwidth_bps: int = 100_000_000   # clean reverse path
 
     # workloads
     num_flows: int = 4
-    transfer_size: int = 131072
-    transfer_gap: float = 0.5
-    num_transfers: int = 9
     packet_size: int = 1500
 
     # receiver feedback batching
     max_acks: int = 1
     max_delay: float = 0.0
 
-    # layered sources
-    layer_rates: List[int] = field(
-        default_factory=lambda: [16384, 32768, 65536, 131072])
-    safety: float = 0.9
-    thresh_down: float = 0.7
-    thresh_up: float = 1.4
-    low_bandwidth_bps: int = 262_144
-    step_down_t: float = 8.0
-    step_up_t: float = 20.0
-
     # audio source
     frame_size: int = 160
-    frame_interval: float = 0.02
-    app_buf_limit: int = 4
-    policer_depth_frames: int = 2
 
     # ensemble bookkeeping
     bulk: bool = False
-    refill_interval: float = 0.02
-    queue_target: int = 64
-    sample_interval: float = 0.1
 
 
-# Both layered scenarios meet the same bandwidth steps, since the
+# Both layered scenarios run on the same link, since the
 # layered_adaptation check compares them.
 _LAYERED: Dict[str, Any] = dict(
-    duration=30.0, bandwidth_bps=1_048_576, delay=0.125,
-    queue_limit=5, low_bandwidth_bps=262_144,
-    step_down_t=8.0, step_up_t=20.0)
+    duration=30.0, bandwidth_bps=1_048_576, delay=0.125, queue_limit=5)
 
 # Per-scenario defaults layered over the dataclass defaults.
 SCENARIOS: Dict[str, Dict[str, Any]] = {
@@ -80,8 +65,7 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
         queue_limit=50, loss_prob=0.01),
     "sharing": dict(
         duration=20.0, bandwidth_bps=10_000_000, delay=0.035,
-        queue_limit=50, transfer_size=131072, num_transfers=9,
-        transfer_gap=0.5),
+        queue_limit=50),
     "layered_alf": _LAYERED,
     "layered_rate": _LAYERED,
     "delayed_feedback": dict(
@@ -96,8 +80,7 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
     "audio_cbr": dict(
         duration=60.0, bandwidth_bps=32_000, delay=0.05,
         queue_limit=64, loss_prob=0.08, ecn=True, mtu=160,
-        packet_size=160, frame_size=160, frame_interval=0.02,
-        app_buf_limit=4, thresh_down=0.9, thresh_up=1.1),
+        packet_size=160, frame_size=160),
 }
 SCENARIO_NAMES = tuple(SCENARIOS)
 # Where packet_size must fit in one MTU: the scenarios that send it.
@@ -124,19 +107,14 @@ def make_config(scenario: str = ExperimentConfig.scenario,
     return cfg
 
 
-def _int(name: str, raw: str) -> int:
-    """An int literal, or an integral float one, as _typed takes 2.0."""
-    try:
-        return int(raw)
-    except ValueError:
-        return _typed(name, "int", float(raw))
-
-
 def _coerce(name: str, raw: str) -> Any:
     typ = _FIELD_TYPES.get(name)  # make_config refuses an unknown name
     try:
         if typ == "int":
-            return _int(name, raw)
+            try:
+                return int(raw)
+            except ValueError:  # 2.0 passes, as _typed takes it
+                return _typed(name, "int", float(raw))
         if typ == "float":
             return float(raw)
         if typ == "bool":
@@ -146,8 +124,6 @@ def _coerce(name: str, raw: str) -> Any:
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if typ == "List[int]":
-            return [_int(name, x) for x in raw.split(",") if x.strip()]
         return raw
     except ValueError as exc:
         raise ConfigError(f"field '{name}': {exc}") from None
@@ -169,10 +145,6 @@ def _typed(key: str, typ: str, value: Any) -> Any:
     """A config value for field key of type typ, from JSON or a keyword
     override, or ConfigError if its type is wrong. An int passes for a
     float and is stored as one; a bool passes only for a bool."""
-    if typ == "List[int]":
-        if not isinstance(value, list):
-            raise ConfigError(f"field '{key}': expected a list")
-        return [_typed(key, "int", v) for v in value]
     if typ == "int" and isinstance(value, float) and value.is_integer():
         value = int(value)
     want = _JSON_TYPES[typ]
@@ -214,18 +186,11 @@ def validate(cfg: ExperimentConfig) -> None:
              f"choices: {', '.join(SCENARIO_NAMES)}")
     _require(0 < cfg.duration < inf, "duration", "must be positive and finite")
     _require(cfg.bandwidth_bps > 0, "bandwidth_bps", "must be positive")
-    _require(cfg.ack_bandwidth_bps > 0, "ack_bandwidth_bps",
-             "must be positive")
-    _require(cfg.low_bandwidth_bps > 0, "low_bandwidth_bps",
-             "must be positive")
     _require(cfg.delay >= 0, "delay", "must be nonnegative")
     _require(cfg.queue_limit >= 1, "queue_limit", "must be at least 1")
     _require(0.0 <= cfg.loss_prob < 1.0, "loss_prob", "must be in [0, 1)")
     _require(cfg.mtu > 0, "mtu", "must be positive")
     _require(cfg.num_flows >= 1, "num_flows", "must be at least 1")
-    _require(cfg.transfer_size > 0, "transfer_size", "must be positive")
-    _require(cfg.transfer_gap >= 0, "transfer_gap", "must be nonnegative")
-    _require(cfg.num_transfers >= 1, "num_transfers", "must be at least 1")
     _require(cfg.packet_size > 0, "packet_size", "must be positive")
     _require(cfg.scenario not in _SENDS_PACKET_SIZE
              or cfg.packet_size <= cfg.mtu, "packet_size",
@@ -236,23 +201,6 @@ def validate(cfg: ExperimentConfig) -> None:
              f"must be positive and finite when max_acks > 1 (here "
              f"{cfg.max_acks}): only the timer flushes a partial batch, so "
              "without one the sender stops once its window is unacked")
-    _require(len(cfg.layer_rates) >= 1, "layer_rates", "needs at least one layer")
-    rates = cfg.layer_rates
-    _require(rates[0] > 0 and all(b > a for a, b in zip(rates, rates[1:])),
-             "layer_rates", "must be positive and strictly increasing")
-    _require(0.0 < cfg.safety <= 1.0, "safety", "must be in (0, 1]")
-    _require(0.0 < cfg.thresh_down <= 1.0, "thresh_down", "must be in (0, 1]")
-    _require(cfg.thresh_up >= 1.0, "thresh_up", "must be at least 1")
-    _require(cfg.step_down_t >= 0, "step_down_t", "must be nonnegative")
-    _require(cfg.step_up_t > cfg.step_down_t, "step_up_t",
-             "must be after step_down_t")
     _require(cfg.frame_size > 0, "frame_size", "must be positive")
     _require(cfg.scenario != "audio_cbr" or cfg.frame_size <= cfg.mtu,
              "frame_size", f"must be at most mtu={cfg.mtu}")
-    _require(cfg.frame_interval > 0, "frame_interval", "must be positive")
-    _require(cfg.app_buf_limit >= 1, "app_buf_limit", "must be at least 1")
-    _require(cfg.policer_depth_frames >= 1, "policer_depth_frames",
-             "must be at least 1")
-    _require(cfg.refill_interval > 0, "refill_interval", "must be positive")
-    _require(cfg.queue_target >= 1, "queue_target", "must be at least 1")
-    _require(cfg.sample_interval > 0, "sample_interval", "must be positive")

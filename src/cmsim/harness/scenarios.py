@@ -23,8 +23,8 @@ from itertools import chain, compress, repeat
 from operator import mul, sub
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from ..apps import (AlfLayeredSource, CbrAudioSource, LayerConfig,
-                    PacedLayeredSource)
+from ..apps import AlfLayeredSource, CbrAudioSource, PacedLayeredSource
+from ..apps.audio import FRAME_INTERVAL
 from ..core import CongestionManager, FlowKey, Proto
 from ..sim import Dispatcher, EventLoop, Link
 from ..trace import TraceKind, TraceRecord, Tracer, columns, write_csv
@@ -35,6 +35,23 @@ from .config import ExperimentConfig, save_json, validate
 from .oracles import RenoSender
 
 REV_QUEUE = 100_000      # acks never tail-drop
+ACK_BANDWIDTH_BPS = 100_000_000   # clean reverse path
+# sharing: back-to-back transfers of TRANSFER_SIZE bytes, TRANSFER_GAP
+# seconds apart
+TRANSFER_SIZE = 131072
+TRANSFER_GAP = 0.5
+NUM_TRANSFERS = 9
+# layered scenarios: the forward link drops to LOW_BANDWIDTH_BPS at
+# STEP_DOWN_T and returns to the config's bandwidth at STEP_UP_T
+LOW_BANDWIDTH_BPS = 262_144
+STEP_DOWN_T = 8.0
+STEP_UP_T = 20.0
+# fairness_ensemble tops each socket's queue up to QUEUE_TARGET datagrams
+# every REFILL_INTERVAL and queries the rates every SAMPLE_INTERVAL;
+# delayed_feedback primes its socket with QUEUE_TARGET datagrams
+REFILL_INTERVAL = 0.02
+QUEUE_TARGET = 64
+SAMPLE_INTERVAL = 0.1
 RENO_FLOW_BASE = 900     # reference senders sit outside controller flow ids
 SERIES_CAP = 400         # summary time series are downsampled to this length
 
@@ -65,7 +82,7 @@ def _duplex(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
                queue_limit=cfg.queue_limit, loss_prob=cfg.loss_prob,
                ecn_mode=cfg.ecn, mtu=cfg.mtu, seed=cfg.seed,
                name=f"{name}-fwd", tracer=tracer)
-    rev = Link(loop, cfg.ack_bandwidth_bps, cfg.delay, queue_limit=REV_QUEUE,
+    rev = Link(loop, ACK_BANDWIDTH_BPS, cfg.delay, queue_limit=REV_QUEUE,
                mtu=cfg.mtu, seed=cfg.seed, name=f"{name}-rev")
     return fwd, rev
 
@@ -136,15 +153,15 @@ def build_sharing(cfg: ExperimentConfig, loop: EventLoop,
         def done(now: float) -> None:
             tracer.emit(now, s.flow, TraceKind.TRANSFER_DONE, i, now - t0)
             s.close()
-            if i + 1 < cfg.num_transfers:
-                loop.schedule_after(cfg.transfer_gap, start_transfer, i + 1)
+            if i + 1 < NUM_TRANSFERS:
+                loop.schedule_after(TRANSFER_GAP, start_transfer, i + 1)
 
         s = TcpSender(cm, key, fwd, loop, tracer=tracer, on_complete=done)
         r = TcpReceiver(loop, rev, s.flow)
         route_fwd.register(s.flow, r.on_data)
         route_rev.register(s.flow, s.on_ack)
         cm_flows.append(s.flow)
-        s.write(cfg.transfer_size)
+        s.write(TRANSFER_SIZE)
         s.start()
 
     start_transfer(0)
@@ -155,18 +172,13 @@ def _build_layered(cfg: ExperimentConfig, loop: EventLoop, tracer: Tracer,
                    paced: bool) -> Dict[str, Any]:
     cm = _cm(cfg, loop, tracer)
     fwd, rev = _duplex(cfg, loop, tracer, "lay")
-    layers = LayerConfig(rates=tuple(cfg.layer_rates), safety=cfg.safety)
     key = FlowKey("app", 5001, "sink", 443)
-    if paced:
-        app: Any = PacedLayeredSource(
-            cm, key, fwd, loop, layers=layers, packet_size=cfg.packet_size,
-            thresh=(cfg.thresh_down, cfg.thresh_up), tracer=tracer)
-    else:
-        app = AlfLayeredSource(cm, key, fwd, loop, layers=layers,
-                               packet_size=cfg.packet_size, tracer=tracer)
+    source = PacedLayeredSource if paced else AlfLayeredSource
+    app = source(cm, key, fwd, loop, packet_size=cfg.packet_size,
+                 tracer=tracer)
     _app_acks(cfg, loop, fwd, rev, [app])
-    loop.schedule(cfg.step_down_t, fwd.set_bandwidth, cfg.low_bandwidth_bps)
-    loop.schedule(cfg.step_up_t, fwd.set_bandwidth, cfg.bandwidth_bps)
+    loop.schedule(STEP_DOWN_T, fwd.set_bandwidth, LOW_BANDWIDTH_BPS)
+    loop.schedule(STEP_UP_T, fwd.set_bandwidth, cfg.bandwidth_bps)
     app.start()
     return {"cm": cm, "cm_flows": [app.flow], "ref_flows": []}
 
@@ -182,7 +194,7 @@ def build_delayed_feedback(cfg: ExperimentConfig, loop: EventLoop,
     # rate callbacks with default thresholds fire on every rate change
     cm.register_update(sock.flow, lambda fid, rate, srtt, lr: None)
     _app_acks(cfg, loop, fwd, rev, [sock])
-    for _ in range(cfg.queue_target):
+    for _ in range(QUEUE_TARGET):
         sock.send(cfg.packet_size)
     return {"cm": cm, "cm_flows": [sock.flow], "ref_flows": []}
 
@@ -223,7 +235,7 @@ def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
 
     def refill() -> None:
         for sock in socks:
-            while sock.queue_len < cfg.queue_target:
+            while sock.queue_len < QUEUE_TARGET:
                 sock.send(cfg.packet_size)
         if batch:
             if cfg.bulk:
@@ -232,7 +244,7 @@ def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
                 for fid in batch:
                     cm.request(fid)
             batch.clear()
-        loop.schedule_after(cfg.refill_interval, refill)
+        loop.schedule_after(REFILL_INTERVAL, refill)
 
     def sample() -> None:
         fids = [s.flow for s in socks]
@@ -241,10 +253,10 @@ def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
         else:
             for fid in fids:
                 cm.query(fid)
-        loop.schedule_after(cfg.sample_interval, sample)
+        loop.schedule_after(SAMPLE_INTERVAL, sample)
 
     refill()
-    loop.schedule_after(cfg.sample_interval, sample)
+    loop.schedule_after(SAMPLE_INTERVAL, sample)
 
     reno = RenoSender(loop, RENO_FLOW_BASE, fwd, mss=cfg.mtu, tracer=tracer)
     reno_rcv = TcpReceiver(loop, rev, RENO_FLOW_BASE)
@@ -261,10 +273,6 @@ def build_audio_cbr(cfg: ExperimentConfig, loop: EventLoop,
     fwd, rev = _duplex(cfg, loop, tracer, "aud")
     key = FlowKey("vat", 5004, "peer", 5004)
     app = CbrAudioSource(cm, key, fwd, loop, frame_size=cfg.frame_size,
-                         frame_interval=cfg.frame_interval,
-                         app_buf_limit=cfg.app_buf_limit,
-                         policer_depth_frames=cfg.policer_depth_frames,
-                         thresh=(cfg.thresh_down, cfg.thresh_up),
                          tracer=tracer)
     _app_acks(cfg, loop, fwd, rev, [app])
     app.start()
@@ -433,13 +441,13 @@ def summarize_trace(cfg: ExperimentConfig,
     }
 
     if cfg.scenario == "audio_cbr":
-        generated = int(cfg.duration / cfg.frame_interval) + 1
+        generated = int(cfg.duration / FRAME_INTERVAL) + 1
         policer_drops = kinds.count(TraceKind.POLICER_DROP.code)
         # a frame's delay in the app buffer: its send time less the time
         # its seq was generated
         delays = map(sub, picked(TraceKind.SEND, t),
                      map(mul, picked(TraceKind.SEND, v1),
-                         repeat(cfg.frame_interval)))
+                         repeat(FRAME_INTERVAL)))
         out["audio"] = {
             "generated_frames": generated,
             "sent_frames": kinds.count(TraceKind.SEND.code),

@@ -183,9 +183,9 @@ class Deadline:
     """Restartable one-shot timer with at most one entry in the heap.
 
     ``arm(delay)`` sets the deadline to ``now + delay``, replacing the
-    pending one, whether that was earlier or later; ``stop()`` clears it. ``at`` is the pending deadline, or
-    None. When the deadline is reached the timer clears it and calls
-    ``fn()``, which may arm it again.
+    pending one, whether that was earlier or later; ``stop()`` clears it.
+    ``at`` is the pending deadline, or None. When the deadline is reached
+    the timer clears it and calls ``fn()``, which may arm it again.
     """
     __slots__ = ("loop", "fn", "at", "_ev")
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmsim.apps.audio import FRAME_INTERVAL
 from cmsim.harness import make_config, summarize_trace
 from cmsim.harness.scenarios import SERIES_CAP
 from cmsim.trace import TraceKind, TraceRecord, Tracer, write_csv
@@ -239,8 +240,8 @@ def reference_summary(cfg, records):
         "transfers": transfers,
     }
     if keep_audio:
-        generated = int(cfg.duration / cfg.frame_interval) + 1
-        delays = [t - seq * cfg.frame_interval for t, seq in audio_sends]
+        generated = int(cfg.duration / FRAME_INTERVAL) + 1
+        delays = [t - seq * FRAME_INTERVAL for t, seq in audio_sends]
         out["audio"] = {
             "generated_frames": generated,
             "sent_frames": len(audio_sends),
