@@ -33,9 +33,5 @@ class ConnectionClosed(Exception):
     """Write on a closed reliable-stream sender."""
 
 
-class SocketClosed(Exception):
-    """Send on a closed datagram socket."""
-
-
 class ConfigError(Exception):
     """Bad experiment configuration or unparsable override."""

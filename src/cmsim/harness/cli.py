@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="override any config field, such as seed or "
-                        "duration (repeatable)")
+                        "duration (repeatable); VALUE is JSON, as "
+                        "config.json holds it, and a bare word is a string")
     p.add_argument("--check", nargs="*", metavar="NAME", default=None,
                    help="run acceptance checks (all by default, or just "
                         f"the named ones); known: {', '.join(CHECKS)}")

@@ -12,8 +12,10 @@ clock and buffer in ``apps/audio.py``).
 ``make_config`` builds every config in layers: the scenario's defaults,
 then a config file's fields (``load_json``), then --set key=value
 (``parse_overrides``), so a file or --set names only the fields it
-changes. The record round-trips losslessly through JSON, so a recorded
-config.json reproduces its run exactly.
+changes. A --set value is JSON, as a config file's are, and one type
+rule (``_typed``) checks a value from either, or from a keyword. The
+record round-trips losslessly through JSON, so a recorded config.json
+reproduces its run exactly, and so does --set key=<its JSON value>.
 """
 from __future__ import annotations
 
@@ -107,44 +109,30 @@ def make_config(scenario: str = ExperimentConfig.scenario,
     return cfg
 
 
-def _coerce(name: str, raw: str) -> Any:
-    typ = _FIELD_TYPES.get(name)  # make_config refuses an unknown name
-    try:
-        if typ == "int":
-            try:
-                return int(raw)
-            except ValueError:  # 2.0 passes, as _typed takes it
-                return _typed(name, "int", float(raw))
-        if typ == "float":
-            return float(raw)
-        if typ == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"field '{name}': {exc}") from None
-
-
 def parse_overrides(assignments: List[str]) -> Dict[str, Any]:
-    """The fields of --set key=value pairs; a later pair for a key wins."""
+    """The fields of --set key=value pairs; a later pair for a key wins.
+    Each value is read as JSON, as config.json holds it (2, 0.5, true,
+    "udpcc_basic", Infinity); one that is not JSON, such as a bare word,
+    is that string. make_config then types it as it types a config
+    file's values."""
     out: Dict[str, Any] = {}
     for item in assignments:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"field '{item}': expected key=value")
         key = key.strip()
-        out[key] = _coerce(key, raw)
+        try:
+            out[key] = json.loads(raw)
+        except ValueError:
+            out[key] = raw
     return out
 
 
 def _typed(key: str, typ: str, value: Any) -> Any:
-    """A config value for field key of type typ, from JSON or a keyword
-    override, or ConfigError if its type is wrong. An int passes for a
-    float and is stored as one; a bool passes only for a bool."""
+    """A config value for field key of type typ, from JSON (a file or
+    --set) or a keyword override, or ConfigError if its type is wrong. An
+    int passes for a float and is stored as one; a bool passes only for a
+    bool."""
     if typ == "int" and isinstance(value, float) and value.is_integer():
         value = int(value)
     want = _JSON_TYPES[typ]

@@ -106,16 +106,16 @@ class RenoSender:
     mss*mss/cwnd per ACK, fast retransmit on the third dupack halves the
     window, timeouts collapse to one mss and retransmit the head segment
     with a doubling RTO. An unbounded source: every new segment is a full
-    mss. It reads the ACK number from an ACK packet's ``seq`` and ignores
-    the ECN echo. Intentionally not built on the congestion core. Each
-    segment sent gets a Send row in tracer."""
+    mss, the MTU of its link. It reads the ACK number from an ACK
+    packet's ``seq`` and ignores the ECN echo. Intentionally not built on
+    the congestion core. Each segment sent gets a Send row in tracer."""
 
-    def __init__(self, loop: EventLoop, flow_id: int, data_path: Link,
-                 mss: int = _DEF_MTU, *, tracer: Tracer) -> None:
+    def __init__(self, loop: EventLoop, flow_id: int, data_path: Link, *,
+                 tracer: Tracer) -> None:
         self.loop = loop
         self.flow_id = flow_id
         self.path = data_path
-        self.mss = mss
+        self.mss = mss = data_path.mtu
         self.tracer = tracer
         self.cwnd = float(mss)
         self.ssthresh = float(_DEF_SSTHRESH)

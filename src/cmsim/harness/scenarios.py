@@ -123,8 +123,7 @@ def build_tcp_compare(cfg: ExperimentConfig, loop: EventLoop,
     sender.start()
 
     fwd_r, rev_r = _duplex(cfg, loop, tracer, "ref")
-    reno = RenoSender(loop, RENO_FLOW_BASE, fwd_r, mss=cfg.mtu,
-                      tracer=tracer)
+    reno = RenoSender(loop, RENO_FLOW_BASE, fwd_r, tracer=tracer)
     reno_rcv = TcpReceiver(loop, rev_r, RENO_FLOW_BASE)
     fwd_r.sink = reno_rcv.on_data
     rev_r.sink = reno.on_ack
@@ -258,7 +257,7 @@ def build_fairness_ensemble(cfg: ExperimentConfig, loop: EventLoop,
     refill()
     loop.schedule_after(SAMPLE_INTERVAL, sample)
 
-    reno = RenoSender(loop, RENO_FLOW_BASE, fwd, mss=cfg.mtu, tracer=tracer)
+    reno = RenoSender(loop, RENO_FLOW_BASE, fwd, tracer=tracer)
     reno_rcv = TcpReceiver(loop, rev, RENO_FLOW_BASE)
     route_fwd.register(RENO_FLOW_BASE, reno_rcv.on_data)
     route_rev.register(RENO_FLOW_BASE, reno.on_ack)

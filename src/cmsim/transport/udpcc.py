@@ -21,7 +21,6 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
 from ..core import CongestionManager, FlowKey
-from ..errors import SocketClosed
 from ..sim import EventLoop, Link
 from ..trace import Tracer
 from .feedback import DatagramSender
@@ -35,7 +34,6 @@ class UdpCcSocket(DatagramSender):
         self.request_batch = request_batch
         self.on_sent: Optional[Callable[[int, int], None]] = None
         cm.register_send(self.flow, self._on_grant)
-        self.closed = False
         self._queue: Deque[Tuple[int, int]] = deque()
         self._next_seq = 0
 
@@ -45,8 +43,6 @@ class UdpCcSocket(DatagramSender):
 
     def send(self, size: int) -> int:
         """Queue one datagram of the given size; returns its sequence number."""
-        if self.closed:
-            raise SocketClosed()
         size = self._datagram_size(self.path, size)
         seq = self._next_seq
         self._next_seq += 1
@@ -68,9 +64,3 @@ class UdpCcSocket(DatagramSender):
 
     # own attribute: perfbench/spans.py METHODS wraps it via cls.__dict__
     on_feedback = DatagramSender.on_feedback
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self.cm.close(self.flow)

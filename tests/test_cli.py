@@ -3,16 +3,17 @@ the config.json it wrote, overriding fields with --set (the one way to
 set seed and duration), running a named check, and exit status 2 for bad
 input, including a config file value of the wrong type, and for outputs
 it cannot write, found before the run. A config file and --set fields,
---set scenario= among them, lie over the scenario's defaults.
-make_config's keyword overrides get the same type check as a config
-file, an integral float is an int field's value by either route, and a
-float field holds a float."""
+--set scenario= among them, lie over the scenario's defaults. A --set
+value is JSON, read and typed as a config file's is, so every value of a
+written config.json passes back through --set. make_config's keyword
+overrides get the same type check as a config file, and a float field
+holds a float."""
 import json
 
 import pytest
 
 from cmsim.errors import ConfigError
-from cmsim.harness import make_config, scenarios
+from cmsim.harness import SCENARIO_NAMES, make_config, scenarios
 from cmsim.harness import cli
 from cmsim.harness.cli import main
 
@@ -56,8 +57,11 @@ def test_written_config_reruns_to_the_same_trace(tmp_path):
       "--set", "duration=1"], "unknown config field"),
     (["--scenario", "delayed_feedback", "--set", "max_delay=0"],
      "must be positive and finite"),
-    (["--scenario", "delayed_feedback", "--set", "max_delay=inf"],
+    (["--scenario", "delayed_feedback", "--set", "max_delay=Infinity"],
      "must be positive and finite"),
+    # a bool field takes JSON's true or false, as in a config file
+    (["--scenario", "udpcc_basic", "--set", "ecn=yes",
+      "--set", "duration=1"], "field 'ecn': expected bool"),
     # --check runs the checks' own configs; --set and --out, which it
     # would ignore, are refused before any check runs
     (["--check", "ack_division", "--set", "seed=3"],
@@ -66,7 +70,8 @@ def test_written_config_reruns_to_the_same_trace(tmp_path):
      "need --scenario or --config"),
 ], ids=["unknown-field", "loss-prob-out-of-range", "unknown-check",
         "zero-layer-rate", "safety-is-no-field", "batch-without-timer",
-        "batch-with-endless-timer", "check-with-set", "check-with-out"])
+        "batch-with-endless-timer", "bool-word", "check-with-set",
+        "check-with-out"])
 def test_bad_input_exits_2(argv, error, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -77,14 +82,15 @@ def test_bad_input_exits_2(argv, error, capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("source", ["set", "config"])
 def test_endless_duration_exits_2_before_any_run(tmp_path, monkeypatch,
                                                  capsys, source):
-    """duration=inf, from --set or a config file's Infinity, once ran
-    until it was killed; it is refused before the scenario is built."""
+    """An endless duration, JSON's Infinity from --set or a config file,
+    once ran until it was killed; it is refused before the scenario is
+    built."""
     def build(*args):
         raise AssertionError("a run started")
 
     monkeypatch.setitem(scenarios.BUILDERS, "udpcc_basic", build)
     if source == "set":
-        argv = ["--scenario", "udpcc_basic", "--set", "duration=inf"]
+        argv = ["--scenario", "udpcc_basic", "--set", "duration=Infinity"]
     else:
         path = tmp_path / "config.json"
         path.write_text('{"scenario": "udpcc_basic", "duration": Infinity}')
@@ -170,19 +176,51 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, field,
     assert not (tmp_path / "out").exists()
 
 
-def test_an_integral_float_for_an_int_field_is_one_rule(tmp_path, capsys):
-    """A config file's 2.0 for an int field is that int; so is --set's, and
-    2.5 is refused by both."""
+def outcome(out, argv, capsys):
+    """(0, the config.json written) of a run, or (its exit status, its
+    error output)."""
+    status = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    return (0, (out / "config.json").read_bytes()) if status == 0 \
+        else (status, err)
+
+
+@pytest.mark.parametrize("field,text,stored", [
+    ("num_flows", "2.0", 2), ("num_flows", "2.5", None),
+    ("ecn", "1", None), ("bulk", "0", None), ("duration", "Infinity", None),
+], ids=["num_flows-2.0", "num_flows-2.5", "ecn-1", "bulk-0",
+        "duration-Infinity"])
+def test_a_value_is_one_rule_from_set_or_a_config_file(tmp_path, capsys,
+                                                        field, text, stored):
+    """A value's JSON text means the same from --set as from a config
+    file: both write the same config.json, where an int field's 2.0 is 2,
+    or both exit 2 with the same error naming the field."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"scenario": "udpcc_basic", "duration": 1,
-                                "num_flows": 2.0}))
-    got = outputs(tmp_path / "file", "--config", str(path))
-    want = outputs(tmp_path / "set", "--scenario", "udpcc_basic",
-                   "--set", "duration=1", "--set", "num_flows=2.0")
-    assert got["config.json"] == want["config.json"]
-    assert json.loads(got["config.json"])["num_flows"] == 2
-    assert main(["--scenario", "udpcc_basic", "--set", "num_flows=2.5"]) == 2
-    assert "field 'num_flows'" in capsys.readouterr().err
+                                field: json.loads(text)}))
+    got = outcome(tmp_path / "file", ["--config", str(path)], capsys)
+    want = outcome(tmp_path / "set", ["--scenario", "udpcc_basic",
+                                      "--set", "duration=1",
+                                      "--set", f"{field}={text}"], capsys)
+    assert got == want
+    if stored is None:
+        assert got[0] == 2 and f"field '{field}'" in got[1]
+    else:
+        assert json.loads(got[1])[field] == stored
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_every_written_value_passes_back_through_set(tmp_path, scenario):
+    """--set key=<its value as config.json holds it>, for every key of a
+    written config.json, reruns that run from another scenario's
+    defaults: the same config.json and trace.csv."""
+    first = outputs(tmp_path / "a", "--scenario", scenario,
+                    "--set", "duration=1")
+    sets = [arg for key, value in json.loads(first["config.json"]).items()
+            for arg in ("--set", f"{key}={json.dumps(value)}")]
+    again = outputs(tmp_path / "b", "--scenario", "udpcc_basic", *sets)
+    assert again["config.json"] == first["config.json"]
+    assert again["trace.csv"] == first["trace.csv"]
 
 
 def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):

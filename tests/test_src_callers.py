@@ -4,7 +4,9 @@ import alias or a string (perfbench's spans name the methods they wrap
 as strings). A definition that only tests reach is surface the program
 does not use, and goes. Dunder methods are skipped, since the language
 calls them (``len``, ``==``, iteration). The listed exceptions say why
-each stays."""
+each stays. A name is matched without its class, so a method that only
+tests reach passes unseen when one of the same name is used elsewhere:
+any ``close`` passes, since ``TcpSender.close`` is called."""
 import ast
 from pathlib import Path
 

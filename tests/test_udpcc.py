@@ -7,7 +7,6 @@ import pytest
 
 from cmsim.core import CongestionManager, FlowKey, LossMode, Proto
 from cmsim.core import FeedbackReport
-from cmsim.errors import SocketClosed, UnknownFlow
 from cmsim.sim import DEFAULT_MTU, EventLoop, Link
 from cmsim.transport.feedback import AppAck, AppAckReceiver
 from cmsim.trace import TraceKind, Tracer
@@ -119,17 +118,6 @@ def test_oversize_datagram_is_rejected_before_anything_is_queued():
     # one byte past the first hop's MTU: the link would refuse it only
     # after its grant was spent and its Send row traced
     _assert_rejected_before_queueing(DEFAULT_MTU + 1)
-
-
-def test_close_is_final():
-    loop = EventLoop()
-    cm = CongestionManager()
-    sock, _, _ = wire(loop, cm)
-    sock.close()
-    with pytest.raises(SocketClosed):
-        sock.send(100)
-    with pytest.raises(UnknownFlow):
-        cm.query(sock.flow)
 
 
 def test_clean_link_delivers_everything_in_order():
